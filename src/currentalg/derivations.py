@@ -29,23 +29,22 @@ The one-parameter families are pencils: d[x,y] = lam([dx,y] + [x,dy]) on L
 against b(xy) = mu b(x)y on A, and d[x,y] = lam[dx,y] against
 b(xy) = mu(b(x)y + x b(y)), matched by lam * mu = 1.  Rational pencil
 values are discovered by projecting the affine-in-lam row system to square
-matrices with three independent random integer maps, interpolating the
-exact determinant polynomials, and taking rational roots of their gcd;
-every candidate is confirmed by an exact kernel solve, and 1 and 1/2 are
-always checked whether or not they show up as roots.
+matrices with three independent random integer maps, interpolating their
+determinant polynomials modulo a word-size prime, and lifting the roots of
+the gcd to rationals; every candidate is confirmed modulo a second prime
+and then by an exact kernel solve over Q, and 1 and 1/2 are always checked
+whether or not they show up as roots.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 import random
-
-import sympy
 
 from .exactlin import (
     Matrix,
     Subspace,
     inverse,
-    determinant,
     kernel_from_rows,
     span_from_rows,
     subspace_intersect,
@@ -64,6 +63,7 @@ from .algebras import (
 )
 from .cochain import adjoint_module, coadjoint_module, cohomology, trivial_module
 from .forms import invariant_symmetric_forms
+from .modp import PRIMES, det_mod, interpolate, rational_roots
 
 __all__ = [
     "MapSpace",
@@ -414,8 +414,6 @@ def _pencil_rows(alg, kind):
     if kind == "lie_left":
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
                 per = {}
                 for k, c in alg.bracket(i, j):
                     for r in range(n):
@@ -474,17 +472,33 @@ class PencilCandidates:
     residual_degree totals the degrees of irreducible nonrational factors of
     the determinant gcd; a nonzero value flags solutions living in algebraic
     extensions that exact rational solves cannot reach.
+
+    The roots are searched modulo primes: the determinants of three seeded
+    square projections of the pencil are interpolated modulo primes[0],
+    the roots of the square-free part of their gcd are lifted to fractions
+    by rational reconstruction, and a fraction is kept when the determinants
+    also vanish at it modulo primes[1].  primes is empty for a degenerate
+    pencil.  The search can miss a root or miscount residual_degree when the
+    probe value 7919 is a root, when the projections or the prime make all
+    three determinants vanish, when the prime is unlucky for the gcd, when
+    a rational root has numerator or denominator above isqrt(p // 2), or
+    (about once in 10**9 roots) when a nonrational root passes the second
+    prime; lambda_candidates spells these out.  It cannot report a wrong
+    value: every entry of lambdas has a nonzero kernel from an exact solve
+    over Q.
     """
 
     __slots__ = ("algebra", "kind", "lambdas", "degenerate",
-                 "residual_degree", "_rows", "_cache")
+                 "residual_degree", "primes", "_rows", "_cache")
 
-    def __init__(self, algebra, kind, lambdas, degenerate, residual_degree, rows):
+    def __init__(self, algebra, kind, lambdas, degenerate, residual_degree,
+                 rows, primes):
         self.algebra = algebra
         self.kind = kind
         self.lambdas = lambdas
         self.degenerate = degenerate
         self.residual_degree = residual_degree
+        self.primes = tuple(primes)
         self._rows = rows
         self._cache = {}
 
@@ -510,76 +524,119 @@ def _rank_of_rows(ncols, rows):
     return ncols - kernel_from_rows(ncols, rows).dim
 
 
+def _projections(rows, n2, seed):
+    """Three seeded random n2 x n2 projections of the pencil rows.
+
+    Each is a pair (C, L) of dense integer matrices with C + lam L the
+    projected rows times the lcm of every row denominator, which is
+    returned alongside: scaling leaves the roots of det(C + lam L) alone.
+    """
+    scale = lcm(*(c.denominator for row in rows for part in row
+                  for c in part.values()))
+    int_rows = [[[(col, c.numerator * (scale // c.denominator))
+                  for col, c in part.items()] for part in row]
+                for row in rows]
+    out = []
+    for s in range(3):
+        rng = random.Random(seed * 1009 + 7 * s + 3)
+        cmat, lmat = [], []
+        for _ in range(n2):
+            crow, lrow = [0] * n2, [0] * n2
+            for const, lin in int_rows:
+                g = rng.randint(-4, 4)
+                if not g:
+                    continue
+                for col, c in const:
+                    crow[col] += g * c
+                for col, c in lin:
+                    lrow[col] += g * c
+            cmat.append(crow)
+            lmat.append(lrow)
+        out.append((cmat, lmat))
+    return out, scale
+
+
+def _det_at(projection, t, p):
+    """det(C + t L) mod p."""
+    cmat, lmat = projection
+    return det_mod([[(c + t * l) % p for c, l in zip(crow, lrow)]
+                    for crow, lrow in zip(cmat, lmat)], p)
+
+
 def lambda_candidates(alg, kind, seed=0):
-    """Find rational parameter values where the pencil kernel jumps."""
+    """Find rational parameter values where the pencil kernel jumps.
+
+    The pencil is degenerate when its kernel is nonzero at the probe value
+    7919; then only 1 and 1/2 are solved.  Otherwise the rows are projected
+    to three seeded square pencils C + lam L, and each determinant is
+    evaluated at the n^2 + 1 integers around 0 modulo the first prime of
+    modp.PRIMES that divides no row denominator, and interpolated there.
+    The distinct roots mod p of the square-free part of the gcd of the
+    three polynomials are lifted to fractions by rational reconstruction,
+    and a fraction is kept only if all three determinants vanish at it
+    modulo the next such prime.  The kept roots, 1 and 1/2 are then solved
+    exactly over Q, and lambdas holds those with a nonzero kernel.
+    residual_degree is the degree of the square-free gcd mod p minus the
+    number of kept roots.
+
+    The ways the search can fail:
+
+    * the probe 7919 is itself a root of a non-degenerate pencil, which is
+      then taken as degenerate;
+    * all three projected determinants vanish mod p (the projections lose
+      rank, or p divides every determinant), so no root is searched and
+      residual_degree is 0;
+    * p is unlucky for the gcd (it divides a resultant, discriminant or
+      leading coefficient), so the gcd mod p has extra factors or its
+      square-free part is too small, and residual_degree is off;
+    * a rational root with numerator or denominator above isqrt(p // 2)
+      (23170) cannot be reconstructed; it is not solved and counts toward
+      residual_degree instead;
+    * a root mod p that is not rational reconstructs to a fraction at which
+      all three determinants also vanish mod the second prime, so it is
+      counted as rational and residual_degree is too small (a chance of
+      about 1 in 10**9 per root);
+    * fewer than two primes of modp.PRIMES divide no row denominator, and
+      ArithmeticError is raised.
+
+    None of these can add a wrong value to lambdas: every reported value
+    has a nonzero kernel from an exact solve over Q.
+    """
     key = (alg, kind, seed)
     if key in _pencil_cache:
         return _pencil_cache[key]
     n2 = alg.dim ** 2
     rows = _pencil_rows(alg, kind)
     generic_dim = n2 - _rank_of_rows(n2, _rows_at(rows, _GENERIC_PROBE))
-    lambdas = {}
     degenerate = generic_dim > 0
     residual_degree = 0
-    if degenerate:
-        for value in _FORCED_VALUES:
-            d = n2 - _rank_of_rows(n2, _rows_at(rows, value))
-            if d:
-                lambdas[value] = d
-    else:
-        lam = sympy.Symbol("lam")
-        polys = []
-        for s in range(3):
-            rng = random.Random(seed * 1009 + 7 * s + 3)
-            proj = []
-            for _ in range(n2):
-                const, lin = {}, {}
-                for cr, lr in rows:
-                    g = rng.randint(-4, 4)
-                    if not g:
-                        continue
-                    for col, c in cr.items():
-                        _add(const, col, g * c)
-                    for col, c in lr.items():
-                        _add(lin, col, g * c)
-                proj.append((const, lin))
-            pts = list(range(-(n2 // 2), n2 - n2 // 2 + 1))
-            vals = []
-            for t in pts:
-                data = [[_ZERO] * n2 for _ in range(n2)]
-                for r, (const, lin) in enumerate(proj):
-                    row = data[r]
-                    for col, c in const.items():
-                        row[col] += c
-                    for col, c in lin.items():
-                        row[col] += t * c
-                vals.append(determinant(Matrix(data)))
-            pairs = [(p, sympy.Rational(v.numerator, v.denominator))
-                     for p, v in zip(pts, vals)]
-            if all(v == 0 for _, v in pairs):
-                polys.append(sympy.Poly(0, lam, domain="QQ"))
-            else:
-                polys.append(sympy.Poly(sympy.interpolate(pairs, lam),
-                                        lam, domain="QQ"))
-        g = polys[0]
-        for p in polys[1:]:
-            g = g.gcd(p)
-        candidates = set(_FORCED_VALUES)
-        if not g.is_zero:
-            _, factors = g.factor_list()
-            for f, _mult in factors:
-                if f.degree() == 1:
-                    a, b = f.all_coeffs()
-                    root = sympy.Rational(-b, a)
-                    candidates.add(Fraction(int(root.p), int(root.q)))
-                elif f.degree() >= 2:
-                    residual_degree += f.degree()
-        for value in sorted(candidates):
-            d = n2 - _rank_of_rows(n2, _rows_at(rows, value))
-            if d:
-                lambdas[value] = d
+    primes = ()
+    candidates = set(_FORCED_VALUES)
+    if not degenerate:
+        projections, scale = _projections(rows, n2, seed)
+        primes = tuple(q for q in PRIMES if scale % q)[:2]
+        if len(primes) < 2:
+            raise ArithmeticError("only %d of the search primes divide no "
+                                  "pencil row denominator" % len(primes))
+        p, q = primes
+        pts = list(range(-(n2 // 2), n2 - n2 // 2 + 1))
+        polys = [interpolate(pts, [_det_at(proj, t, p) for t in pts], p)
+                 for proj in projections]
+
+        def confirm(x):
+            t = x.numerator * pow(x.denominator, -1, q) % q
+            return all(not _det_at(proj, t, q) for proj in projections)
+
+        roots, residual_degree = rational_roots(polys, p, confirm,
+                                                random.Random(seed))
+        candidates.update(roots)
+    lambdas = {}
+    for value in sorted(candidates):
+        d = n2 - _rank_of_rows(n2, _rows_at(rows, value))
+        if d:
+            lambdas[value] = d
     result = PencilCandidates(alg, kind, lambdas, degenerate,
-                              residual_degree, rows)
+                              residual_degree, rows, primes)
     _pencil_cache[key] = result
     return result
 

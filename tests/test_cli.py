@@ -141,6 +141,16 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["dim"] == 0
 
 
+def test_import_does_not_load_sympy():
+    # sympy is a test-only dependency: an oracle for the exact kernels
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, currentalg, currentalg.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_missing_required_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cohomology"])

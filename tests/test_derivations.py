@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from currentalg.algebras import (
+    algebra_from_dict,
     assoc_truncated_poly,
     current,
     killing_form,
@@ -25,8 +26,27 @@ from currentalg.derivations import (
     sl2_loop_derivation,
     verify_der_decomposition,
 )
-from currentalg.exactlin import Matrix, Subspace
+from currentalg.exactlin import Matrix, Subspace, inverse
 from currentalg.forms import condition_space
+from currentalg.modp import PRIMES
+
+
+def rebased(alg, new_basis):
+    """alg in the basis y_a = sum_i new_basis[a][i] x_i, read back through
+    algebra_from_dict."""
+    n = alg.dim
+    cols = [[Fraction(c) for c in y] for y in new_basis]
+    to_new = inverse(Matrix([[cols[a][i] for a in range(n)] for i in range(n)]))
+    table = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            coords = to_new.apply(alg.bracket_vectors(cols[a], cols[b]))
+            terms = [{"k": k, "c": str(c)} for k, c in enumerate(coords) if c]
+            if terms:
+                table.append({"i": a, "j": b, "terms": terms})
+    return algebra_from_dict({"kind": "lie", "dim": n,
+                              "basis": ["y%d" % a for a in range(n)],
+                              "table": table})
 
 
 def test_semisimple_derivations_are_inner():
@@ -87,6 +107,50 @@ def test_sl2_pencil_roots():
     assert pc.solution_at(Fraction(-1)) == antiderivation_space(lie_sl2()).space
     # off-root values solve only trivially
     assert pc.solution_at(Fraction(7)).dim == 0
+
+
+SL2_LIE_BOTH = {Fraction(-1): 5, Fraction(1): 3, Fraction(1, 2): 1}
+
+
+@pytest.mark.parametrize("new_basis, primes", [
+    # a structure constant with denominator PRIMES[0]: [y0, y2] = h / p
+    ([[Fraction(1, PRIMES[0]), 0, 0], [0, 1, 0], [0, 0, 1]], PRIMES[1:3]),
+    # a basis with 1/2 entries
+    ([[Fraction(1, 2), 0, Fraction(1, 2)], [0, Fraction(1, 2), 0],
+      [Fraction(-1, 2), 0, Fraction(1, 2)]], PRIMES[:2]),
+])
+def test_sl2_pencil_in_rational_bases(new_basis, primes):
+    assert lambda_candidates(lie_sl2(), "lie_both", 0).primes == PRIMES[:2]
+    pc = lambda_candidates(rebased(lie_sl2(), new_basis), "lie_both", 0)
+    assert pc.primes == primes
+    assert pc.lambdas == SL2_LIE_BOTH
+    assert not pc.degenerate and pc.residual_degree == 0
+
+
+def test_pencil_search_needs_two_usable_primes():
+    denominator = 1
+    for q in PRIMES[:-1]:
+        denominator *= q
+    scaled = rebased(lie_sl2(), [[Fraction(1, denominator), 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ArithmeticError):
+        lambda_candidates(scaled, "lie_both", 0)
+
+
+def test_lie_left_pencil_is_basis_independent():
+    # [D x, x] = lam^-1 D [x, x] = 0 is part of the identity, so the type ii
+    # family of heis3 (D(L) central with D([L, L]) = 0 at lam = 1 and 1/2)
+    # does not depend on the basis
+    unimodular = [[1, 1, 0], [0, 1, 0], [1, 2, 1]]
+    catalog, changed = lie_heisenberg3(), rebased(lie_heisenberg3(), unimodular)
+    for alg in (catalog, changed):
+        pc = lambda_candidates(alg, "lie_left", 0)
+        assert pc.degenerate
+        assert pc.lambdas == {Fraction(1): 3, Fraction(1, 2): 3}
+    reports = [verify_der_decomposition(alg, assoc_truncated_poly(3))
+               for alg in (catalog, changed)]
+    for r in reports:
+        assert r["equal"] and r["types"]["ii"] == 11
+    assert reports[0]["lambda"]["ii"] == reports[1]["lambda"]["ii"]
 
 
 def test_sl3_pencil_has_no_antiderivation_root():
