@@ -12,11 +12,9 @@ from .exactlin import (
     Subspace,
     determinant,
     inverse,
-    kernel_basis,
     kernel_from_rows,
     rref,
     solve,
-    span_from_rows,
     subspace_intersect,
     subspace_sum,
 )
@@ -74,6 +72,7 @@ from .derivations import (
     theorem_der_span,
     verify_der_decomposition,
 )
+from .identities import InvariantError
 from .graded import (
     GradedComponent,
     graded_form_dims,

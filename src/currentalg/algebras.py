@@ -29,6 +29,7 @@ from .exactlin import (
     kernel_from_rows,
     solve,
 )
+from .identities import ASSOC_FORMS, LIE_FORMS, add_entry, first_failure
 
 __all__ = [
     "ValidationError",
@@ -68,13 +69,29 @@ class ValidationError(ValueError):
 def _canonical_terms(terms):
     acc = {}
     for k, c in terms:
-        c = Fraction(c)
-        if c:
-            acc[k] = acc.get(k, _ZERO) + c
-    return tuple(sorted((k, c) for k, c in acc.items() if c))
+        add_entry(acc, k, Fraction(c))
+    return tuple(sorted(acc.items()))
 
 
-class LieAlgebra:
+class _Algebra:
+    """The interface the identity engine reads: dim, mul(i, j) as a tuple of
+    (index, coefficient) pairs, and mul_vectors on dense coordinates."""
+
+    def mul_vectors(self, u, v):
+        """Product of two coordinate vectors, as a dense coordinate list."""
+        out = [_ZERO] * self.dim
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                if not b:
+                    continue
+                for k, c in self.mul(i, j):
+                    out[k] += a * b * c
+        return out
+
+
+class LieAlgebra(_Algebra):
     """Finite-dimensional Lie algebra over Q given by structure constants."""
 
     def __init__(self, labels, table, validate=True):
@@ -105,29 +122,14 @@ class LieAlgebra:
             return ()
         return self._full.get((i, j), ())
 
-    def bracket_vectors(self, u, v):
-        """Bracket of two coordinate vectors, as a dense coordinate list."""
-        out = [_ZERO] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in self.bracket(i, j):
-                    out[k] += a * b * c
-        return out
+    mul = bracket
 
     def _jacobi_defect(self, i, j, k):
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, cf in self.bracket(a, b):
                 for l, cf2 in self.bracket(m, c):
-                    v = acc.get(l, _ZERO) + cf * cf2
-                    if v:
-                        acc[l] = v
-                    elif l in acc:
-                        del acc[l]
+                    add_entry(acc, l, cf * cf2)
         return acc
 
     def _validate_jacobi(self):
@@ -161,7 +163,7 @@ class LieAlgebra:
         return "LieAlgebra(dim %d: %s)" % (self.dim, ", ".join(self.labels))
 
 
-class AssocAlgebra:
+class AssocAlgebra(_Algebra):
     """Commutative associative algebra given by structure constants.
 
     Possibly without unit; the unital flag certifies that a two-sided
@@ -197,34 +199,16 @@ class AssocAlgebra:
             i, j = j, i
         return self.table.get((i, j), ())
 
-    def product_vectors(self, u, v):
-        out = [_ZERO] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in self.product(i, j):
-                    out[k] += a * b * c
-        return out
+    mul = product
 
     def _assoc_defect(self, i, j, k):
         acc = {}
         for m, c in self.product(i, j):
             for l, d in self.product(m, k):
-                v = acc.get(l, _ZERO) + c * d
-                if v:
-                    acc[l] = v
-                elif l in acc:
-                    del acc[l]
+                add_entry(acc, l, c * d)
         for m, c in self.product(j, k):
             for l, d in self.product(i, m):
-                v = acc.get(l, _ZERO) - c * d
-                if v:
-                    acc[l] = v
-                elif l in acc:
-                    del acc[l]
+                add_entry(acc, l, -c * d)
         return acc
 
     def _validate_associativity(self):
@@ -261,7 +245,7 @@ class AssocAlgebra:
         # re-check both sides exhaustively
         for j in range(n):
             col = [_ONE if i == j else _ZERO for i in range(n)]
-            if self.product_vectors(u, col) != col or self.product_vectors(col, u) != col:
+            if self.mul_vectors(u, col) != col or self.mul_vectors(col, u) != col:
                 return None
         return tuple(u)
 
@@ -523,50 +507,45 @@ def current(factor_lie, factor_assoc):
 # distinguished subspaces
 
 
-def derived_subalgebra(alg):
-    """[L, L] as a subspace of the coordinate space."""
+def _products_span(alg):
     vectors = []
-    for (i, j), terms in alg.table.items():
+    for terms in alg.table.values():
         v = [_ZERO] * alg.dim
         for k, c in terms:
             v[k] = c
         vectors.append(v)
     return Subspace.from_vectors(alg.dim, vectors)
+
+
+def _annihilator(alg):
+    rows = []
+    for j in range(alg.dim):
+        per_k = {}
+        for i in range(alg.dim):
+            for k, c in alg.mul(i, j):
+                per_k.setdefault(k, {})[i] = c
+        rows.extend(per_k.values())
+    return kernel_from_rows(alg.dim, rows)
+
+
+def derived_subalgebra(alg):
+    """[L, L] as a subspace of the coordinate space."""
+    return _products_span(alg)
 
 
 def center_lie(alg):
     """Z(L) = {x : [x, y] = 0 for all y}, the kernel of the joint adjoint system."""
-    rows = []
-    for j in range(alg.dim):
-        per_k = {}
-        for i in range(alg.dim):
-            for k, c in alg.bracket(i, j):
-                per_k.setdefault(k, {})[i] = per_k.get(k, {}).get(i, _ZERO) + c
-        rows.extend(per_k.values())
-    return kernel_from_rows(alg.dim, rows)
+    return _annihilator(alg)
 
 
 def annihilator_assoc(alg):
     """Z(A) = {a : aA = 0}."""
-    rows = []
-    for j in range(alg.dim):
-        per_k = {}
-        for i in range(alg.dim):
-            for k, c in alg.product(i, j):
-                per_k.setdefault(k, {})[i] = per_k.get(k, {}).get(i, _ZERO) + c
-        rows.extend(per_k.values())
-    return kernel_from_rows(alg.dim, rows)
+    return _annihilator(alg)
 
 
 def square_assoc(alg):
     """AA, the span of all pairwise products."""
-    vectors = []
-    for (i, j), terms in alg.table.items():
-        v = [_ZERO] * alg.dim
-        for k, c in terms:
-            v[k] = c
-        vectors.append(v)
-    return Subspace.from_vectors(alg.dim, vectors)
+    return _products_span(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -606,22 +585,6 @@ class BilinearForm:
         return determinant(self.matrix) != 0
 
 
-def _lie_invariance_defect(alg, matrix):
-    """First triple (i,j,k) with kappa([x_i,x_j],x_k) + kappa(x_j,[x_i,x_k]) != 0."""
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = _ZERO
-                for m, c in alg.bracket(i, j):
-                    s += c * matrix[m, k]
-                for m, c in alg.bracket(i, k):
-                    s += c * matrix[j, m]
-                if s:
-                    return (i, j, k)
-    return None
-
-
 def killing_form(alg):
     """kappa(x, y) = trace(ad x . ad y); symmetric and invariant by construction,
     both re-checked."""
@@ -645,7 +608,7 @@ def killing_form(alg):
             rows[j][i] = s
     form = BilinearForm(Matrix(rows))
     assert form.symmetry == "symmetric"
-    defect = _lie_invariance_defect(alg, form.matrix)
+    defect = first_failure(alg, LIE_FORMS["invariant"], form.as_vector())
     assert defect is None, "Killing form not invariant at %r" % (defect,)
     return form
 
@@ -666,17 +629,8 @@ def residue_form(alg):
     det = determinant(form.matrix)
     assert det in (_ONE, -_ONE), "residue form must be a permutation matrix"
     # associativity-invariance <ab, c> = <a, bc> on all basis triples
-    d = alg.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                left = _ZERO
-                for m, c in alg.product(i, j):
-                    left += c * form.matrix[m, k]
-                right = _ZERO
-                for m, c in alg.product(j, k):
-                    right += c * form.matrix[i, m]
-                assert left == right, "residue form not invariant"
+    assert first_failure(alg, ASSOC_FORMS["invariant"], form.as_vector()) is None, \
+        "residue form not invariant"
     return form
 
 

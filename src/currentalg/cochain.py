@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactlin import Matrix, Subspace, kernel_from_rows, span_from_rows
+from .exactlin import Matrix, Subspace, kernel_from_rows
+from .identities import add_entry
 
 __all__ = [
     "LieModule",
@@ -24,7 +25,6 @@ __all__ = [
     "adjoint_module",
     "coadjoint_module",
     "cochain_dim",
-    "cochain_basis",
     "ce_differential",
     "cohomology",
     "CochainSpaceResult",
@@ -57,12 +57,7 @@ class LieModule:
         for (r, m), va in a.items():
             for (m2, c), vb in b.items():
                 if m == m2:
-                    key = (r, c)
-                    v = out.get(key, _ZERO) + va * vb
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
+                    add_entry(out, (r, c), va * vb)
         return out
 
     def _validate(self):
@@ -72,18 +67,10 @@ class LieModule:
                 lhs = {}
                 for k, c in L.bracket(i, j):
                     for pos, v in self.action[k].items():
-                        val = lhs.get(pos, _ZERO) + c * v
-                        if val:
-                            lhs[pos] = val
-                        elif pos in lhs:
-                            del lhs[pos]
+                        add_entry(lhs, pos, c * v)
                 rhs = self._mat_mul(self.action[i], self.action[j])
                 for pos, v in self._mat_mul(self.action[j], self.action[i]).items():
-                    val = rhs.get(pos, _ZERO) - v
-                    if val:
-                        rhs[pos] = val
-                    elif pos in rhs:
-                        del rhs[pos]
+                    add_entry(rhs, pos, -v)
                 if lhs != rhs:
                     raise ValueError(
                         "module action violates the representation axiom on "
@@ -134,13 +121,6 @@ def cochain_dim(algebra, module, degree):
     return comb(algebra.dim, degree) * module.dim
 
 
-def cochain_basis(algebra, module, degree):
-    """Flat-order list of (index tuple, module coordinate) basis labels."""
-    return [(tup, m)
-            for tup in combinations(range(algebra.dim), degree)
-            for m in range(module.dim)]
-
-
 def _tuple_ranks(n, degree):
     return {tup: r for r, tup in enumerate(combinations(range(n), degree))}
 
@@ -158,24 +138,13 @@ def _ce_rows(algebra, module, degree):
     nrows = comb(n, degree + 1) * dm
     ncols = comb(n, degree) * dm
     rows = [dict() for _ in range(nrows)]
-
-    def add(r, c, v):
-        if not v:
-            return
-        row = rows[r]
-        val = row.get(c, _ZERO) + v
-        if val:
-            row[c] = val
-        elif c in row:
-            del row[c]
-
     for t_rank, T in enumerate(combinations(range(n), degree + 1)):
         for a in range(degree + 1):
             S = T[:a] + T[a + 1:]
             s_rank = in_ranks[S]
             sgn = -_ONE if a % 2 else _ONE
             for (r, c), v in module.action[T[a]].items():
-                add(t_rank * dm + r, s_rank * dm + c, sgn * v)
+                add_entry(rows[t_rank * dm + r], s_rank * dm + c, sgn * v)
         for a in range(degree + 1):
             for b in range(a + 1, degree + 1):
                 terms = algebra.bracket(T[a], T[b])
@@ -191,7 +160,7 @@ def _ce_rows(algebra, module, degree):
                     sgn = base_sgn * c * (-_ONE if pos % 2 else _ONE)
                     u_rank = in_ranks[U]
                     for m in range(dm):
-                        add(t_rank * dm + m, u_rank * dm + m, sgn)
+                        add_entry(rows[t_rank * dm + m], u_rank * dm + m, sgn)
     return nrows, ncols, rows
 
 
@@ -234,7 +203,7 @@ def cohomology(algebra, module, degree):
         for r, row in enumerate(prev):
             for c, v in row.items():
                 cols.setdefault(c, {})[r] = v
-        b_space = span_from_rows(ncols, list(cols.values()))
+        b_space = Subspace.from_vectors(ncols, list(cols.values()))
     assert z_space.contains(b_space), "coboundaries must be cocycles"
     return CochainSpaceResult(degree, z_space, b_space)
 

@@ -34,6 +34,17 @@ determinant polynomials modulo a word-size prime, and lifting the roots of
 the gcd to rationals; every candidate is confirmed modulo a second prime
 and then by an exact kernel solve over Q, and 1 and 1/2 are always checked
 whether or not they show up as roots.
+
+Apart from module_map and self_bracket_zero, every condition above is a
+pencil of currentalg.identities at fixed weights: derivation is d[x,y] =
+lam([dx,y] + [x,dy]) at lam = 1, kill_derived its lam-free part, and so
+on.  Rows come from basis tuples through the sparse structure constants.
+Each solution basis vector, of a condition space or of a pencil kernel at
+a value, is rechecked on 10 seeded random pairs of dense vectors through
+mul_vectors.  The recheck shares only the written identity and the
+coordinate convention with the rows: a wrong tuple enumeration, coordinate
+or sign in the row path makes it raise InvariantError, rows that are too
+strict (a kernel too small) do not.
 """
 
 from fractions import Fraction
@@ -41,12 +52,12 @@ from itertools import combinations
 from math import lcm
 import random
 
+from . import identities as ids
 from .exactlin import (
     Matrix,
     Subspace,
     inverse,
     kernel_from_rows,
-    span_from_rows,
     subspace_intersect,
     subspace_sum,
 )
@@ -54,7 +65,6 @@ from .algebras import (
     AssocAlgebra,
     BilinearForm,
     LieAlgebra,
-    build_assoc,
     build_lie,
     current,
     killing_form,
@@ -62,7 +72,7 @@ from .algebras import (
     assoc_truncated_poly,
 )
 from .cochain import adjoint_module, coadjoint_module, cohomology, trivial_module
-from .forms import invariant_symmetric_forms
+from .forms import _resolve_pair, invariant_symmetric_forms
 from .modp import PRIMES, det_mod, interpolate, rational_roots
 
 __all__ = [
@@ -86,15 +96,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
-LIE_MAP_CONDITIONS = (
-    "derivation", "antiderivation", "ad_anticommute", "kill_derived",
-    "into_center", "self_bracket_zero", "centroid",
-)
-ASSOC_MAP_CONDITIONS = (
-    "derivation", "module_map", "anti_module_map", "kill_square",
-    "into_annihilator",
-)
-
 # Factor conditions for the non-pencil summands of the span theorem:
 # (label, Lie-side conjunction, associative-side conjunction).
 DER_TYPE_TABLE = (
@@ -107,218 +108,6 @@ DER_TYPE_TABLE = (
     ("ix", ("into_center",), ("kill_square",)),
     ("x", (), ("kill_square", "into_annihilator")),
 )
-
-
-def _add(row, col, val):
-    if not val:
-        return
-    v = row.get(col, _ZERO) + val
-    if v:
-        row[col] = v
-    elif col in row:
-        del row[col]
-
-
-# ---------------------------------------------------------------------------
-# row builders, one family of sparse rows per condition
-
-
-def _lie_map_rows(alg, condition):
-    n = alg.dim
-    rows = []
-    if condition in ("derivation", "antiderivation"):
-        sgn = -_ONE if condition == "derivation" else _ONE
-        for i in range(n):
-            for j in range(i + 1, n):
-                per_r = {}
-                for k, c in alg.bracket(i, j):
-                    for r in range(n):
-                        _add(per_r.setdefault(r, {}), r * n + k, c)
-                for m in range(n):
-                    for r, c in alg.bracket(m, j):
-                        _add(per_r.setdefault(r, {}), m * n + i, sgn * c)
-                    for r, c in alg.bracket(i, m):
-                        _add(per_r.setdefault(r, {}), m * n + j, sgn * c)
-                rows.extend(v for v in per_r.values() if v)
-        return rows
-    if condition == "ad_anticommute":
-        for i in range(n):
-            for j in range(i + 1, n):
-                per_r = {}
-                for m in range(n):
-                    for r, c in alg.bracket(m, j):
-                        _add(per_r.setdefault(r, {}), m * n + i, c)
-                    for r, c in alg.bracket(i, m):
-                        _add(per_r.setdefault(r, {}), m * n + j, c)
-                rows.extend(v for v in per_r.values() if v)
-        return rows
-    if condition == "kill_derived":
-        for (i, j), terms in alg.table.items():
-            for r in range(n):
-                row = {}
-                for k, c in terms:
-                    _add(row, r * n + k, c)
-                if row:
-                    rows.append(row)
-        return rows
-    if condition == "into_center":
-        for j in range(n):
-            for j2 in range(n):
-                per_k = {}
-                for m in range(n):
-                    for k, c in alg.bracket(m, j2):
-                        _add(per_k.setdefault(k, {}), m * n + j, c)
-                rows.extend(v for v in per_k.values() if v)
-        return rows
-    if condition == "self_bracket_zero":
-        for i in range(n):
-            for j in range(i, n):
-                per_r = {}
-                for m in range(n):
-                    for r, c in alg.bracket(m, j):
-                        _add(per_r.setdefault(r, {}), m * n + i, c)
-                    for r, c in alg.bracket(m, i):
-                        _add(per_r.setdefault(r, {}), m * n + j, c)
-                rows.extend(v for v in per_r.values() if v)
-        return rows
-    if condition == "centroid":
-        for i in range(n):
-            for j in range(i + 1, n):
-                per_r = {}
-                for k, c in alg.bracket(i, j):
-                    for r in range(n):
-                        _add(per_r.setdefault(r, {}), r * n + k, c)
-                for m in range(n):
-                    for r, c in alg.bracket(m, j):
-                        _add(per_r.setdefault(r, {}), m * n + i, -c)
-                rows.extend(v for v in per_r.values() if v)
-        for i in range(n):
-            for j in range(i, n):
-                per_r = {}
-                for m in range(n):
-                    for r, c in alg.bracket(m, j):
-                        _add(per_r.setdefault(r, {}), m * n + i, c)
-                    for r, c in alg.bracket(i, m):
-                        _add(per_r.setdefault(r, {}), m * n + j, -c)
-                rows.extend(v for v in per_r.values() if v)
-        return rows
-    raise ValueError("unknown Lie map condition %r" % condition)
-
-
-def _assoc_map_rows(alg, condition):
-    n = alg.dim
-    rows = []
-    if condition == "derivation":
-        for i in range(n):
-            for j in range(i, n):
-                per_r = {}
-                for k, c in alg.product(i, j):
-                    for r in range(n):
-                        _add(per_r.setdefault(r, {}), r * n + k, c)
-                for m in range(n):
-                    for r, c in alg.product(m, j):
-                        _add(per_r.setdefault(r, {}), m * n + i, -c)
-                    for r, c in alg.product(i, m):
-                        _add(per_r.setdefault(r, {}), m * n + j, -c)
-                rows.extend(v for v in per_r.values() if v)
-        return rows
-    if condition == "module_map":
-        for i in range(n):
-            for j in range(i + 1, n):
-                per_r = {}
-                for m in range(n):
-                    for r, c in alg.product(m, j):
-                        _add(per_r.setdefault(r, {}), m * n + i, c)
-                    for r, c in alg.product(i, m):
-                        _add(per_r.setdefault(r, {}), m * n + j, -c)
-                rows.extend(v for v in per_r.values() if v)
-        return rows
-    if condition == "anti_module_map":
-        for i in range(n):
-            for j in range(i, n):
-                per_r = {}
-                for m in range(n):
-                    for r, c in alg.product(m, j):
-                        _add(per_r.setdefault(r, {}), m * n + i, c)
-                    for r, c in alg.product(i, m):
-                        _add(per_r.setdefault(r, {}), m * n + j, c)
-                rows.extend(v for v in per_r.values() if v)
-        return rows
-    if condition == "kill_square":
-        for (i, j), terms in alg.table.items():
-            for r in range(n):
-                row = {}
-                for k, c in terms:
-                    _add(row, r * n + k, c)
-                if row:
-                    rows.append(row)
-        return rows
-    if condition == "into_annihilator":
-        for j in range(n):
-            for j2 in range(n):
-                per_k = {}
-                for m in range(n):
-                    for k, c in alg.product(m, j2):
-                        _add(per_k.setdefault(k, {}), m * n + j, c)
-                rows.extend(v for v in per_k.values() if v)
-        return rows
-    raise ValueError("unknown associative map condition %r" % condition)
-
-
-# ---------------------------------------------------------------------------
-# post-solve rechecks through the multiplication maps
-
-
-def _apply(vec, n, u):
-    out = [_ZERO] * n
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for m in range(n):
-            c = vec[m * n + i]
-            if c:
-                out[m] += a * c
-    return out
-
-
-_RECHECK_PAIRS = 10
-
-
-def _recheck_maps(alg, conditions, space, mul):
-    n = alg.dim
-    rng = random.Random(74161)
-    pairs = [tuple([Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                   for _ in range(2))
-             for _ in range(_RECHECK_PAIRS)]
-    zero = [_ZERO] * n
-    for vec in space.basis:
-        for u, v in pairs:
-            du, dv = _apply(vec, n, u), _apply(vec, n, v)
-            duv = _apply(vec, n, mul(u, v))
-            for cond in conditions:
-                if cond == "derivation":
-                    lhs = [a - b - c for a, b, c in
-                           zip(duv, mul(du, v), mul(u, dv))]
-                elif cond == "antiderivation":
-                    lhs = [a + b + c for a, b, c in
-                           zip(duv, mul(du, v), mul(u, dv))]
-                elif cond == "ad_anticommute" or cond == "anti_module_map":
-                    lhs = [b + c for b, c in zip(mul(du, v), mul(u, dv))]
-                elif cond == "module_map":
-                    lhs = [b - c for b, c in zip(mul(du, v), mul(u, dv))]
-                elif cond in ("kill_derived", "kill_square"):
-                    lhs = duv
-                elif cond in ("into_center", "into_annihilator"):
-                    lhs = mul(du, v)
-                elif cond == "self_bracket_zero":
-                    lhs = mul(du, u)
-                elif cond == "centroid":
-                    lhs = [a - b for a, b in zip(duv, mul(du, v))]
-                    lhs += [a - b for a, b in zip(duv, mul(u, dv))]
-                else:
-                    lhs = zero
-                assert not any(lhs), ("map condition %r solution fails its "
-                                      "identity" % cond)
 
 
 class MapSpace:
@@ -348,20 +137,17 @@ def map_condition_space(alg, conditions):
     """Linear maps satisfying every named condition simultaneously."""
     conditions = tuple(conditions)
     if isinstance(alg, LieAlgebra):
-        known, builder, mul = (LIE_MAP_CONDITIONS, _lie_map_rows,
-                               alg.bracket_vectors)
+        table = ids.LIE_MAPS
     elif isinstance(alg, AssocAlgebra):
-        known, builder, mul = (ASSOC_MAP_CONDITIONS, _assoc_map_rows,
-                               alg.product_vectors)
+        table = ids.ASSOC_MAPS
     else:
         raise TypeError("not an algebra: %r" % (alg,))
-    rows = []
     for cond in conditions:
-        if cond not in known:
+        if cond not in table:
             raise ValueError("unknown map condition %r" % cond)
-        rows.extend(builder(alg, cond))
-    space = kernel_from_rows(alg.dim ** 2, rows)
-    _recheck_maps(alg, conditions, space, mul)
+    idents = [table[cond] for cond in conditions]
+    space = kernel_from_rows(alg.dim ** 2, ids.rows(alg, idents))
+    ids.recheck(alg, idents, space)
     return MapSpace(alg, conditions, space)
 
 
@@ -378,89 +164,13 @@ def antiderivation_space(alg):
 def inner_derivations(alg):
     """Span of the adjoint maps ad x_i."""
     n = alg.dim
-    vectors = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            for k, c in alg.bracket(i, j):
-                _add(row, k * n + j, c)
-        if row:
-            vectors.append(row)
-    return span_from_rows(n * n, vectors)
+    return Subspace.from_vectors(n * n, [
+        {k * n + j: c for j in range(n) for k, c in alg.bracket(i, j)}
+        for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
 # lambda pencils
-
-
-def _pencil_rows(alg, kind):
-    """Rows affine in the parameter: list of (constant part, linear part)."""
-    n = alg.dim
-    rows = []
-    if kind == "lie_both":
-        for i in range(n):
-            for j in range(i + 1, n):
-                per = {}
-                for k, c in alg.bracket(i, j):
-                    for r in range(n):
-                        _add(per.setdefault(r, ({}, {}))[0], r * n + k, c)
-                for m in range(n):
-                    for r, c in alg.bracket(m, j):
-                        _add(per.setdefault(r, ({}, {}))[1], m * n + i, -c)
-                    for r, c in alg.bracket(i, m):
-                        _add(per.setdefault(r, ({}, {}))[1], m * n + j, -c)
-                rows.extend(v for v in per.values() if v[0] or v[1])
-        return rows
-    if kind == "lie_left":
-        for i in range(n):
-            for j in range(n):
-                per = {}
-                for k, c in alg.bracket(i, j):
-                    for r in range(n):
-                        _add(per.setdefault(r, ({}, {}))[0], r * n + k, c)
-                for m in range(n):
-                    for r, c in alg.bracket(m, j):
-                        _add(per.setdefault(r, ({}, {}))[1], m * n + i, -c)
-                rows.extend(v for v in per.values() if v[0] or v[1])
-        return rows
-    if kind == "assoc_left":
-        for i in range(n):
-            for j in range(n):
-                per = {}
-                for k, c in alg.product(i, j):
-                    for r in range(n):
-                        _add(per.setdefault(r, ({}, {}))[0], r * n + k, c)
-                for m in range(n):
-                    for r, c in alg.product(m, j):
-                        _add(per.setdefault(r, ({}, {}))[1], m * n + i, -c)
-                rows.extend(v for v in per.values() if v[0] or v[1])
-        return rows
-    if kind == "assoc_both":
-        for i in range(n):
-            for j in range(i, n):
-                per = {}
-                for k, c in alg.product(i, j):
-                    for r in range(n):
-                        _add(per.setdefault(r, ({}, {}))[0], r * n + k, c)
-                for m in range(n):
-                    for r, c in alg.product(m, j):
-                        _add(per.setdefault(r, ({}, {}))[1], m * n + i, -c)
-                    for r, c in alg.product(i, m):
-                        _add(per.setdefault(r, ({}, {}))[1], m * n + j, -c)
-                rows.extend(v for v in per.values() if v[0] or v[1])
-        return rows
-    raise ValueError("unknown pencil kind %r" % kind)
-
-
-def _rows_at(rows, value):
-    out = []
-    for const, lin in rows:
-        row = dict(const)
-        for col, c in lin.items():
-            _add(row, col, value * c)
-        if row:
-            out.append(row)
-    return out
 
 
 class PencilCandidates:
@@ -485,7 +195,8 @@ class PencilCandidates:
     (about once in 10**9 roots) when a nonrational root passes the second
     prime; lambda_candidates spells these out.  It cannot report a wrong
     value: every entry of lambdas has a nonzero kernel from an exact solve
-    over Q.
+    over Q, and solution_at rechecks every kernel against the pencil
+    identity at its value.
     """
 
     __slots__ = ("algebra", "kind", "lambdas", "degenerate",
@@ -503,10 +214,14 @@ class PencilCandidates:
         self._cache = {}
 
     def solution_at(self, value):
+        """The exact kernel at value, rechecked against the identity."""
         value = Fraction(value)
         if value not in self._cache:
-            self._cache[value] = kernel_from_rows(
-                self.algebra.dim ** 2, _rows_at(self._rows, value))
+            space = kernel_from_rows(self.algebra.dim ** 2,
+                                     ids.rows_at(self._rows, (_ONE, value)))
+            ids.recheck(self.algebra,
+                        (ids.PENCILS[self.kind].at(_ONE, value),), space)
+            self._cache[value] = space
         return self._cache[value]
 
     def __repr__(self):
@@ -518,10 +233,6 @@ class PencilCandidates:
 _FORCED_VALUES = (_ONE, _HALF)
 _GENERIC_PROBE = Fraction(7919)
 _pencil_cache = {}
-
-
-def _rank_of_rows(ncols, rows):
-    return ncols - kernel_from_rows(ncols, rows).dim
 
 
 def _projections(rows, n2, seed):
@@ -605,10 +316,12 @@ def lambda_candidates(alg, kind, seed=0):
     key = (alg, kind, seed)
     if key in _pencil_cache:
         return _pencil_cache[key]
+    if kind not in ids.PENCILS:
+        raise ValueError("unknown pencil kind %r" % kind)
     n2 = alg.dim ** 2
-    rows = _pencil_rows(alg, kind)
-    generic_dim = n2 - _rank_of_rows(n2, _rows_at(rows, _GENERIC_PROBE))
-    degenerate = generic_dim > 0
+    rows = ids.pencil_rows(alg, ids.PENCILS[kind])
+    degenerate = kernel_from_rows(
+        n2, ids.rows_at(rows, (_ONE, _GENERIC_PROBE))).dim > 0
     residual_degree = 0
     primes = ()
     candidates = set(_FORCED_VALUES)
@@ -630,13 +343,12 @@ def lambda_candidates(alg, kind, seed=0):
         roots, residual_degree = rational_roots(polys, p, confirm,
                                                 random.Random(seed))
         candidates.update(roots)
-    lambdas = {}
-    for value in sorted(candidates):
-        d = n2 - _rank_of_rows(n2, _rows_at(rows, value))
-        if d:
-            lambdas[value] = d
-    result = PencilCandidates(alg, kind, lambdas, degenerate,
+    result = PencilCandidates(alg, kind, {}, degenerate,
                               residual_degree, rows, primes)
+    for value in sorted(candidates):
+        d = result.solution_at(value).dim
+        if d:
+            result.lambdas[value] = d
     _pencil_cache[key] = result
     return result
 
@@ -726,8 +438,7 @@ def theorem_der_span(L, A, seed=0):
             bad_generator = _map_entries(curr.labels, g)
             break
 
-    span = inner
-    span = subspace_sum(span, Subspace.from_vectors(n * n, all_gens))
+    span = subspace_sum(inner, Subspace.from_vectors(n * n, all_gens))
 
     details = {
         "types": {label: families[label].dim
@@ -750,18 +461,13 @@ def theorem_der_span(L, A, seed=0):
 
 def verify_der_decomposition(L, A, lname=None, aname=None, seed=0):
     """Verdict report: Der(L tensor A) equals the assembled span."""
-    if isinstance(L, str):
-        lname = lname or L
-        L = build_lie(L)
-    if isinstance(A, str):
-        aname = aname or A
-        A = build_assoc(A)
+    L, A, auto_l, auto_a = _resolve_pair(L, A)
     der, span, details = theorem_der_span(L, A, seed=seed)
     equal = der.space == span
     report = {
         "theorem": "der",
-        "L": lname or "lie(dim %d)" % L.dim,
-        "A": aname or "assoc(dim %d)" % A.dim,
+        "L": lname or auto_l,
+        "A": aname or auto_a,
         "types": details["types"],
         "lambda": details["lambda"],
         "der_dim": der.dim,
@@ -906,12 +612,12 @@ def sequence_maps(L, form=None, lname=None):
         for j in range(i, n):
             row = {}
             if mode == "dual":
-                _add(row, i * n + j, _ONE)
-                _add(row, j * n + i, _ONE)
+                ids.add_entry(row, i * n + j, _ONE)
+                ids.add_entry(row, j * n + i, _ONE)
             else:
                 for m in range(n):
-                    _add(row, i * n + m, kappa(m, j))
-                    _add(row, j * n + m, kappa(m, i))
+                    ids.add_entry(row, i * n + m, kappa(m, j))
+                    ids.add_entry(row, j * n + m, kappa(m, i))
             if row:
                 vrows.append(row)
     ker_v = kernel_from_rows(n * n, vrows)
@@ -928,9 +634,9 @@ def sequence_maps(L, form=None, lname=None):
     for t in range(len(triples)):
         row = {}
         for r in range(nb):
-            _add(row, r, w_of_basis[r][t])
+            ids.add_entry(row, r, w_of_basis[r][t])
         for s, bvec in enumerate(b3.basis):
-            _add(row, nb + s, -bvec[t])
+            ids.add_entry(row, nb + s, -bvec[t])
         if row:
             stacked.append(row)
     coeff_kernel = kernel_from_rows(nb + b3.dim, stacked)
@@ -983,26 +689,9 @@ class LoopDerivation:
         """First basis pair where the derivation identity fails, or None."""
         curr = self.algebra
         n = curr.dim
-        mat = self.matrix
-        cols = [[mat[m, u] for m in range(n)] for u in range(n)]
-        for u in range(n):
-            for v in range(u + 1, n):
-                lhs = [_ZERO] * n
-                for k, c in curr.bracket(u, v):
-                    for m in range(n):
-                        lhs[m] += c * cols[k][m]
-                rhs = [_ZERO] * n
-                for m, a in enumerate(cols[u]):
-                    if a:
-                        for k, c in curr.bracket(m, v):
-                            rhs[k] += a * c
-                for m, a in enumerate(cols[v]):
-                    if a:
-                        for k, c in curr.bracket(u, m):
-                            rhs[k] += a * c
-                if lhs != rhs:
-                    return (curr.labels[u], curr.labels[v])
-        return None
+        vec = [self.matrix[m, i] for m in range(n) for i in range(n)]
+        pair = ids.first_failure(curr, ids.LIE_MAPS["derivation"], vec)
+        return None if pair is None else tuple(curr.labels[u] for u in pair)
 
     def flattening(self):
         """The coefficient tensor reshaped so rank 1 means d tensor b."""

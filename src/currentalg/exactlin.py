@@ -21,13 +21,9 @@ __all__ = [
     "Matrix",
     "Subspace",
     "rref",
-    "kernel_basis",
-    "row_space",
     "kernel_from_rows",
-    "span_from_rows",
     "subspace_sum",
     "subspace_intersect",
-    "subspace_contains",
     "determinant",
     "inverse",
     "solve",
@@ -246,10 +242,6 @@ def kernel_from_rows(ncols, rows):
     return Subspace.from_vectors(ncols, kernel_vectors)
 
 
-def span_from_rows(ncols, rows):
-    return Subspace.from_vectors(ncols, rows)
-
-
 def subspace_sum(u, v):
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient mismatch")
@@ -288,10 +280,6 @@ def subspace_intersect(u, v):
     return Subspace.from_vectors(u.ambient_dim, vectors)
 
 
-def subspace_contains(u, other):
-    return u.contains(other)
-
-
 # ---------------------------------------------------------------------------
 # dense matrices
 
@@ -313,15 +301,8 @@ class Matrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)])
-
     def transpose(self):
         return Matrix(zip(*self.data)) if self.data else Matrix([])
-
-    def row(self, i):
-        return self.data[i]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -335,22 +316,6 @@ class Matrix:
 
     def is_zero(self):
         return all(not x for row in self.data for x in row)
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)
-        )
-
-    def __sub__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)
-        )
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -420,15 +385,6 @@ def rref(m):
         if lead == nrows:
             break
     return Matrix(rows), tuple(pivots), len(pivots)
-
-
-def kernel_basis(m):
-    """Kernel of a dense matrix as a Subspace; dim = cols - rank."""
-    return kernel_from_rows(m.ncols, m.data)
-
-
-def row_space(m):
-    return Subspace.from_vectors(m.ncols, m.data)
 
 
 def determinant(m):

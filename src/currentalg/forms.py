@@ -3,10 +3,15 @@ r"""Bilinear form spaces cut out by structure-constant conditions.
 A bilinear form phi on an n-dimensional algebra is a vector of length n^2,
 coordinate i*n + j holding phi(x_i, x_j).  condition_space solves the exact
 linear system for a named condition plus a symmetry constraint and returns
-the canonical subspace.  Every solution basis vector is re-checked against
-the defining identity on random coordinate triples, evaluated through the
-multiplication maps rather than the assembled rows, so an indexing bug in
-the row builder cannot go unnoticed.
+the canonical subspace.  The conditions and symmetries are identities of
+currentalg.identities, whose rows come from basis tuples through the sparse
+structure constants.  Every solution basis vector is then rechecked: the
+condition on 12 seeded random triples of dense vectors through
+mul_vectors, the symmetry on every pair of coordinates.  The recheck
+shares only the written identity and the coordinate convention with the
+rows; a wrong tuple enumeration, coordinate or sign in the row path makes
+it raise InvariantError, while a row system that is too strict (a kernel
+too small) is beyond its reach.
 
 Conditions on a Lie algebra L (phi: L x L -> K):
 
@@ -35,11 +40,11 @@ compare generator by generator, reporting a witness form on failure.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-import random
+from itertools import combinations
 
+from . import identities as ids
 from .exactlin import Subspace, kernel_from_rows, subspace_intersect
-from .algebras import AssocAlgebra, CurrentAlgebra, LieAlgebra, current
+from .algebras import AssocAlgebra, LieAlgebra, build_assoc, build_lie, current
 from .cochain import cohomology, trivial_module
 
 __all__ = [
@@ -58,11 +63,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-LIE_CONDITIONS = ("jacobi_sum_zero", "cyclic", "radical", "invariant", "none")
-ASSOC_CONDITIONS = LIE_CONDITIONS
-_SYMMETRIES = ("symmetric", "skew", "any")
 
 # Cocycle types on L tensor A: (label, (L condition, L symmetry),
 # (A condition, A symmetry)).  The product of a form on L and a form on A is
@@ -113,134 +113,6 @@ FORMS_DECOMPOSABLE_TYPES = (
 )
 
 
-def _add(row, col, val):
-    if not val:
-        return
-    v = row.get(col, _ZERO) + val
-    if v:
-        row[col] = v
-    elif col in row:
-        del row[col]
-
-
-def _lie_rows(alg, condition):
-    n = alg.dim
-    rows = []
-    if condition == "none":
-        return rows
-    if condition == "jacobi_sum_zero":
-        # repeated-argument instances vanish identically, increasing triples suffice
-        for i, j, k in combinations(range(n), 3):
-            row = {}
-            for m, c in alg.bracket(i, j):
-                _add(row, m * n + k, c)
-            for m, c in alg.bracket(k, i):
-                _add(row, m * n + j, c)
-            for m, c in alg.bracket(j, k):
-                _add(row, m * n + i, c)
-            if row:
-                rows.append(row)
-        return rows
-    if condition == "cyclic":
-        for i, j, k in product(range(n), repeat=3):
-            row = {}
-            for m, c in alg.bracket(i, j):
-                _add(row, m * n + k, c)
-            for m, c in alg.bracket(k, i):
-                _add(row, m * n + j, -c)
-            if row:
-                rows.append(row)
-        return rows
-    if condition == "radical":
-        for (i, j), terms in alg.table.items():
-            for k in range(n):
-                row = {}
-                for m, c in terms:
-                    _add(row, m * n + k, c)
-                if row:
-                    rows.append(row)
-        return rows
-    if condition == "invariant":
-        for i, j, k in product(range(n), repeat=3):
-            row = {}
-            for m, c in alg.bracket(i, j):
-                _add(row, m * n + k, c)
-            for m, c in alg.bracket(i, k):
-                _add(row, j * n + m, c)
-            if row:
-                rows.append(row)
-        return rows
-    raise ValueError("unknown Lie form condition %r" % condition)
-
-
-def _assoc_rows(alg, condition):
-    n = alg.dim
-    rows = []
-    if condition == "none":
-        return rows
-    if condition == "jacobi_sum_zero":
-        # products commute but the slots do not; repeated indices matter here
-        for i, j, k in combinations_with_replacement(range(n), 3):
-            row = {}
-            for m, c in alg.product(i, j):
-                _add(row, m * n + k, c)
-            for m, c in alg.product(k, i):
-                _add(row, m * n + j, c)
-            for m, c in alg.product(j, k):
-                _add(row, m * n + i, c)
-            if row:
-                rows.append(row)
-        return rows
-    if condition == "cyclic":
-        for i, j, k in product(range(n), repeat=3):
-            row = {}
-            for m, c in alg.product(i, j):
-                _add(row, m * n + k, c)
-            for m, c in alg.product(k, i):
-                _add(row, m * n + j, -c)
-            if row:
-                rows.append(row)
-        return rows
-    if condition == "radical":
-        for (i, j), terms in alg.table.items():
-            for k in range(n):
-                row = {}
-                for m, c in terms:
-                    _add(row, m * n + k, c)
-                if row:
-                    rows.append(row)
-        return rows
-    if condition == "invariant":
-        for i, j, k in product(range(n), repeat=3):
-            row = {}
-            for m, c in alg.product(i, j):
-                _add(row, m * n + k, c)
-            for m, c in alg.product(j, k):
-                _add(row, i * n + m, -c)
-            if row:
-                rows.append(row)
-        return rows
-    raise ValueError("unknown associative form condition %r" % condition)
-
-
-def _symmetry_rows(n, symmetry):
-    if symmetry == "any":
-        return []
-    rows = []
-    if symmetry == "symmetric":
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append({i * n + j: _ONE, j * n + i: -_ONE})
-        return rows
-    if symmetry == "skew":
-        for i in range(n):
-            rows.append({i * n + i: _ONE})
-            for j in range(i + 1, n):
-                rows.append({i * n + j: _ONE, j * n + i: _ONE})
-        return rows
-    raise ValueError("unknown symmetry %r" % symmetry)
-
-
 class FormSpace:
     """Solution space of a form condition, in n^2 coordinates."""
 
@@ -265,70 +137,21 @@ class FormSpace:
                 % (self.condition, self.symmetry, self.dim))
 
 
-_RECHECK_TRIPLES = 12
-
-
-def _recheck(alg, condition, symmetry, space, mul):
-    """Evaluate the defining identity through the multiplication map on
-    random vectors; independent of the row assembly above."""
-    n = alg.dim
-    rng = random.Random(99173)
-    triples = [tuple([Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                     for _ in range(3))
-               for _ in range(_RECHECK_TRIPLES)]
-    for vec in space.basis:
-        if symmetry == "symmetric":
-            assert all(vec[i * n + j] == vec[j * n + i]
-                       for i in range(n) for j in range(n))
-        elif symmetry == "skew":
-            assert all(vec[i * n + j] == -vec[j * n + i]
-                       for i in range(n) for j in range(n))
-
-        def ev(u, v):
-            s = _ZERO
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                base = i * n
-                for j, b in enumerate(v):
-                    if b:
-                        s += a * b * vec[base + j]
-            return s
-
-        for u, v, w in triples:
-            if condition == "jacobi_sum_zero":
-                bad = ev(mul(u, v), w) + ev(mul(w, u), v) + ev(mul(v, w), u)
-            elif condition == "cyclic":
-                bad = ev(mul(u, v), w) - ev(mul(w, u), v)
-            elif condition == "radical":
-                bad = ev(mul(u, v), w)
-            elif condition == "invariant":
-                if isinstance(alg, LieAlgebra):
-                    bad = ev(mul(u, v), w) + ev(v, mul(u, w))
-                else:
-                    bad = ev(mul(u, v), w) - ev(u, mul(v, w))
-            else:
-                bad = _ZERO
-            assert bad == 0, ("condition %r solution fails its identity"
-                              % condition)
-
-
 def condition_space(alg, condition, symmetry="any"):
     """Forms on alg satisfying the named condition and symmetry constraint."""
-    if symmetry not in _SYMMETRIES:
+    if symmetry not in ids.SYMMETRIES:
         raise ValueError("unknown symmetry %r" % symmetry)
-    n = alg.dim
     if isinstance(alg, LieAlgebra):
-        rows = _lie_rows(alg, condition)
-        mul = alg.bracket_vectors
+        table = ids.LIE_FORMS
     elif isinstance(alg, AssocAlgebra):
-        rows = _assoc_rows(alg, condition)
-        mul = alg.product_vectors
+        table = ids.ASSOC_FORMS
     else:
         raise TypeError("not an algebra: %r" % (alg,))
-    rows.extend(_symmetry_rows(n, symmetry))
-    space = kernel_from_rows(n * n, rows)
-    _recheck(alg, condition, symmetry, space, mul)
+    if condition not in table:
+        raise ValueError("unknown form condition %r" % condition)
+    conds = (table[condition], ids.SYMMETRIES[symmetry])
+    space = kernel_from_rows(alg.dim ** 2, ids.rows(alg, conds))
+    ids.recheck(alg, conds, space)
     return FormSpace(alg, condition, symmetry, space)
 
 
@@ -402,12 +225,8 @@ def decomposable_span(curr, decomposable_types, symmetry):
         gens.extend(_tensor_vec(curr, lv, av)
                     for lv in sl.basis for av in sa.basis)
     full = Subspace.from_vectors(n * n, gens)
-    layer = subspace_intersect(full, _symmetry_layer(n, symmetry))
-    return full, layer
-
-
-def _symmetry_layer(n, symmetry):
-    return kernel_from_rows(n * n, _symmetry_rows(n, symmetry))
+    sym = kernel_from_rows(n * n, ids.rows(curr, (ids.SYMMETRIES[symmetry],)))
+    return full, subspace_intersect(full, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +290,42 @@ def _target_in_span(target, total, labels, direction="target_not_in_span"):
 
 
 def _resolve_pair(L, A):
-    from .algebras import build_lie, build_assoc
     lname = L if isinstance(L, str) else None
     aname = A if isinstance(A, str) else None
     L = build_lie(L) if isinstance(L, str) else L
     A = build_assoc(A) if isinstance(A, str) else A
     return L, A, lname or "lie(dim %d)" % L.dim, aname or "assoc(dim %d)" % A.dim
+
+
+def _decomposition_report(theorem, curr, target, type_table, decomposable_types,
+                          symmetry, direction, names):
+    """Both inclusions between target and the decomposable span, with the
+    first witness of a failure."""
+    per_type, _, gens = tensor_form_span(curr, type_table)
+    full, span = decomposable_span(curr, decomposable_types, symmetry)
+    # sub-typed generators first (per-generator witnesses are sharper), then
+    # the whole symmetry layer of the symmetry-free span
+    span_in_target, w1 = _membership_verdicts(target, gens, curr.labels)
+    if span_in_target:
+        span_in_target, w1 = _target_in_span(span, target, curr.labels,
+                                             direction=direction)
+    target_in_span, w2 = _target_in_span(target, full, curr.labels)
+    report = {
+        "theorem": theorem,
+        "L": names[0],
+        "A": names[1],
+        "dims": {
+            "Z2": target.dim,
+            "span": span.dim,
+            "types": {label: per_type[label].dim for label, _, _ in type_table},
+        },
+        "span_in_Z": span_in_target,
+        "Z_in_span": target_in_span,
+    }
+    witness = w1 or w2
+    if witness is not None:
+        report["witness"] = witness
+    return report
 
 
 def verify_h2_decomposition(L, A, lname=None, aname=None):
@@ -493,66 +342,22 @@ def verify_h2_decomposition(L, A, lname=None, aname=None):
     z_cochain, b_cochain = _h2_via_cochain(curr)
     assert z_form == z_cochain, "cocycle routes disagree"
 
-    per_type, _, gens = tensor_form_span(curr, H2_TYPE_TABLE)
-    full, span = decomposable_span(curr, H2_DECOMPOSABLE_TYPES, "skew")
-
     skew_l = condition_space(L, "none", "skew").space
     sym_a = condition_space(A, "none", "symmetric").space
     envelope = Subspace.from_vectors(
         curr.dim ** 2,
         [_tensor_vec(curr, lv, av) for lv in skew_l.basis for av in sym_a.basis])
     assert envelope.contains(b_cochain), "coboundaries escape the skew/symmetric envelope"
-
-    # sub-typed generators first (per-generator witnesses are sharper), then
-    # the whole skew layer of the symmetry-free span
-    span_in_z, w1 = _membership_verdicts(z_form, gens, curr.labels)
-    if span_in_z:
-        span_in_z, w1 = _target_in_span(span, z_form, curr.labels,
-                                        direction="span_element_not_cocycle")
-    z_in_span, w2 = _target_in_span(z_form, full, curr.labels)
-    report = {
-        "theorem": "h2",
-        "L": lname or auto_l,
-        "A": aname or auto_a,
-        "dims": {
-            "Z2": z_form.dim,
-            "span": span.dim,
-            "types": {label: per_type[label].dim for label, _, _ in H2_TYPE_TABLE},
-        },
-        "span_in_Z": span_in_z,
-        "Z_in_span": z_in_span,
-    }
-    witness = w1 or w2
-    if witness is not None:
-        report["witness"] = witness
-    return report
+    return _decomposition_report(
+        "h2", curr, z_form, H2_TYPE_TABLE, H2_DECOMPOSABLE_TYPES, "skew",
+        "span_element_not_cocycle", (lname or auto_l, aname or auto_a))
 
 
 def verify_forms_decomposition(L, A, lname=None, aname=None):
     """Compare symmetric invariant forms on L tensor A with the type span."""
     L, A, auto_l, auto_a = _resolve_pair(L, A)
     curr = current(L, A)
-    target = invariant_symmetric_forms(curr).space
-    per_type, _, gens = tensor_form_span(curr, FORMS_TYPE_TABLE)
-    full, span = decomposable_span(curr, FORMS_DECOMPOSABLE_TYPES, "symmetric")
-    span_in_target, w1 = _membership_verdicts(target, gens, curr.labels)
-    if span_in_target:
-        span_in_target, w1 = _target_in_span(
-            span, target, curr.labels, direction="span_element_not_invariant")
-    target_in_span, w2 = _target_in_span(target, full, curr.labels)
-    report = {
-        "theorem": "forms",
-        "L": lname or auto_l,
-        "A": aname or auto_a,
-        "dims": {
-            "Z2": target.dim,
-            "span": span.dim,
-            "types": {label: per_type[label].dim for label, _, _ in FORMS_TYPE_TABLE},
-        },
-        "span_in_Z": span_in_target,
-        "Z_in_span": target_in_span,
-    }
-    witness = w1 or w2
-    if witness is not None:
-        report["witness"] = witness
-    return report
+    return _decomposition_report(
+        "forms", curr, invariant_symmetric_forms(curr).space, FORMS_TYPE_TABLE,
+        FORMS_DECOMPOSABLE_TYPES, "symmetric", "span_element_not_invariant",
+        (lname or auto_l, aname or auto_a))

@@ -25,16 +25,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactlin import (
-    Subspace,
-    kernel_from_rows,
-    span_from_rows,
-    subspace_intersect,
-    subspace_sum,
-)
+from .exactlin import Subspace, kernel_from_rows, subspace_intersect, subspace_sum
 from .algebras import assoc_truncated_poly, build_lie, current
 from .cochain import cohomology, trivial_module
 from .forms import condition_space
+from .identities import add_entry
 
 __all__ = [
     "GradedComponent",
@@ -45,17 +40,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _add(row, col, val):
-    if not val:
-        return
-    v = row.get(col, _ZERO) + val
-    if v:
-        row[col] = v
-    elif col in row:
-        del row[col]
 
 
 class GradedComponent:
@@ -108,9 +92,9 @@ def graded_h2(g, degree, order=None):
                 if k == c:
                     continue
                 if k < c:
-                    _add(row, pidx[(k, c)], coeff)
+                    add_entry(row, pidx[(k, c)], coeff)
                 else:
-                    _add(row, pidx[(c, k)], -coeff)
+                    add_entry(row, pidx[(c, k)], -coeff)
         if row:
             rows.append(row)
     z_space = kernel_from_rows(len(pairs), rows)
@@ -124,10 +108,10 @@ def graded_h2(g, degree, order=None):
             for idx, (u, v) in enumerate(pairs):
                 for kk, coeff in curr.bracket(u, v):
                     if kk == target:
-                        _add(vec, idx, -coeff)
+                        add_entry(vec, idx, -coeff)
             if vec:
                 b_rows.append(vec)
-    b_space = span_from_rows(len(pairs), b_rows)
+    b_space = Subspace.from_vectors(len(pairs), b_rows)
     assert z_space.contains(b_space), "graded coboundaries must be cocycles"
     return GradedComponent(degree, order, curr, pairs, z_space, b_space)
 
@@ -235,42 +219,15 @@ def graded_form_dims(condition, symmetry, degree, order=None):
     cyclic-sum-zero condition, computed in the same truncation window."""
     if condition not in ("cyclic", "jacobi_sum_zero"):
         raise ValueError("unknown graded form condition %r" % condition)
-    if symmetry not in ("symmetric", "skew", "any"):
-        raise ValueError("unknown symmetry %r" % symmetry)
     if order is None:
         order = degree + 1
-    exps = range(1, order)
-    unknowns = [i for i in exps if 1 <= degree - i <= order - 1]
-    uidx = {i: r for r, i in enumerate(unknowns)}
-
-    rows = []
-    for a in exps:
-        for b in exps:
-            for c in exps:
-                if a + b + c != degree:
-                    continue
-                row = {}
-                if a + b in uidx:
-                    _add(row, uidx[a + b], _ONE)
-                if condition == "cyclic":
-                    if c + a in uidx:
-                        _add(row, uidx[c + a], -_ONE)
-                else:
-                    if c + a in uidx:
-                        _add(row, uidx[c + a], _ONE)
-                    if b + c in uidx:
-                        _add(row, uidx[b + c], _ONE)
-                if row:
-                    rows.append(row)
-    if symmetry != "any":
-        sgn = _ONE if symmetry == "skew" else -_ONE
-        for i in unknowns:
-            j = degree - i
-            if i < j:
-                rows.append({uidx[i]: _ONE, uidx[j]: sgn})
-            elif i == j and symmetry == "skew":
-                rows.append({uidx[i]: _ONE})
-    return kernel_from_rows(len(unknowns), rows).dim
+    A = assoc_truncated_poly(order)
+    n = A.dim
+    # both conditions and the symmetries respect the degree, so every
+    # canonical basis vector is homogeneous: count those of degree d
+    space = condition_space(A, condition, symmetry).space
+    return sum(1 for p in space.pivots
+               if A.degrees[p // n] + A.degrees[p % n] == degree)
 
 
 def graded_vs_whole(g, order):

@@ -1,0 +1,369 @@
+r"""Multilinear identities in the structure constants, each written once.
+
+Every condition space in the package is the solution set of an identity
+that is linear in an unknown and multilinear in two or three algebra
+elements x, y, z.  The unknown is a bilinear form phi (a vector of length
+n^2 with phi(x_i, x_j) at i*n + j) or a linear map D (the coefficient of
+x_m in D(x_i) at m*n + i).  An identity is a short sum of terms:
+
+    f(xy,z)   phi(xy, z); a slot of f holds one argument or a product
+    D(xy)     D applied to a product
+    D(x)y     D(x) times y
+    xD(y)     x times D(y)
+
+Terms after ``lam`` form the lambda part of a pencil, the rest its
+lambda-free part.  An Identity carries weights (w0, w1) and stands for
+w0 * (lambda-free part) + w1 * (lambda part) = 0, with w0 = 1, or 0 to
+drop the lambda-free part, and w1 the value of lambda.  So one pencil gives
+several named conditions: D(xy) - lam (D(x)y + xD(y)) is the derivation
+identity at (1, 1), the antiderivation identity at (1, -1), D([L, L]) = 0
+at (1, 0) and [Dx, y] + [x, Dy] = 0 at (0, 1).
+
+Two independent evaluations are derived from each identity:
+
+* the row path (pencil_rows, rows) writes one sparse row per output
+  coordinate for each basis tuple that the identity's ``order`` selects,
+  through the sparse structure constants alg.mul(i, j);
+* the recheck (recheck) evaluates the identity on seeded random dense
+  vectors through alg.mul_vectors(u, v), as a linear functional of the
+  unknown, and applies that functional to every solution basis vector;
+  the symmetries, which have no products, it checks on every basis pair.
+
+The two share only the identity's terms and the coordinate convention
+above, not the tuple enumeration, the expansion of terms into sparse
+entries or the signs as the row path applies them.  A defect there that
+lets a wrong vector into a solution space makes the recheck raise
+InvariantError; one that only makes the rows too strict is beyond it.
+Neither path solves: the callers in forms and derivations own the kernels.
+"""
+
+from collections import defaultdict, namedtuple
+from fractions import Fraction
+from itertools import product
+import random
+import re
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class InvariantError(AssertionError):
+    """An internal invariant failed.  Raised explicitly, so it also fires
+    under python -O; an AssertionError for callers that catch those."""
+
+
+def add_entry(row, col, val):
+    """row[col] += val on a sparse row, dropping entries that cancel."""
+    if not val:
+        return
+    v = row.get(col, _ZERO) + val
+    if v:
+        row[col] = v
+    elif col in row:
+        del row[col]
+
+
+class Identity(namedtuple("Identity", "order text terms weights")):
+    """A parsed identity; ``at`` sets the weights of its two parts."""
+
+    __slots__ = ()
+
+    def at(self, w0, w1):
+        return self._replace(weights=(w0, w1))
+
+
+def _term(sign, part, text):
+    args = tuple("xyz".index(ch) for ch in text if ch in "xyz")
+    if text.startswith("f("):
+        cut = text.index(",") - 2
+        return (sign, part, "f", args[:cut], args[cut:])
+    if text.startswith("D(") and text.endswith(")"):
+        return (sign, part, "D", args, ())
+    return (sign, part, "Dl" if text.startswith("D(") else "Dr",
+            args[:1], args[1:])
+
+
+def _identity(order, text):
+    """Parse e.g. "D(xy) - lam D(x)y" into terms (sign, part, kind, left, right)."""
+    terms, sign, part = [], _ONE, 0
+    for tok in text.split():
+        if tok in ("+", "-"):
+            sign = _ONE if tok == "+" else -_ONE
+        elif tok == "lam":
+            part = 1
+        else:
+            terms.append(_term(sign, part, tok))
+            sign, part = _ONE, 0
+    return Identity(order, text, tuple(terms), (_ONE, _ONE))
+
+
+# ``order`` chooses the basis tuples of the row path: consecutive arguments
+# are related by <, <= or nothing (,).  Tuples outside it give rows that
+# vanish identically or repeat others up to sign.
+
+_NONE = _identity("x", "")
+_JACOBI = "f(xy,z) + f(zx,y) + f(yz,x)"
+_CYCLIC = "f(xy,z) - f(zx,y)"
+
+LIE_FORMS = {
+    # repeated arguments vanish identically, increasing triples suffice
+    "jacobi_sum_zero": _identity("x<y<z", _JACOBI),
+    "cyclic": _identity("x,y,z", _CYCLIC),
+    "radical": _identity("x<y,z", "f(xy,z)"),
+    "invariant": _identity("x,y,z", "f(xy,z) + f(y,xz)"),
+    "none": _NONE,
+}
+
+ASSOC_FORMS = {
+    # products commute but the slots do not; repeated indices matter here
+    "jacobi_sum_zero": _identity("x<=y<=z", _JACOBI),
+    "cyclic": _identity("x,y,z", _CYCLIC),
+    "radical": _identity("x<=y,z", "f(xy,z)"),
+    "invariant": _identity("x,y,z", "f(xy,z) - f(x,yz)"),
+    "none": _NONE,
+}
+
+SYMMETRIES = {
+    "symmetric": _identity("x<y", "f(x,y) - f(y,x)"),
+    "skew": _identity("x<=y", "f(x,y) + f(y,x)"),
+    "any": _NONE,
+}
+
+PENCILS = {
+    "lie_both": _identity("x<y", "D(xy) - lam D(x)y - lam xD(y)"),
+    "lie_left": _identity("x,y", "D(xy) - lam D(x)y"),
+    "assoc_both": _identity("x<=y", "D(xy) - lam D(x)y - lam xD(y)"),
+    "assoc_left": _identity("x,y", "D(xy) - lam D(x)y"),
+}
+
+LIE_MAPS = {
+    "derivation": PENCILS["lie_both"].at(_ONE, _ONE),
+    "antiderivation": PENCILS["lie_both"].at(_ONE, -_ONE),
+    "ad_anticommute": PENCILS["lie_both"].at(_ZERO, _ONE),
+    "kill_derived": PENCILS["lie_both"].at(_ONE, _ZERO),
+    "into_center": PENCILS["lie_left"].at(_ZERO, _ONE),
+    "self_bracket_zero": _identity("x<=y", "D(x)y + D(y)x"),
+    "centroid": PENCILS["lie_left"].at(_ONE, _ONE),
+}
+
+ASSOC_MAPS = {
+    "derivation": PENCILS["assoc_both"].at(_ONE, _ONE),
+    "module_map": _identity("x<y", "D(x)y - xD(y)"),
+    "anti_module_map": PENCILS["assoc_both"].at(_ZERO, _ONE),
+    "kill_square": PENCILS["assoc_both"].at(_ONE, _ZERO),
+    "into_annihilator": PENCILS["assoc_left"].at(_ZERO, _ONE),
+}
+
+
+# ---------------------------------------------------------------------------
+# the row path: basis tuples through the sparse structure constants
+
+
+def _tuples(n, order):
+    """Basis index tuples selected by order, in lexicographic order."""
+    tuples = [()]
+    for rel in [","] + re.findall(r"<=|<|,", order):
+        step = {"<": 1, "<=": 0}.get(rel)
+        tuples = [t + (j,) for t in tuples
+                  for j in range(0 if step is None else t[-1] + step, n)]
+    return tuples
+
+
+def _entries(alg, terms, t):
+    """(output, unknown, value, part) for every term on the basis tuple t.
+
+    Terms with D inside a product share one sweep over m, the basis element
+    that D(x_i) contributes at m*n + i, after the other terms; that fixes
+    the order in which output coordinates are first touched.
+    """
+    n = alg.dim
+    mul = alg.mul
+
+    def slot(args):
+        if len(args) == 1:
+            return ((t[args[0]], _ONE),)
+        return mul(t[args[0]], t[args[1]])
+
+    for c, part, kind, left, right in terms:
+        if kind == "f":
+            for p, a in slot(left):
+                for q, b in slot(right):
+                    yield 0, p * n + q, c * a * b, part
+        elif kind == "D":
+            for k, a in slot(left):
+                for r in range(n):
+                    yield r, r * n + k, c * a, part
+    swept = [term for term in terms if term[2] in ("Dl", "Dr")]
+    if swept:
+        for m in range(n):
+            for c, part, kind, left, right in swept:
+                if kind == "Dl":
+                    i, prods = t[left[0]], mul(m, t[right[0]])
+                else:
+                    i, prods = t[right[0]], mul(t[left[0]], m)
+                for r, a in prods:
+                    yield r, m * n + i, c * a, part
+
+
+def pencil_rows(alg, ident):
+    """Rows of the identity as (lambda-free part, lambda part) pairs of
+    sparse dicts: basis tuples in order, output coordinates in the order
+    they are first touched, rows that vanish in both parts dropped."""
+    out = []
+    for t in _tuples(alg.dim, ident.order):
+        per = {}
+        for r, col, val, part in _entries(alg, ident.terms, t):
+            add_entry(per.setdefault(r, ({}, {}))[part], col, val)
+        out.extend(pair for pair in per.values() if pair[0] or pair[1])
+    return out
+
+
+def rows_at(pairs, weights):
+    """Sparse rows w0 * (lambda-free part) + w1 * (lambda part), w0 in {0, 1}."""
+    w0, w1 = weights
+    out = []
+    for const, lin in pairs:
+        row = dict(const) if w0 else {}
+        if w1:
+            for col, c in lin.items():
+                add_entry(row, col, w1 * c)
+        if row:
+            out.append(row)
+    return out
+
+
+def first_failure(alg, ident, vec):
+    """The first basis tuple of the row path on which the unknown with
+    coordinates vec breaks the identity at its weights, or None."""
+    for t in _tuples(alg.dim, ident.order):
+        acc = {}
+        for r, col, val, part in _entries(alg, ident.terms, t):
+            add_entry(acc, r, ident.weights[part] * val * vec[col])
+        if acc:
+            return t
+    return None
+
+
+def rows(alg, idents):
+    """Sparse rows of every identity at its weights, for kernel_from_rows."""
+    out = []
+    for ident in idents:
+        out.extend(rows_at(pencil_rows(alg, ident), ident.weights))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the recheck: dense evaluation, apart from the row path
+
+# form identities: 12 triples from seed 99173; map identities: 10 pairs
+# from seed 74161; entries uniform in -3..3
+_RANDOM_FORMS = (99173, 12, 3)
+_RANDOM_MAPS = (74161, 10, 2)
+
+
+def _random_tuples(n, seed, count, size):
+    rng = random.Random(seed)
+    return [tuple([Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                  for _ in range(size))
+            for _ in range(count)]
+
+
+def _functional(alg, ident, vecs):
+    """The identity on the dense vectors vecs as a linear functional of the
+    unknown: one (coefficient, kind, a, b) per term, with every product of
+    the random vectors computed here once."""
+    n = alg.dim
+    mv = alg.mul_vectors
+
+    def slot(args):
+        if len(args) == 1:
+            return vecs[args[0]]
+        return mv(vecs[args[0]], vecs[args[1]])
+
+    func = []
+    for c, part, kind, left, right in ident.terms:
+        c = c * ident.weights[part]
+        if not c:
+            continue
+        if kind == "f":
+            func.append((c, kind, slot(left), slot(right)))
+        elif kind == "D":
+            func.append((c, kind, slot(left), None))
+        else:
+            # D(u) v = sum_i u_i sum_m D[m*n + i] (x_m v): keep u and the
+            # products x_m v (or v x_m) as sparse (output, value) lists
+            u, other = ((vecs[left[0]], vecs[right[0]]) if kind == "Dl"
+                        else (vecs[right[0]], vecs[left[0]]))
+            prods = []
+            for m in range(n):
+                unit = [_ZERO] * n
+                unit[m] = _ONE
+                prod = mv(unit, other) if kind == "Dl" else mv(other, unit)
+                prods.append([(r, y) for r, y in enumerate(prod) if y])
+            func.append((c, kind, u, prods))
+    return func
+
+
+def _value(func, n, vec):
+    """The functional at a vector given by its nonzero (unknown, value)
+    pairs: {output: value}, all zero when the identity holds."""
+    acc = defaultdict(Fraction)
+    for c, kind, a, b in func:
+        for col, x in vec:
+            p, q = divmod(col, n)
+            if kind == "f":
+                # phi(x_p, x_q)
+                if a[p] and b[q]:
+                    acc[0] += c * a[p] * b[q] * x
+            elif a[q]:
+                # the coefficient of x_p in D(x_q)
+                if kind == "D":
+                    acc[p] += c * a[q] * x
+                else:
+                    for r, y in b[p]:
+                        acc[r] += c * a[q] * y * x
+    return acc
+
+
+def _fails_on_a_pair(ident, n, vec):
+    """For a form identity without products (a symmetry): whether the dense
+    vector vec breaks it on some ordered basis pair."""
+    terms = [(c * ident.weights[part], l[0], r[0])
+             for c, part, _, l, r in ident.terms]
+    return any(sum(c * vec[t[a] * n + t[b]] for c, a, b in terms
+                   if vec[t[a] * n + t[b]])
+               for t in product(range(n), repeat=2))
+
+
+def recheck(alg, idents, space):
+    """Raise InvariantError unless every basis vector of space satisfies
+    every identity at its weights.
+
+    An identity without products involves no structure constants and is
+    checked exactly, on every ordered basis pair.  Every other identity is
+    checked on each seeded random tuple: a vector that fails it passes one
+    tuple with chance at most (degree of the identity in the random
+    entries) / 7, so it slips through all 12 triples or 10 pairs with
+    chance below (3/7)^10.
+    """
+    if not space.basis:
+        return
+    n = alg.dim
+    nonzero = [[(col, x) for col, x in enumerate(vec) if x]
+               for vec in space.basis]
+    for ident in idents:
+        if not ident.terms:
+            continue
+        if all(kind == "f" and len(left) == len(right) == 1
+               for _, _, kind, left, right in ident.terms):
+            failed = any(_fails_on_a_pair(ident, n, vec) for vec in space.basis)
+        else:
+            spec = _RANDOM_FORMS if ident.terms[0][2] == "f" else _RANDOM_MAPS
+            funcs = (_functional(alg, ident, vecs)
+                     for vecs in _random_tuples(n, *spec))
+            failed = any(any(_value(func, n, vec).values())
+                         for func in funcs for vec in nonzero)
+        if failed:
+            raise InvariantError(
+                "a solution fails its identity %s = 0 at weights %s"
+                % (ident.text, tuple(str(w) for w in ident.weights)))

@@ -6,9 +6,11 @@ enforces the runtime budget.  All arithmetic is exact, so every
 dimension comparison below is an equality, not a tolerance check.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,15 @@ from currentalg.forms import (
 from currentalg.graded import graded_form_dims, graded_h2, larsson_report
 
 
+# canonical JSON of every report of criteria 1-3, as `--json` prints it
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text())
+
+
+def _matches_golden(kind, ln, an, report):
+    line = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return line == GOLDEN["%s %s %s" % (kind, ln, an)]
+
+
 def _report(capsys, num, desc, ok, elapsed, budget):
     with capsys.disabled():
         print("criterion %2d  %-44s %s  (%.1fs, budget %ds)"
@@ -70,7 +81,8 @@ def test_criterion_01_cocycle_decomposition_grid(capsys):
         for an, A in As:
             r = verify_h2_decomposition(L, A, lname=ln, aname=an)
             pair_ok = (r["span_in_Z"] and r["Z_in_span"]
-                       and r["dims"]["Z2"] == r["dims"]["span"])
+                       and r["dims"]["Z2"] == r["dims"]["span"]
+                       and _matches_golden("h2", ln, an, r))
             assert pair_ok, (ln, an, r)
             ok = ok and pair_ok
     _report(capsys, 1, "2-cocycles match decomposable span (4x5 grid)",
@@ -85,7 +97,8 @@ def test_criterion_02_invariant_form_decomposition_grid(capsys):
         for an, A in As:
             r = verify_forms_decomposition(L, A, lname=ln, aname=an)
             pair_ok = (r["span_in_Z"] and r["Z_in_span"]
-                       and r["dims"]["Z2"] == r["dims"]["span"])
+                       and r["dims"]["Z2"] == r["dims"]["span"]
+                       and _matches_golden("forms", ln, an, r))
             assert pair_ok, (ln, an, r)
             ok = ok and pair_ok
     _report(capsys, 2, "invariant forms match decomposable span",
@@ -108,7 +121,8 @@ def test_criterion_03_derivation_decomposition(capsys):
                                          lname=ln, aname="tpoly:%d" % N)
             der, inner = DER_EXPECTED[(ln, N)]
             pair_ok = (r["equal"] and r["der_dim"] == der
-                       and r["span_dim"] == der and r["types"]["inner"] == inner)
+                       and r["span_dim"] == der and r["types"]["inner"] == inner
+                       and _matches_golden("der", ln, "tpoly:%d" % N, r))
             assert pair_ok, (ln, N, r)
             ok = ok and pair_ok
     _report(capsys, 3, "derivations of L(x)tpoly match inner + span",

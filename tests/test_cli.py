@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from currentalg.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text())
 
 
 def run(capsys, *argv):
@@ -71,6 +74,7 @@ def test_verify_h2_json_is_canonical_and_repeatable(capsys):
     r = json.loads(out1)
     assert r["span_in_Z"] and r["Z_in_span"]
     assert out1 == json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+    assert out1 == GOLDEN["h2 sl2 tpoly:2"] + "\n"
 
 
 def test_verify_forms_heis3(capsys):
@@ -79,6 +83,7 @@ def test_verify_forms_heis3(capsys):
     assert code == 0
     r = json.loads(out)
     assert r["dims"]["Z2"] == r["dims"]["span"] == 15
+    assert out == GOLDEN["forms heis3 tpoly:3"] + "\n"
 
 
 def test_verify_der_exit_code(capsys):
@@ -86,6 +91,7 @@ def test_verify_der_exit_code(capsys):
                        "--json")
     assert code == 0
     assert json.loads(out)["equal"]
+    assert out == GOLDEN["der sl2 tpoly:2"] + "\n"
 
 
 def test_larsson_verb(capsys):

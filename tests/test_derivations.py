@@ -40,7 +40,7 @@ def rebased(alg, new_basis):
     table = []
     for a in range(n):
         for b in range(a + 1, n):
-            coords = to_new.apply(alg.bracket_vectors(cols[a], cols[b]))
+            coords = to_new.apply(alg.mul_vectors(cols[a], cols[b]))
             terms = [{"k": k, "c": str(c)} for k, c in enumerate(coords) if c]
             if terms:
                 table.append({"i": a, "j": b, "terms": terms})
@@ -68,6 +68,15 @@ def test_antiderivation_dims():
     # D[x,y] = -[Dx,y] - [x,Dy]; 5-dimensional on sl2, zero on sl3.
     assert antiderivation_space(lie_sl2()).dim == 5
     assert antiderivation_space(lie_sl(3)).dim == 0
+
+
+def test_map_conditions_and_pencils_reject_unknown_names():
+    with pytest.raises(ValueError):
+        map_condition_space(lie_sl2(), ("module_map",))
+    with pytest.raises(ValueError):
+        map_condition_space(assoc_truncated_poly(3), ("centroid",))
+    with pytest.raises(ValueError):
+        lambda_candidates(lie_sl2(), "bogus", 0)
 
 
 def test_assoc_map_condition_dims():

@@ -10,12 +10,9 @@ from currentalg.exactlin import (
     Subspace,
     determinant,
     inverse,
-    kernel_basis,
     kernel_from_rows,
     rref,
-    row_space,
     solve,
-    span_from_rows,
     subspace_intersect,
     subspace_sum,
 )
@@ -67,7 +64,7 @@ def test_rref_idempotent_and_rank(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_annihilated_and_dim(m):
-    ker = kernel_basis(m)
+    ker = kernel_from_rows(m.ncols, m.data)
     assert ker.dim == m.ncols - to_sympy(m).rank()
     for v in ker.basis:
         assert all(x == 0 for x in m.apply(v))
@@ -76,7 +73,7 @@ def test_kernel_annihilated_and_dim(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_matches_sympy_nullspace(m):
-    ker = kernel_basis(m)
+    ker = kernel_from_rows(m.ncols, m.data)
     null = to_sympy(m).nullspace()
     oracle = Subspace.from_vectors(
         m.ncols, [[Fraction(int(x.p), int(x.q)) for x in col] for col in null]
@@ -92,7 +89,7 @@ def test_sparse_and_dense_kernels_agree(m):
         {j: v for j, v in enumerate(row) if v} for row in m.data
     ]
     assert kernel_from_rows(m.ncols, sparse_rows) == dense
-    assert row_space(m) == span_from_rows(m.ncols, sparse_rows)
+    assert Subspace.from_vectors(m.ncols, m.data) == Subspace.from_vectors(m.ncols, sparse_rows)
 
 
 @settings(max_examples=60, deadline=None)
