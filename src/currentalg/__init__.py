@@ -10,9 +10,9 @@ linear algebra; no verdict rests on floating point.
 from .exactlin import (
     Matrix,
     Subspace,
-    determinant,
     inverse,
     kernel_from_rows,
+    preimage,
     rref,
     solve,
     subspace_intersect,

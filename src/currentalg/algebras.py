@@ -21,15 +21,15 @@ on the flat basis x_i tensor a_p, flat index p * dim(L) + i.
 from fractions import Fraction
 import json
 import os
+import re
 
 from .exactlin import (
     Matrix,
     Subspace,
-    determinant,
     kernel_from_rows,
     solve,
 )
-from .identities import ASSOC_FORMS, LIE_FORMS, add_entry, first_failure
+from .identities import ASSOC_FORMS, LIE_FORMS, add_entry, first_failure, require
 
 __all__ = [
     "ValidationError",
@@ -582,7 +582,7 @@ class BilinearForm:
         return tuple(x for row in self.matrix.data for x in row)
 
     def is_nondegenerate(self):
-        return determinant(self.matrix) != 0
+        return kernel_from_rows(self.dim, self.matrix.data).dim == 0
 
 
 def killing_form(alg):
@@ -607,15 +607,15 @@ def killing_form(alg):
             rows[i][j] = s
             rows[j][i] = s
     form = BilinearForm(Matrix(rows))
-    assert form.symmetry == "symmetric"
+    require(form.symmetry == "symmetric", "Killing form not symmetric")
     defect = first_failure(alg, LIE_FORMS["invariant"], form.as_vector())
-    assert defect is None, "Killing form not invariant at %r" % (defect,)
+    require(defect is None, "Killing form not invariant at %r" % (defect,))
     return form
 
 
 def residue_form(alg):
     """<t^i, t^j> = 1 iff i + j = n on tK[t]/(t^n); symmetric, invariant,
-    nondegenerate, all three asserted."""
+    nondegenerate, all three checked."""
     if alg.tpoly_order is None or alg.unital:
         raise ValidationError("residue form needs a non-unital truncated polynomial algebra")
     n = alg.tpoly_order
@@ -625,12 +625,11 @@ def residue_form(alg):
         for i in range(alg.dim)
     ]
     form = BilinearForm(Matrix(rows))
-    assert form.symmetry == "symmetric"
-    det = determinant(form.matrix)
-    assert det in (_ONE, -_ONE), "residue form must be a permutation matrix"
+    require(form.symmetry == "symmetric", "residue form not symmetric")
+    require(form.is_nondegenerate(), "residue form degenerate")
     # associativity-invariance <ab, c> = <a, bc> on all basis triples
-    assert first_failure(alg, ASSOC_FORMS["invariant"], form.as_vector()) is None, \
-        "residue form not invariant"
+    require(first_failure(alg, ASSOC_FORMS["invariant"], form.as_vector()) is None,
+            "residue form not invariant")
     return form
 
 
@@ -692,75 +691,95 @@ def algebra_to_dict(alg):
     raise TypeError("not an algebra: %r" % (alg,))
 
 
-def _parse_terms(raw, dim):
+# an integer or p/q, optionally signed: no exponent, so no string can ask
+# for a huge power of ten
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*\Z")
+
+
+def _index(value, dim, key):
+    if type(value) is not int or not 0 <= value < dim:
+        raise ValidationError("%s = %r is not an integer in 0..%d" % (key, value, dim - 1))
+    return value
+
+
+def _coefficient(value):
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.match(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError("c = %r is not an integer or a string p/q with q != 0"
+                          % (value,))
+
+
+def _parse_entry(entry, dim):
+    """(i, j, canonical terms) of one table entry; any other shape, a
+    non-int index or a coefficient that is not an int or a string p/q (a
+    float included) raises ValidationError."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("terms"), list):
+        raise ValidationError("table entry %r needs i, j and a list of terms" % (entry,))
+    i, j = _index(entry.get("i"), dim, "i"), _index(entry.get("j"), dim, "j")
     terms = []
-    for t in raw:
-        k = t["k"]
-        if not (0 <= k < dim):
-            raise ValidationError("basis index %r out of range" % k)
-        terms.append((k, Fraction(t["c"])))
-    return terms
+    for t in entry["terms"]:
+        if not isinstance(t, dict):
+            raise ValidationError("term %r is not an object with k and c" % (t,))
+        terms.append((_index(t.get("k"), dim, "k"), _coefficient(t.get("c"))))
+    return i, j, _canonical_terms(terms)
 
 
 def algebra_from_dict(data):
-    try:
-        kind = data["kind"]
-        dim = data["dim"]
-        labels = tuple(data["basis"])
-        raw_table = data["table"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("malformed algebra record: %s" % exc)
-    if len(labels) != dim:
+    """Algebra from a JSON record; any malformed record raises ValidationError."""
+    if not isinstance(data, dict):
+        raise ValidationError("malformed algebra record: not an object")
+    kind, dim, labels = data.get("kind"), data.get("dim"), data.get("basis")
+    raw_table = data.get("table")
+    if kind not in ("lie", "assoc"):
+        raise ValidationError("unknown algebra kind %r" % (kind,))
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+            and isinstance(raw_table, list)):
+        raise ValidationError("malformed algebra record: needs a basis of "
+                              "strings and a table list")
+    if type(dim) is not int or len(labels) != dim:
         raise ValidationError("dim does not match number of basis labels")
-    if kind == "lie":
-        table = {}
-        for entry in raw_table:
-            i, j = entry["i"], entry["j"]
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValidationError("pair (%d, %d) out of range" % (i, j))
-            terms = _canonical_terms(_parse_terms(entry["terms"], dim))
-            if i == j:
-                if terms:
-                    raise ValidationError(
-                        "anticommutativity fails at (%d, %d): [x, x] != 0" % (i, j),
-                        axiom="anticommutativity", witness=(i, j))
-                continue
-            key = (min(i, j), max(i, j))
-            stored = tuple((k, -c) for k, c in terms) if i > j else terms
-            if key in table:
-                if table[key] != stored:
-                    raise ValidationError(
-                        "anticommutativity fails at (%d, %d)" % key,
-                        axiom="anticommutativity", witness=key)
-            else:
-                table[key] = stored
+    # both orders of a pair may be listed and must agree: [x_j, x_i] =
+    # -[x_i, x_j] on a Lie table, a_j a_i = a_i a_j on an associative one
+    lie = kind == "lie"
+    axiom = "anticommutativity" if lie else "commutativity"
+    table = {}
+    for i, j, terms in (_parse_entry(entry, dim) for entry in raw_table):
+        if lie and i == j:
+            if terms:
+                raise ValidationError("%s fails at (%d, %d): [x, x] != 0" % (axiom, i, j),
+                                      axiom=axiom, witness=(i, j))
+            continue
+        if lie and i > j:
+            terms = tuple((k, -c) for k, c in terms)
+        key = (min(i, j), max(i, j))
+        if table.setdefault(key, terms) != terms:
+            raise ValidationError("%s fails at (%d, %d)" % (axiom, i, j),
+                                  axiom=axiom, witness=key)
+    if lie:
         return LieAlgebra(labels, table)
-    if kind == "assoc":
-        table = {}
-        for entry in raw_table:
-            i, j = entry["i"], entry["j"]
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValidationError("pair (%d, %d) out of range" % (i, j))
-            terms = _canonical_terms(_parse_terms(entry["terms"], dim))
-            key = (min(i, j), max(i, j))
-            if key in table:
-                if table[key] != terms:
-                    raise ValidationError(
-                        "commutativity fails at (%d, %d)" % (i, j),
-                        axiom="commutativity", witness=key)
-            else:
-                table[key] = terms
-        return AssocAlgebra(labels, table,
-                            unital=bool(data.get("unital", False)),
-                            degrees=data.get("degrees"))
-    raise ValidationError("unknown algebra kind %r" % kind)
+    unital, degrees = data.get("unital", False), data.get("degrees")
+    if not isinstance(unital, bool):
+        raise ValidationError("unital must be true or false")
+    if degrees is not None and not (
+            isinstance(degrees, list) and len(degrees) == dim
+            and all(type(d) is int for d in degrees)):
+        raise ValidationError("degrees must be a list of dim integers")
+    return AssocAlgebra(labels, table, unital=unital, degrees=degrees)
 
 
 def parse_algebra_file(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except ValueError as exc:
+        # JSONDecodeError, undecodable bytes, integers past the digit limit
         raise ValidationError("malformed JSON in %s: %s" % (path, exc))
     return algebra_from_dict(data)
 

@@ -21,7 +21,8 @@ sum:sl2+sl3, tpoly:3, tpoly1:3, zero:2) or JSON file paths.  --json prints
 one canonical JSON line (sorted keys, no spaces) so identical commands give
 byte-identical output.  Exit status: 0 all verdicts hold, 1 a verification
 failed (the report carries a witness), 2 a descriptor or table failed to
-parse or validate.
+parse or validate, 3 an internal invariant failed (a defect in currentalg,
+not in the input).
 """
 
 import argparse
@@ -48,6 +49,7 @@ from .derivations import (
     verify_der_decomposition,
 )
 from .graded import larsson_report
+from .identities import InvariantError
 
 __all__ = ["main", "build_parser"]
 
@@ -182,15 +184,12 @@ def _verify_lines(report, ok):
     return lines
 
 
-def cmd_verify_h2(args):
-    report = verify_h2_decomposition(args.L, args.A)
-    ok = report["span_in_Z"] and report["Z_in_span"]
-    _emit(args, report, _verify_lines(report, ok))
-    return 0 if ok else 1
-
-
-def cmd_verify_forms(args):
-    report = verify_forms_decomposition(args.L, args.A)
+def cmd_verify_span(args):
+    """verify h2 and verify forms: both inclusions with the type span."""
+    if args.target == "h2":
+        report = verify_h2_decomposition(args.L, args.A)
+    else:
+        report = verify_forms_decomposition(args.L, args.A)
     ok = report["span_in_Z"] and report["Z_in_span"]
     _emit(args, report, _verify_lines(report, ok))
     return 0 if ok else 1
@@ -244,8 +243,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="one canonical JSON line instead of text")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized projections")
 
     parser = argparse.ArgumentParser(
         prog="currentalg",
@@ -294,12 +291,15 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="decomposition verdicts")
     verify_sub = p_verify.add_subparsers(dest="target", required=True)
-    for target, fn in (("h2", cmd_verify_h2), ("forms", cmd_verify_forms),
+    for target, fn in (("h2", cmd_verify_span), ("forms", cmd_verify_span),
                        ("der", cmd_verify_der)):
         p = verify_sub.add_parser(target, parents=[common])
         p.add_argument("--L", required=True)
         p.add_argument("--A", required=True)
         p.set_defaults(func=fn)
+        if target == "der":
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for the pencil projections")
 
     p = sub.add_parser("larsson", parents=[common],
                        help="graded H^2 profile of g tensor tK[t]")
@@ -328,6 +328,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print("internal invariant failed: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

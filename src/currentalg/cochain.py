@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .exactlin import Matrix, Subspace, kernel_from_rows
-from .identities import add_entry
+from .identities import add_entry, require
 
 __all__ = [
     "LieModule",
@@ -28,8 +28,6 @@ __all__ = [
     "ce_differential",
     "cohomology",
     "CochainSpaceResult",
-    "c1_from_map_vector",
-    "map_vector_from_c1",
 ]
 
 _ZERO = Fraction(0)
@@ -198,29 +196,11 @@ def cohomology(algebra, module, degree):
         b_space = Subspace.zero(ncols)
     else:
         nprev_rows, _, prev = _ce_rows(algebra, module, degree - 1)
-        assert nprev_rows == ncols
+        require(nprev_rows == ncols, "degree %d cochains do not chain up" % degree)
         cols = {}
         for r, row in enumerate(prev):
             for c, v in row.items():
                 cols.setdefault(c, {})[r] = v
         b_space = Subspace.from_vectors(ncols, list(cols.values()))
-    assert z_space.contains(b_space), "coboundaries must be cocycles"
+    require(z_space.contains(b_space), "coboundaries must be cocycles")
     return CochainSpaceResult(degree, z_space, b_space)
-
-
-def c1_from_map_vector(n_alg, n_mod, vec):
-    """Reindex a linear map D (flat r * n_alg + j, coefficient of m_r in
-    D(x_j)) into degree-1 cochain coordinates (flat j * n_mod + r)."""
-    out = [_ZERO] * (n_alg * n_mod)
-    for r in range(n_mod):
-        for j in range(n_alg):
-            out[j * n_mod + r] = vec[r * n_alg + j]
-    return out
-
-
-def map_vector_from_c1(n_alg, n_mod, vec):
-    out = [_ZERO] * (n_alg * n_mod)
-    for j in range(n_alg):
-        for r in range(n_mod):
-            out[r * n_alg + j] = vec[j * n_mod + r]
-    return out

@@ -2,10 +2,14 @@ r"""Derivations of current algebras: spaces, pencils, and the span theorem.
 
 A linear map D on an n-dimensional algebra is a vector of length n^2 with
 coordinate m*n + i holding the coefficient of x_m in D(x_i).  The named
-map conditions below cut out exact subspaces; conjunctions of them build
-the factor spaces whose tensor products, together with inner derivations
-and two one-parameter families, are compared against the full derivation
-space of L tensor A.
+map conditions below cut out exact subspaces.  The span theorem compares
+the derivation space of L tensor A with the inner derivations plus ten
+tensor families, built like the form families of currentalg.forms: a
+family is a list of factor-space pairs (S_L, S_A), one pair for each type
+of DER_TYPE_TABLE (conjunctions of the conditions) and one pair per
+admissible lam for each of the two one-parameter families.  A failure is
+reported with the first generator that is not a derivation, or else the
+first derivation outside the span with its residual.
 
 Conditions on a Lie algebra L:
 
@@ -58,7 +62,7 @@ from .exactlin import (
     Subspace,
     inverse,
     kernel_from_rows,
-    subspace_intersect,
+    preimage,
     subspace_sum,
 )
 from .algebras import (
@@ -72,7 +76,15 @@ from .algebras import (
     assoc_truncated_poly,
 )
 from .cochain import adjoint_module, coadjoint_module, cohomology, trivial_module
-from .forms import _resolve_pair, invariant_symmetric_forms
+from .forms import (
+    _MAP,
+    _family,
+    _generator_witness,
+    _resolve_pair,
+    _residual_witness,
+    invariant_symmetric_forms,
+)
+from .identities import require
 from .modp import PRIMES, det_mod, interpolate, rational_roots
 
 __all__ = [
@@ -357,28 +369,21 @@ def lambda_candidates(alg, kind, seed=0):
 # the span theorem
 
 
-def _tensor_map(curr, dvec, bvec):
-    """Map coordinates of d tensor b on the current algebra."""
-    nl = curr.factorL.dim
-    na = curr.factorA.dim
-    n = curr.dim
-    out = [_ZERO] * (n * n)
-    dnz = [(k, i, dvec[k * nl + i])
-           for k in range(nl) for i in range(nl) if dvec[k * nl + i]]
-    for r in range(na):
-        for p in range(na):
-            b = bvec[r * na + p]
-            if not b:
-                continue
-            for k, i, d in dnz:
-                out[(r * nl + k) * n + p * nl + i] = d * b
+def _pencil_pairs(pencil_l, pencil_a):
+    """(lam, S_L, S_A) for every lam whose L kernel at lam and A kernel at
+    1/lam are both nonzero; lam runs over the nonzero values of either
+    pencil (the A side inverted) and the forced values."""
+    values = set(v for v in pencil_l.lambdas if v)
+    values.update(1 / v for v in pencil_a.lambdas if v)
+    values.update(_FORCED_VALUES)
+    out = []
+    for lam in sorted(values):
+        dl = pencil_l.solution_at(lam)
+        if dl.dim:
+            da = pencil_a.solution_at(1 / lam)
+            if da.dim:
+                out.append((lam, dl, da))
     return out
-
-
-def _map_entries(labels, vec):
-    n = len(labels)
-    return {"D(%s)->%s" % (labels[i], labels[m]): str(vec[m * n + i])
-            for m in range(n) for i in range(n) if vec[m * n + i]}
 
 
 def theorem_der_span(L, A, seed=0):
@@ -389,72 +394,38 @@ def theorem_der_span(L, A, seed=0):
     if one exists (there should be none).
     """
     curr = current(L, A)
-    n = curr.dim
     der = derivation_space(curr)
     inner = inner_derivations(curr)
-    assert der.space.contains(inner), "adjoint maps must be derivations"
+    require(der.space.contains(inner), "adjoint maps must be derivations")
 
-    families = {"inner": inner}
-    bad_generator = None
-
-    pencil_l_both = lambda_candidates(L, "lie_both", seed)
-    pencil_l_left = lambda_candidates(L, "lie_left", seed)
-    pencil_a_left = lambda_candidates(A, "assoc_left", seed)
-    pencil_a_both = lambda_candidates(A, "assoc_both", seed)
-
-    def pencil_family(label, pencil_l, pencil_a):
-        values = set(v for v in pencil_l.lambdas if v)
-        values.update(1 / v for v in pencil_a.lambdas if v)
-        values.update(_FORCED_VALUES)
-        gens = []
-        used = {}
-        for lam in sorted(values):
-            dl = pencil_l.solution_at(lam)
-            if not dl.dim:
-                continue
-            da = pencil_a.solution_at(1 / lam)
-            if not da.dim:
-                continue
-            used[str(lam)] = [dl.dim, da.dim]
-            gens.extend(_tensor_map(curr, dv, bv)
-                        for dv in dl.basis for bv in da.basis)
-        families[label] = Subspace.from_vectors(n * n, gens)
-        return gens, used
-
-    gens_i, lam_i = pencil_family("i", pencil_l_both, pencil_a_left)
-    gens_ii, lam_ii = pencil_family("ii", pencil_l_left, pencil_a_both)
-
-    all_gens = list(gens_i) + list(gens_ii)
+    pencils = {"i": (lambda_candidates(L, "lie_both", seed),
+                     lambda_candidates(A, "assoc_left", seed)),
+               "ii": (lambda_candidates(L, "lie_left", seed),
+                      lambda_candidates(A, "assoc_both", seed))}
+    admissible = {label: _pencil_pairs(*pair) for label, pair in pencils.items()}
+    pairs = {label: [(dl, da) for _, dl, da in found]
+             for label, found in admissible.items()}
     for label, conds_l, conds_a in DER_TYPE_TABLE:
-        sl = map_condition_space(L, conds_l).space
-        sa = map_condition_space(A, conds_a).space
-        gens = [_tensor_map(curr, dv, bv)
-                for dv in sl.basis for bv in sa.basis]
-        families[label] = Subspace.from_vectors(n * n, gens)
-        all_gens.extend(gens)
+        pairs[label] = [(map_condition_space(L, conds_l).space,
+                         map_condition_space(A, conds_a).space)]
+    gens, families = {}, {"inner": inner}
+    for label, factor_pairs in pairs.items():
+        gens[label], families[label] = _family(curr, factor_pairs)
 
-    for g in all_gens:
-        if not der.space.contains_vector(g):
-            bad_generator = _map_entries(curr.labels, g)
-            break
-
-    span = subspace_sum(inner, Subspace.from_vectors(n * n, all_gens))
+    bad = _generator_witness(der.space, gens, curr.labels, _MAP,
+                             "generator_not_derivation")
+    all_gens = [g for family in gens.values() for g in family]
+    span = subspace_sum(inner, Subspace.from_vectors(curr.dim ** 2, all_gens))
 
     details = {
-        "types": {label: families[label].dim
-                  for label in ["inner", "i", "ii"]
-                  + [lbl for lbl, _, _ in DER_TYPE_TABLE]},
+        "types": {label: space.dim for label, space in families.items()},
         "lambda": {
-            "i": {"values": lam_i,
-                  "degenerate": pencil_l_both.degenerate or pencil_a_left.degenerate,
-                  "residual_degree": pencil_l_both.residual_degree
-                  + pencil_a_left.residual_degree},
-            "ii": {"values": lam_ii,
-                   "degenerate": pencil_l_left.degenerate or pencil_a_both.degenerate,
-                   "residual_degree": pencil_l_left.residual_degree
-                   + pencil_a_both.residual_degree},
-        },
-        "bad_generator": bad_generator,
+            label: {"values": {str(lam): [dl.dim, da.dim]
+                               for lam, dl, da in admissible[label]},
+                    "degenerate": pl.degenerate or pa.degenerate,
+                    "residual_degree": pl.residual_degree + pa.residual_degree}
+            for label, (pl, pa) in pencils.items()},
+        "bad_generator": None if bad is None else bad["map"],
     }
     return der, span, details
 
@@ -474,21 +445,16 @@ def verify_der_decomposition(L, A, lname=None, aname=None, seed=0):
         "span_dim": span.dim,
         "equal": equal,
     }
+    witness = None
     if details["bad_generator"] is not None:
         report["equal"] = False
-        report["witness"] = {"direction": "generator_not_derivation",
-                             "map": details["bad_generator"]}
+        witness = {"direction": "generator_not_derivation",
+                   "map": details["bad_generator"]}
     elif not equal:
-        curr = current(L, A)
-        for b in der.basis:
-            residual = span.reduce(b)
-            if any(residual):
-                report["witness"] = {
-                    "direction": "derivation_outside_span",
-                    "map": _map_entries(curr.labels, b),
-                    "residual": _map_entries(curr.labels, residual),
-                }
-                break
+        witness = _residual_witness(der.space, span, current(L, A).labels,
+                                    _MAP, "derivation_outside_span")
+    if witness is not None:
+        report["witness"] = witness
     return report
 
 
@@ -533,8 +499,10 @@ def sequence_maps(L, form=None, lname=None):
             kappa = form
         else:
             raise ValueError("form must be None, 'dual', 'killing', or a BilinearForm")
-        assert kappa.symmetry == "symmetric"
-        assert kappa.is_nondegenerate(), "transport needs a nondegenerate form"
+        if kappa.symmetry != "symmetric":
+            raise ValueError("transport needs a symmetric form")
+        if not kappa.is_nondegenerate():
+            raise ValueError("transport needs a nondegenerate form")
         kinv = inverse(kappa.matrix)
         module = adjoint_module(L)
 
@@ -588,71 +556,34 @@ def sequence_maps(L, form=None, lname=None):
         return out
 
     u_z2 = [u_map(z) for z in h2.z_space.basis]
-    for vec in u_z2:
-        assert h1.z_space.contains_vector(vec), "u must map cocycles to cocycles"
-    for vec in (u_map(b) for b in h2.b_space.basis):
-        assert h1.b_space.contains_vector(vec), "u must map coboundaries to coboundaries"
+    require(all(h1.z_space.contains_vector(vec) for vec in u_z2),
+            "u must map cocycles to cocycles")
+    require(all(h1.b_space.contains_vector(u_map(b)) for b in h2.b_space.basis),
+            "u must map coboundaries to coboundaries")
 
     v_after_u_zero = all(not any(v_map(vec)) for vec in u_z2)
 
     v_z1 = [v_map(z) for z in h1.z_space.basis]
-    for vec in v_z1:
-        assert b_forms.contains_vector(vec), "v must land in invariant symmetric forms"
-    for vec in (v_map(b) for b in h1.b_space.basis):
-        assert not any(vec), "v must kill coboundaries"
+    require(all(b_forms.contains_vector(vec) for vec in v_z1),
+            "v must land in invariant symmetric forms")
+    require(not any(any(v_map(b)) for b in h1.b_space.basis),
+            "v must kill coboundaries")
     v_image = Subspace.from_vectors(n * n, v_z1)
 
-    for f in b_forms.basis:
-        assert h3.z_space.contains_vector(w_map(f)), "w must produce cocycles"
+    w_of_basis = [w_map(f) for f in b_forms.basis]
+    require(all(h3.z_space.contains_vector(vec) for vec in w_of_basis),
+            "w must produce cocycles")
     w_after_v_in_b3 = all(h3.b_space.contains_vector(w_map(vec)) for vec in v_z1)
 
     # exactness at H^1: (ker v meet Z^1) + B^1 == u(Z^2) + B^1
-    vrows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = {}
-            if mode == "dual":
-                ids.add_entry(row, i * n + j, _ONE)
-                ids.add_entry(row, j * n + i, _ONE)
-            else:
-                for m in range(n):
-                    ids.add_entry(row, i * n + m, kappa(m, j))
-                    ids.add_entry(row, j * n + m, kappa(m, i))
-            if row:
-                vrows.append(row)
-    ker_v = kernel_from_rows(n * n, vrows)
-    left = subspace_sum(subspace_intersect(ker_v, h1.z_space), h1.b_space)
-    u_image = Subspace.from_vectors(n * n, u_z2)
-    right = subspace_sum(u_image, h1.b_space)
-    exact_at_h1 = left == right
+    ker_v_z1 = preimage(h1.z_space, v_z1, Subspace.zero(n * n))
+    u_image_b1 = subspace_sum(Subspace.from_vectors(n * n, u_z2), h1.b_space)
+    exact_at_h1 = subspace_sum(ker_v_z1, h1.b_space) == u_image_b1
 
     # exactness at B(L): v(Z^1) == {phi in B(L) : w(phi) in B^3}
-    nb = b_forms.dim
-    b3 = h3.b_space
-    stacked = []
-    w_of_basis = [w_map(f) for f in b_forms.basis]
-    for t in range(len(triples)):
-        row = {}
-        for r in range(nb):
-            ids.add_entry(row, r, w_of_basis[r][t])
-        for s, bvec in enumerate(b3.basis):
-            ids.add_entry(row, nb + s, -bvec[t])
-        if row:
-            stacked.append(row)
-    coeff_kernel = kernel_from_rows(nb + b3.dim, stacked)
-    k_vectors = []
-    for kv in coeff_kernel.basis:
-        vec = [_ZERO] * (n * n)
-        for r in range(nb):
-            if kv[r]:
-                for c in range(n * n):
-                    vec[c] += kv[r] * b_forms.basis[r][c]
-        k_vectors.append(vec)
-    k_space = Subspace.from_vectors(n * n, k_vectors)
-    exact_at_b = v_image == k_space
+    exact_at_b = v_image == preimage(b_forms, w_of_basis, h3.b_space)
 
-    u_injective = (subspace_sum(u_image, h1.b_space).dim - h1.b_space.dim
-                   == h2.z_space.dim - h2.b_space.dim)
+    u_injective = u_image_b1.dim - h1.b_space.dim == h2.h_dim
 
     verdict = (v_after_u_zero and w_after_v_in_b3 and exact_at_h1
                and exact_at_b and u_injective)

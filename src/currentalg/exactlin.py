@@ -2,16 +2,18 @@ r"""Exact linear algebra over the rationals.
 
 Everything downstream reduces to three primitives: kernels of sparse
 homogeneous systems, spans of vector families, and the subspace lattice
-(sum, intersection, containment) on coordinate spaces Q^N.  A subspace is
-always stored by its reduced row-echelon basis with pivot entries 1, so two
-subspaces are equal iff their bases are identical tuples.
+(sum, intersection, containment, preimage) on coordinate spaces Q^N.  A
+subspace is always stored by its reduced row-echelon basis with pivot
+entries 1, so two subspaces are equal iff their bases are identical tuples.
 
 The elimination engine works on rows kept as sparse {column: int} dicts.
 Fractions are cleared on entry and each row is renormalized by its content
 (gcd) after every combination, which keeps the integers small without the
 bookkeeping of full fraction-free elimination.  Dense matrices are plain
 tuples of Fraction tuples and only show up where the ambient dimension is
-small (forms of one factor algebra, determinants, inverses).
+small (forms of one factor algebra, inverses); their inverses and ranks
+come from the same engine.  rref and solve are a separate dense
+Gauss-Jordan path, kept as the reference the engine is tested against.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ __all__ = [
     "kernel_from_rows",
     "subspace_sum",
     "subspace_intersect",
-    "determinant",
+    "preimage",
     "inverse",
     "solve",
 ]
@@ -249,35 +251,47 @@ def subspace_sum(u, v):
 
 
 def subspace_intersect(u, v):
-    """U cap V via the kernel of the stacked coefficient system."""
+    """U cap V: the preimage of V under the inclusion of U."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient mismatch")
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    r = u.dim
+    return preimage(u, u.basis, v)
+
+
+def preimage(domain, images, target):
+    """{x in domain : f(x) in target} for a linear map f given on the basis.
+
+    images[k] is f(domain.basis[k]), a vector of the target's ambient space.
+    The kernel of the stacked system sum_k c_k images[k] = sum_l d_l
+    target.basis[l] gives the coefficients c, which are recombined over the
+    domain basis.
+    """
+    if len(images) != domain.dim:
+        raise ValueError("one image per domain basis vector")
+    if domain.dim == 0:
+        return Subspace.zero(domain.ambient_dim)
+    r = domain.dim
     rows = []
-    for i in range(u.ambient_dim):
+    for i in range(target.ambient_dim):
         row = {}
-        for k in range(r):
-            if u.basis[k][i]:
-                row[k] = u.basis[k][i]
-        for l in range(v.dim):
-            if v.basis[l][i]:
-                row[r + l] = -v.basis[l][i]
+        for k, img in enumerate(images):
+            if img[i]:
+                row[k] = img[i]
+        for l, t in enumerate(target.basis):
+            if t[i]:
+                row[r + l] = -t[i]
         if row:
             rows.append(row)
-    coeffs = kernel_from_rows(r + v.dim, rows)
+    coeffs = kernel_from_rows(r + target.dim, rows)
     vectors = []
     for c in coeffs.basis:
-        w = [_ZERO] * u.ambient_dim
+        w = [_ZERO] * domain.ambient_dim
         for k in range(r):
             if c[k]:
-                bk = u.basis[k]
-                for i in range(u.ambient_dim):
-                    if bk[i]:
-                        w[i] += c[k] * bk[i]
+                for i, x in enumerate(domain.basis[k]):
+                    if x:
+                        w[i] += c[k] * x
         vectors.append(w)
-    return Subspace.from_vectors(u.ambient_dim, vectors)
+    return Subspace.from_vectors(domain.ambient_dim, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -387,71 +401,18 @@ def rref(m):
     return Matrix(rows), tuple(pivots), len(pivots)
 
 
-def determinant(m):
-    """Exact determinant via integer Bareiss elimination.
-
-    Fraction entries are handled by clearing denominators row by row and
-    dividing the integer determinant back out at the end.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return _ONE
-    denom = 1
-    rows = []
-    for row in m.data:
-        scale = 1
-        for v in row:
-            if v.denominator != 1:
-                scale = lcm(scale, v.denominator)
-        denom *= scale
-        rows.append([int(v * scale) for v in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return _ZERO
-        pkk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            ri, rk = rows[i], rows[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pkk - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = pkk
-    return Fraction(sign * rows[n - 1][n - 1], denom)
-
-
 def inverse(m):
-    """Inverse of a small dense matrix by Gauss-Jordan; raises if singular."""
+    """Inverse of a square matrix: the row space of [M | I] reduces to
+    [I | M^-1] exactly when M is invertible; raises ValueError otherwise."""
     if m.nrows != m.ncols:
         raise ValueError("inverse of non-square matrix")
     n = m.nrows
-    aug = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
-           for i, row in enumerate(m.data)]
-    for j in range(n):
-        piv = None
-        for i in range(j, n):
-            if aug[i][j]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[j], aug[piv] = aug[piv], aug[j]
-        inv = 1 / aug[j][j]
-        aug[j] = [x * inv for x in aug[j]]
-        for i in range(n):
-            if i != j and aug[i][j]:
-                c = aug[i][j]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[j])]
-    return Matrix(tuple(tuple(row[n:]) for row in aug))
+    aug = Subspace.from_vectors(2 * n, [
+        tuple(row) + tuple(_ONE if i == j else _ZERO for j in range(n))
+        for i, row in enumerate(m.data)])
+    if aug.pivots != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return Matrix(tuple(row[n:] for row in aug.basis))
 
 
 def solve(m, rhs):

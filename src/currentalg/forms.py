@@ -32,11 +32,17 @@ Conditions on a commutative associative algebra A (alpha: A x A -> K):
 On top of these sit the two decomposition verdicts: the 2-cocycle space of a
 current algebra L tensor A equals the skew layer of the span of four tensor
 product families, and the space of symmetric invariant forms equals the
-symmetric layer of the span of three.  The sub-typed families (each factor
-with a pinned symmetry) are reported per type, but the spanning direction
-must run over symmetry-free factors: see the note at H2_DECOMPOSABLE_TYPES.
-Both verifiers compute the left side twice where a second route exists and
-compare generator by generator, reporting a witness form on failure.
+symmetric layer of the span of three.  A family is a list of factor-space
+pairs (S_L, S_A), and its generators are the tensor products of their basis
+vectors; the derivation verdict in currentalg.derivations builds its
+families, witnesses and spans with the same helpers.  The sub-typed
+families (each factor with a pinned symmetry, derived from the
+decomposable types by the product rule) are reported per type, but the
+spanning direction runs over symmetry-free factors: see the note at
+H2_DECOMPOSABLE_TYPES.  The cocycle space is computed by two routes, which
+must agree.  A failed inclusion is reported with a witness: the first
+generator outside the target, or the first basis vector of one space
+outside the other, with its residual.
 """
 
 from fractions import Fraction
@@ -44,6 +50,7 @@ from itertools import combinations
 
 from . import identities as ids
 from .exactlin import Subspace, kernel_from_rows, subspace_intersect
+from .identities import require
 from .algebras import AssocAlgebra, LieAlgebra, build_assoc, build_lie, current
 from .cochain import cohomology, trivial_module
 
@@ -63,31 +70,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-
-# Cocycle types on L tensor A: (label, (L condition, L symmetry),
-# (A condition, A symmetry)).  The product of a form on L and a form on A is
-# skew overall exactly when the symmetries differ, hence the a/b split.
-H2_TYPE_TABLE = (
-    ("ia", ("jacobi_sum_zero", "skew"), ("cyclic", "symmetric")),
-    ("ib", ("jacobi_sum_zero", "symmetric"), ("cyclic", "skew")),
-    ("iia", ("cyclic", "skew"), ("jacobi_sum_zero", "symmetric")),
-    ("iib", ("cyclic", "symmetric"), ("jacobi_sum_zero", "skew")),
-    ("iiia", ("radical", "skew"), ("none", "symmetric")),
-    ("iiib", ("radical", "symmetric"), ("none", "skew")),
-    ("iva", ("none", "skew"), ("radical", "symmetric")),
-    ("ivb", ("none", "symmetric"), ("radical", "skew")),
-)
-
-# Symmetric invariant form types: the product is symmetric when both factors
-# share a symmetry type.
-FORMS_TYPE_TABLE = (
-    ("ia", ("cyclic", "symmetric"), ("cyclic", "symmetric")),
-    ("ib", ("cyclic", "skew"), ("cyclic", "skew")),
-    ("iia", ("radical", "symmetric"), ("none", "symmetric")),
-    ("iib", ("radical", "skew"), ("none", "skew")),
-    ("iiia", ("none", "symmetric"), ("radical", "symmetric")),
-    ("iiib", ("none", "skew"), ("radical", "skew")),
-)
 
 # The sub-typed tables pin a definite symmetry on each factor, which makes
 # every single generator a form of the right overall symmetry.  That is too
@@ -111,6 +93,23 @@ FORMS_DECOMPOSABLE_TYPES = (
     ("ii", "radical", "none"),
     ("iii", "none", "radical"),
 )
+
+
+def _type_table(decomposable_types, symmetry):
+    """(label, (L condition, L symmetry), (A condition, A symmetry)) per
+    sub-type.  phi tensor alpha is skew exactly when the factor symmetries
+    differ, so each type splits into an "a" entry with alpha symmetric and
+    a "b" entry with alpha skew, phi taking the symmetry that makes the
+    product's symmetry the given one."""
+    other = {"symmetric": "skew", "skew": "symmetric"}[symmetry]
+    return tuple((label + suffix, (cond_l, sym_l), (cond_a, sym_a))
+                 for label, cond_l, cond_a in decomposable_types
+                 for suffix, sym_l, sym_a in (("a", symmetry, "symmetric"),
+                                              ("b", other, "skew")))
+
+
+H2_TYPE_TABLE = _type_table(H2_DECOMPOSABLE_TYPES, "skew")
+FORMS_TYPE_TABLE = _type_table(FORMS_DECOMPOSABLE_TYPES, "symmetric")
 
 
 class FormSpace:
@@ -166,10 +165,14 @@ def hc1_space(alg):
 
 
 # ---------------------------------------------------------------------------
-# tensor-product spans on a current algebra
+# tensor-product families on a current algebra, shared with derivations
 
 
 def _tensor_vec(curr, lvec, avec):
+    """l tensor a in n^2 coordinates: (x_i a_p, x_j a_q) holds l[i, j] a[p, q].
+
+    Forms and maps share the layout, so this is phi tensor alpha as a form
+    and d tensor b as a map alike."""
     nl = curr.factorL.dim
     na = curr.factorA.dim
     n = curr.dim
@@ -186,6 +189,55 @@ def _tensor_vec(curr, lvec, avec):
     return out
 
 
+def _family(curr, factor_pairs):
+    """Generators s_L tensor s_A over the basis vectors of each factor-space
+    pair (S_L, S_A), and their span."""
+    gens = [_tensor_vec(curr, lv, av)
+            for sl, sa in factor_pairs for lv in sl.basis for av in sa.basis]
+    return gens, Subspace.from_vectors(curr.dim ** 2, gens)
+
+
+def _entries(fmt, labels, vec):
+    """Nonzero coordinates r * n + c of vec, keyed fmt.format(label_r, label_c)."""
+    n = len(labels)
+    return {fmt.format(labels[r], labels[c]): str(vec[r * n + c])
+            for r in range(n) for c in range(n) if vec[r * n + c]}
+
+
+# witness key and coordinate format of forms and of maps
+_FORM = ("form", "phi({0},{1})")
+_MAP = ("map", "D({1})->{0}")
+
+
+def _generator_witness(target, families, labels, kind, direction):
+    """Witness for the first generator of families ({label: generators})
+    outside target, or None."""
+    key, fmt = kind
+    for label, gens in families.items():
+        for g in gens:
+            if not target.contains_vector(g):
+                return {"direction": direction, "type": label,
+                        key: _entries(fmt, labels, g)}
+    return None
+
+
+def _residual_witness(space, span, labels, kind, direction):
+    """Witness for the first basis vector of space outside span, with its
+    residual, or None."""
+    key, fmt = kind
+    for b in space.basis:
+        residual = span.reduce(b)
+        if any(residual):
+            return {"direction": direction, key: _entries(fmt, labels, b),
+                    "residual": _entries(fmt, labels, residual)}
+    return None
+
+
+def _factor_pair(curr, cond_l, sym_l, cond_a, sym_a):
+    return (condition_space(curr.factorL, cond_l, sym_l).space,
+            condition_space(curr.factorA, cond_a, sym_a).space)
+
+
 def tensor_form_span(curr, type_table):
     """Per-type spans of phi tensor alpha generators and their total sum.
 
@@ -193,19 +245,13 @@ def tensor_form_span(curr, type_table):
     Subspace, total is the sum over all types, and generators maps label to
     the list of raw tensor vectors, for generator-level membership checks.
     """
-    n = curr.dim
     per_type = {}
     generators = {}
-    all_gens = []
     for label, (cond_l, sym_l), (cond_a, sym_a) in type_table:
-        sl = condition_space(curr.factorL, cond_l, sym_l).space
-        sa = condition_space(curr.factorA, cond_a, sym_a).space
-        gens = [_tensor_vec(curr, lv, av)
-                for lv in sl.basis for av in sa.basis]
-        per_type[label] = Subspace.from_vectors(n * n, gens)
-        generators[label] = gens
-        all_gens.extend(gens)
-    total = Subspace.from_vectors(n * n, all_gens)
+        generators[label], per_type[label] = _family(
+            curr, [_factor_pair(curr, cond_l, sym_l, cond_a, sym_a)])
+    total = Subspace.from_vectors(
+        curr.dim ** 2, [g for gens in generators.values() for g in gens])
     return per_type, total, generators
 
 
@@ -217,14 +263,9 @@ def decomposable_span(curr, decomposable_types, symmetry):
     the symmetry-free factor condition spaces and layer = full meet
     {symmetry} is the part comparable with the target space.
     """
+    _, full = _family(curr, [_factor_pair(curr, cond_l, "any", cond_a, "any")
+                             for _, cond_l, cond_a in decomposable_types])
     n = curr.dim
-    gens = []
-    for _, cond_l, cond_a in decomposable_types:
-        sl = condition_space(curr.factorL, cond_l, "any").space
-        sa = condition_space(curr.factorA, cond_a, "any").space
-        gens.extend(_tensor_vec(curr, lv, av)
-                    for lv in sl.basis for av in sa.basis)
-    full = Subspace.from_vectors(n * n, gens)
     sym = kernel_from_rows(n * n, ids.rows(curr, (ids.SYMMETRIES[symmetry],)))
     return full, subspace_intersect(full, sym)
 
@@ -247,46 +288,9 @@ def _h2_via_cochain(curr):
     res = cohomology(curr, trivial_module(curr, 1), 2)
     n = curr.dim
     pairs = list(combinations(range(n), 2))
-    z = Subspace.from_vectors(
-        n * n, [_skew_pairs_to_n2(n, pairs, b) for b in res.z_space.basis])
-    b = Subspace.from_vectors(
-        n * n, [_skew_pairs_to_n2(n, pairs, b) for b in res.b_space.basis])
-    return z, b
-
-
-def _form_entries(labels, vec):
-    n = len(labels)
-    return {"phi(%s,%s)" % (labels[i], labels[j]): str(vec[i * n + j])
-            for i in range(n) for j in range(n) if vec[i * n + j]}
-
-
-def _membership_verdicts(target, per_type_gens, labels):
-    """Check every tensor generator lies in target and every target basis
-    vector lies in the total span; first failure becomes the witness."""
-    witness = None
-    span_in_target = True
-    for label, gens in per_type_gens.items():
-        for g in gens:
-            if not target.contains_vector(g):
-                span_in_target = False
-                if witness is None:
-                    witness = {"direction": "generator_outside_target",
-                               "type": label,
-                               "form": _form_entries(labels, g)}
-                break
-        if not span_in_target:
-            break
-    return span_in_target, witness
-
-
-def _target_in_span(target, total, labels, direction="target_not_in_span"):
-    for b in target.basis:
-        residual = total.reduce(b)
-        if any(residual):
-            return False, {"direction": direction,
-                           "form": _form_entries(labels, b),
-                           "residual": _form_entries(labels, residual)}
-    return True, None
+    return tuple(Subspace.from_vectors(
+        n * n, [_skew_pairs_to_n2(n, pairs, v) for v in space.basis])
+        for space in (res.z_space, res.b_space))
 
 
 def _resolve_pair(L, A):
@@ -297,19 +301,19 @@ def _resolve_pair(L, A):
     return L, A, lname or "lie(dim %d)" % L.dim, aname or "assoc(dim %d)" % A.dim
 
 
-def _decomposition_report(theorem, curr, target, type_table, decomposable_types,
+def _decomposition_report(theorem, curr, target, decomposable_types,
                           symmetry, direction, names):
     """Both inclusions between target and the decomposable span, with the
     first witness of a failure."""
+    type_table = _type_table(decomposable_types, symmetry)
     per_type, _, gens = tensor_form_span(curr, type_table)
     full, span = decomposable_span(curr, decomposable_types, symmetry)
     # sub-typed generators first (per-generator witnesses are sharper), then
     # the whole symmetry layer of the symmetry-free span
-    span_in_target, w1 = _membership_verdicts(target, gens, curr.labels)
-    if span_in_target:
-        span_in_target, w1 = _target_in_span(span, target, curr.labels,
-                                             direction=direction)
-    target_in_span, w2 = _target_in_span(target, full, curr.labels)
+    w1 = (_generator_witness(target, gens, curr.labels, _FORM,
+                             "generator_outside_target")
+          or _residual_witness(span, target, curr.labels, _FORM, direction))
+    w2 = _residual_witness(target, full, curr.labels, _FORM, "target_not_in_span")
     report = {
         "theorem": theorem,
         "L": names[0],
@@ -317,10 +321,10 @@ def _decomposition_report(theorem, curr, target, type_table, decomposable_types,
         "dims": {
             "Z2": target.dim,
             "span": span.dim,
-            "types": {label: per_type[label].dim for label, _, _ in type_table},
+            "types": {label: space.dim for label, space in per_type.items()},
         },
-        "span_in_Z": span_in_target,
-        "Z_in_span": target_in_span,
+        "span_in_Z": w1 is None,
+        "Z_in_span": w2 is None,
     }
     witness = w1 or w2
     if witness is not None:
@@ -334,22 +338,19 @@ def verify_h2_decomposition(L, A, lname=None, aname=None):
     The cocycle space is computed twice, once as a form condition system and
     once through the cochain complex, and the two must agree exactly.  The
     coboundary space must land in the span of skew-on-L times symmetric-on-A
-    products.  The returned report carries both inclusion verdicts.
+    products.  Either failure raises InvariantError.  The returned report
+    carries both inclusion verdicts.
     """
     L, A, auto_l, auto_a = _resolve_pair(L, A)
     curr = current(L, A)
     z_form = condition_space(curr, "jacobi_sum_zero", "skew").space
     z_cochain, b_cochain = _h2_via_cochain(curr)
-    assert z_form == z_cochain, "cocycle routes disagree"
-
-    skew_l = condition_space(L, "none", "skew").space
-    sym_a = condition_space(A, "none", "symmetric").space
-    envelope = Subspace.from_vectors(
-        curr.dim ** 2,
-        [_tensor_vec(curr, lv, av) for lv in skew_l.basis for av in sym_a.basis])
-    assert envelope.contains(b_cochain), "coboundaries escape the skew/symmetric envelope"
+    require(z_form == z_cochain, "cocycle routes disagree")
+    _, envelope = _family(curr, [_factor_pair(curr, "none", "skew", "none", "symmetric")])
+    require(envelope.contains(b_cochain),
+            "coboundaries escape the skew/symmetric envelope")
     return _decomposition_report(
-        "h2", curr, z_form, H2_TYPE_TABLE, H2_DECOMPOSABLE_TYPES, "skew",
+        "h2", curr, z_form, H2_DECOMPOSABLE_TYPES, "skew",
         "span_element_not_cocycle", (lname or auto_l, aname or auto_a))
 
 
@@ -358,6 +359,6 @@ def verify_forms_decomposition(L, A, lname=None, aname=None):
     L, A, auto_l, auto_a = _resolve_pair(L, A)
     curr = current(L, A)
     return _decomposition_report(
-        "forms", curr, invariant_symmetric_forms(curr).space, FORMS_TYPE_TABLE,
+        "forms", curr, invariant_symmetric_forms(curr).space,
         FORMS_DECOMPOSABLE_TYPES, "symmetric", "span_element_not_invariant",
         (lname or auto_l, aname or auto_a))

@@ -29,7 +29,7 @@ from .exactlin import Subspace, kernel_from_rows, subspace_intersect, subspace_s
 from .algebras import assoc_truncated_poly, build_lie, current
 from .cochain import cohomology, trivial_module
 from .forms import condition_space
-from .identities import add_entry
+from .identities import add_entry, require
 
 __all__ = [
     "GradedComponent",
@@ -112,7 +112,7 @@ def graded_h2(g, degree, order=None):
             if vec:
                 b_rows.append(vec)
     b_space = Subspace.from_vectors(len(pairs), b_rows)
-    assert z_space.contains(b_space), "graded coboundaries must be cocycles"
+    require(z_space.contains(b_space), "graded coboundaries must be cocycles")
     return GradedComponent(degree, order, curr, pairs, z_space, b_space)
 
 

@@ -52,6 +52,12 @@ class InvariantError(AssertionError):
     under python -O; an AssertionError for callers that catch those."""
 
 
+def require(holds, message):
+    """The assert of the package: raise InvariantError(message) unless holds."""
+    if not holds:
+        raise InvariantError(message)
+
+
 def add_entry(row, col, val):
     """row[col] += val on a sparse row, dropping entries that cancel."""
     if not val:
@@ -363,7 +369,5 @@ def recheck(alg, idents, space):
                      for vecs in _random_tuples(n, *spec))
             failed = any(any(_value(func, n, vec).values())
                          for func in funcs for vec in nonzero)
-        if failed:
-            raise InvariantError(
-                "a solution fails its identity %s = 0 at weights %s"
+        require(not failed, "a solution fails its identity %s = 0 at weights %s"
                 % (ident.text, tuple(str(w) for w in ident.weights)))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currentalg.algebras import (
     AssocAlgebra,
@@ -247,3 +248,36 @@ def test_bilinear_form_symmetry_autodetect():
     assert BilinearForm(Matrix([[0, 1], [-1, 0]])).symmetry == "skew"
     assert BilinearForm(Matrix([[1, 0], [0, 0]])).symmetry == "symmetric"
     assert not BilinearForm(Matrix([[1, 0], [0, 0]])).is_nondegenerate()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False)
+    | st.sampled_from(["1", "-1", "1/2", "1/0", "0.1", "x", "lie", "assoc", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["i", "j", "k", "c", "terms"]), inner, max_size=5),
+    max_leaves=8)
+
+# records shaped like an algebra file, with any JSON value in any field
+indices = st.integers(0, 2) | json_values
+entries = st.fixed_dictionaries(
+    {"i": indices, "j": indices,
+     "terms": st.lists(st.fixed_dictionaries({"k": indices, "c": json_values}),
+                       max_size=2)})
+records = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["lie", "assoc"]) | json_values,
+     "dim": st.integers(0, 3) | json_values,
+     "basis": st.sampled_from([[], ["a"], ["a", "b"], ["a", "b", "c"], ["a", "a"]])
+     | json_values,
+     "table": st.lists(entries | json_values, max_size=4)},
+    optional={"unital": json_values, "degrees": json_values})
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values | records)
+def test_any_json_value_gives_an_algebra_or_a_validation_error(data):
+    try:
+        alg = algebra_from_dict(data)
+    except ValidationError:
+        return
+    assert isinstance(alg, (LieAlgebra, AssocAlgebra))
+    assert algebra_from_dict(algebra_to_dict(alg)) == alg

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import currentalg.cli
 from currentalg.cli import main
+from currentalg.identities import InvariantError
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text())
 
@@ -161,3 +163,47 @@ def test_missing_required_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cohomology"])
     assert exc.value.code == 2
+
+
+HEIS3 = {"kind": "lie", "dim": 3, "basis": ["x", "y", "z"],
+         "table": [{"i": 0, "j": 1, "terms": [{"k": 2, "c": "1"}]}]}
+
+
+@pytest.mark.parametrize("case", ["zero_denominator", "missing_j", "string_k",
+                                  "missing_file", "float_c"])
+def test_malformed_algebra_file_exits_2(tmp_path, capsys, case):
+    record = json.loads(json.dumps(HEIS3))
+    entry = record["table"][0]
+    if case == "zero_denominator":
+        entry["terms"][0]["c"] = "1/0"
+    elif case == "missing_j":
+        del entry["j"]
+    elif case == "string_k":
+        entry["terms"][0]["k"] = "2"
+    elif case == "float_c":
+        entry["terms"][0]["c"] = 0.1
+    path = tmp_path / "f.json"
+    if case != "missing_file":
+        path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "algebra", "show", "--L", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error: ") and "Traceback" not in err
+
+
+def test_seed_only_on_verify_der(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["forms", "--L", "sl2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_invariant_error_exits_3(monkeypatch, capsys):
+    def broken(L, A):
+        raise InvariantError("cocycle routes disagree")
+
+    monkeypatch.setattr(currentalg.cli, "verify_h2_decomposition", broken)
+    code, out, err = run(capsys, "verify", "h2", "--L", "sl2", "--A", "tpoly:2")
+    assert code == 3
+    assert out == ""
+    assert "cocycle routes disagree" in err

@@ -1,19 +1,15 @@
 """Chevalley-Eilenberg complex: d^2 = 0 and frozen cohomology dimensions."""
 
-from fractions import Fraction
-
 import pytest
 
 from currentalg.algebras import lie_heisenberg3, lie_sl, lie_sl2
 from currentalg.cochain import (
     LieModule,
     adjoint_module,
-    c1_from_map_vector,
     ce_differential,
     coadjoint_module,
     cochain_dim,
     cohomology,
-    map_vector_from_c1,
     trivial_module,
 )
 
@@ -92,15 +88,6 @@ def test_representation_axiom_is_enforced():
     action[0][key] = -action[0][key]
     with pytest.raises(ValueError):
         LieModule(g, g.dim, action, "broken")
-
-
-def test_degree_one_vector_conversions_invert():
-    n_alg, n_mod = 3, 2
-    vec = [Fraction(k * k - 4 * k + 1) for k in range(n_alg * n_mod)]
-    c1 = c1_from_map_vector(n_alg, n_mod, vec)
-    assert map_vector_from_c1(n_alg, n_mod, c1) == list(vec)
-    back = c1_from_map_vector(n_alg, n_mod, map_vector_from_c1(n_alg, n_mod, c1))
-    assert back == c1
 
 
 def test_trivial_module_zero_degree_is_invariants():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from currentalg.algebras import (
+    BilinearForm,
     algebra_from_dict,
     assoc_truncated_poly,
     current,
@@ -218,6 +219,13 @@ def test_sequence_dual_and_form_modes_agree_on_sl2():
         assert r["exact_at_H1"] and r["exact_at_B"] and r["u_injective"]
         assert r["verdict"]
     assert dual["mode"] == "dual" and form["mode"] == "form"
+
+
+def test_sequence_rejects_unusable_forms():
+    with pytest.raises(ValueError, match="symmetric"):
+        sequence_maps("sl2", form=BilinearForm([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(ValueError, match="nondegenerate"):
+        sequence_maps("sl2", form=BilinearForm([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
 
 
 def test_sequence_sl3():

@@ -1,8 +1,13 @@
 """Form condition spaces and the two tensor-decomposition verdicts."""
 
 from fractions import Fraction
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
+
+import currentalg
 
 from currentalg.algebras import (
     assoc_truncated_poly,
@@ -26,7 +31,7 @@ from currentalg.forms import (
     verify_h2_decomposition,
     H2_TYPE_TABLE,
 )
-from currentalg.forms import _h2_via_cochain, _membership_verdicts, _target_in_span
+from currentalg.forms import _FORM, _generator_witness, _h2_via_cochain, _residual_witness
 
 
 # (condition, symmetry) -> dim on sl2, solved once and pinned; the sympy
@@ -189,13 +194,19 @@ def test_witness_reporting_helpers():
     target = Subspace.from_vectors(4, [[1, 0, 0, 0]])
     inside = [[Fraction(2), Fraction(0), Fraction(0), Fraction(0)]]
     outside = [[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]]
-    ok, w = _membership_verdicts(target, {"t": inside}, labels)
+    w = _generator_witness(target, {"t": inside}, labels, _FORM,
+                           "generator_outside_target")
+    ok = w is None
     assert ok and w is None
-    ok, w = _membership_verdicts(target, {"t": outside}, labels)
+    w = _generator_witness(target, {"t": outside}, labels, _FORM,
+                           "generator_outside_target")
+    ok = w is None
     assert not ok
     assert w["direction"] == "generator_outside_target" and w["type"] == "t"
     assert w["form"] == {"phi(a,b)": "1"}
-    ok, w = _target_in_span(target, Subspace.from_vectors(4, outside), labels)
+    w = _residual_witness(target, Subspace.from_vectors(4, outside), labels, _FORM,
+                          "target_not_in_span")
+    ok = w is None
     assert not ok and w["direction"] == "target_not_in_span"
     assert w["form"] == {"phi(a,a)": "1"}
 
@@ -207,3 +218,24 @@ def test_every_subtyped_generator_is_a_cocycle():
     for label, vecs in gens.items():
         for g in vecs:
             assert z.contains_vector(g), label
+
+
+def test_cocycle_route_mismatch_raises_under_optimize():
+    code = (
+        "from currentalg import forms\n"
+        "from currentalg.identities import InvariantError\n"
+        "route = forms._h2_via_cochain\n"
+        "def wrong(curr):\n"
+        "    z, b = route(curr)\n"
+        "    return b, b\n"
+        "forms._h2_via_cochain = wrong\n"
+        "try:\n"
+        "    forms.verify_h2_decomposition('sl2', 'tpoly:2')\n"
+        "except InvariantError as exc:\n"
+        "    assert str(exc) == 'cocycle routes disagree'\n"
+        "    raise SystemExit(7)\n"
+    )
+    src = str(Path(currentalg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 7, proc.stderr
