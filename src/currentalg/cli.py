@@ -20,9 +20,11 @@ Algebras are named by catalog descriptors (sl2, sl3, abelian:4, heis3,
 sum:sl2+sl3, tpoly:3, tpoly1:3, zero:2) or JSON file paths.  --json prints
 one canonical JSON line (sorted keys, no spaces) so identical commands give
 byte-identical output.  Exit status: 0 all verdicts hold, 1 a verification
-failed (the report carries a witness), 2 a descriptor or table failed to
-parse or validate, 3 an internal invariant failed (a defect in currentalg,
-not in the input).
+failed (the report carries a witness), 2 unusable input (a descriptor or
+table failed to parse or validate, a verb got an algebra or flag it does
+not read, or a table's denominators left the pencil search fewer than two
+primes), 3 an internal invariant failed (a defect in currentalg, not in
+the input).
 """
 
 import argparse
@@ -30,6 +32,7 @@ import json
 import sys
 
 from .algebras import (
+    LieAlgebra,
     ValidationError,
     algebra_to_dict,
     build_assoc,
@@ -79,6 +82,14 @@ def _load_algebra(args):
     raise ValueError("pass --L and/or --A")
 
 
+def _load_lie(args):
+    """_load_algebra for the verbs that need a Lie algebra."""
+    alg, name = _load_algebra(args)
+    if not isinstance(alg, LieAlgebra):
+        raise ValueError("%s needs a Lie algebra: pass --L" % args.command)
+    return alg, name
+
+
 def cmd_algebra_show(args):
     alg, name = _load_algebra(args)
     report = algebra_to_dict(alg)
@@ -108,7 +119,7 @@ _MODULES = {
 
 
 def cmd_cohomology(args):
-    alg, name = _load_algebra(args)
+    alg, name = _load_lie(args)
     module = _MODULES[args.module](alg)
     res = cohomology(alg, module, args.n)
     report = {"algebra": name, "module": args.module, "degree": args.n,
@@ -141,7 +152,7 @@ def cmd_derivations(args):
 
 
 def cmd_antiderivations(args):
-    alg, name = _load_algebra(args)
+    alg, name = _load_lie(args)
     space = antiderivation_space(alg)
     report = {"algebra": name, "dim": space.dim}
     _emit(args, report, ["antiderivations(%s): dim %d" % (name, space.dim)])
@@ -149,6 +160,8 @@ def cmd_antiderivations(args):
 
 
 def cmd_sequence(args):
+    if not args.L:
+        raise ValueError("sequence needs --L")
     if args.form == "product":
         if not args.A:
             raise ValueError("--form product needs --L and --A")
@@ -157,6 +170,8 @@ def cmd_sequence(args):
         curr = current(L, A)
         kappa = product_form(killing_form(L), residue_form(A), curr)
         report = sequence_maps(curr, kappa, lname="%s*%s" % (args.L, args.A))
+    elif args.A:
+        raise ValueError("--A is read only with --form product")
     else:
         report = sequence_maps(args.L, args.form)
     lines = ["sequence on %s (%s): H2=%d H1=%d B=%d H3=%d"
@@ -331,6 +346,13 @@ def main(argv=None):
     except InvariantError as exc:
         print("internal invariant failed: %s" % exc, file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        # the pencil search's "fewer than two usable primes" is a bare
+        # ArithmeticError; ZeroDivisionError and the like keep their traceback
+        if type(exc) is not ArithmeticError:
+            raise
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

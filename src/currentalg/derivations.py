@@ -52,7 +52,6 @@ strict (a kernel too small) do not.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 import random
 
@@ -75,7 +74,14 @@ from .algebras import (
     lie_sl2,
     assoc_truncated_poly,
 )
-from .cochain import adjoint_module, coadjoint_module, cohomology, trivial_module
+from .cochain import (
+    _skew_square,
+    _tuples,
+    adjoint_module,
+    coadjoint_module,
+    cohomology,
+    trivial_module,
+)
 from .forms import (
     _MAP,
     _family,
@@ -174,8 +180,11 @@ def antiderivation_space(alg):
 
 
 def inner_derivations(alg):
-    """Span of the adjoint maps ad x_i."""
+    """Span of the adjoint maps ad x_i; zero on a commutative associative
+    algebra."""
     n = alg.dim
+    if isinstance(alg, AssocAlgebra):
+        return Subspace.zero(n * n)
     return Subspace.from_vectors(n * n, [
         {k * n + j: c for j in range(n) for k, c in alg.bracket(i, j)}
         for i in range(n)])
@@ -488,9 +497,10 @@ def sequence_maps(L, form=None, lname=None):
         L = build_lie(L)
     n = L.dim
     if form is None or form == "dual":
+        # the dual mode is the form mode for the identity pairing of L* with L
         mode = "dual"
-        kappa = None
         module = coadjoint_module(L)
+        pairing = copairing = [[(i, _ONE)] for i in range(n)]
     else:
         mode = "form"
         if form == "killing":
@@ -503,48 +513,37 @@ def sequence_maps(L, form=None, lname=None):
             raise ValueError("transport needs a symmetric form")
         if not kappa.is_nondegenerate():
             raise ValueError("transport needs a nondegenerate form")
-        kinv = inverse(kappa.matrix)
         module = adjoint_module(L)
+        # kappa and its inverse are symmetric, so row t lists column t too
+        pairing, copairing = [[[(j, x) for j, x in enumerate(row) if x]
+                               for row in mat.data]
+                              for mat in (kappa.matrix, inverse(kappa.matrix))]
 
     h2 = cohomology(L, trivial_module(L), 2)
     h1 = cohomology(L, module, 1)
     h3 = cohomology(L, trivial_module(L), 3)
     b_forms = invariant_symmetric_forms(L).space
+    triples = _tuples(L, 3)
 
-    pairs = list(combinations(range(n), 2))
-    pair_rank = {p: r for r, p in enumerate(pairs)}
-    triples = list(combinations(range(n), 3))
-
-    def pair_value(vec, i, j):
-        if i == j:
-            return _ZERO
-        if i < j:
-            return vec[pair_rank[(i, j)]]
-        return -vec[pair_rank[(j, i)]]
-
-    def u_map(vec):
-        out = [_ZERO] * (n * n)
-        for j in range(n):
-            col = [pair_value(vec, j, r) for r in range(n)]
-            if mode == "form":
-                col = [sum(kinv[m, t] * col[t] for t in range(n)) for m in range(n)]
-            for m in range(n):
-                out[j * n + m] = col[m]
-        return out
-
-    def v_map(c1):
+    def times(vec, rows):
+        # vec as an n x n matrix times the sparse matrix with these rows
         out = [_ZERO] * (n * n)
         for i in range(n):
-            for j in range(n):
-                if mode == "dual":
-                    out[i * n + j] = c1[i * n + j] + c1[j * n + i]
-                else:
-                    s = _ZERO
-                    for m in range(n):
-                        s += c1[i * n + m] * kappa(m, j)
-                        s += c1[j * n + m] * kappa(m, i)
-                    out[i * n + j] = s
+            for t in range(n):
+                c = vec[i * n + t]
+                if c:
+                    for m, k in rows[t]:
+                        out[i * n + m] += c * k
         return out
+
+    def u_map(vec):
+        # D(x_j) = sum over m, t of kappa^-1(m, t) phi(x_j, x_t) x_m
+        return times(_skew_square(n, vec), copairing)
+
+    def v_map(c1):
+        # g(x_i, x_j) = kappa(D(x_i), x_j), and v(D) = g + g^T
+        g = times(c1, pairing)
+        return [g[i * n + j] + g[j * n + i] for i in range(n) for j in range(n)]
 
     def w_map(f):
         out = [_ZERO] * len(triples)

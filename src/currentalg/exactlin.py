@@ -185,8 +185,10 @@ class Subspace:
         return cls(ambient_dim, basis, tuple(sorted(pivots)))
 
     def reduce(self, vector):
-        """Residual of vector after reduction against the basis (dense list)."""
-        v = [Fraction(x) for x in vector]
+        """Residual of vector after reduction against the basis (dense list).
+
+        Entries that are not Fractions yet (ints, floats) become exact ones."""
+        v = [x if isinstance(x, Fraction) else Fraction(x) for x in vector]
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c:

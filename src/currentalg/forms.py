@@ -46,13 +46,12 @@ outside the other, with its residual.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 from . import identities as ids
 from .exactlin import Subspace, kernel_from_rows, subspace_intersect
 from .identities import require
 from .algebras import AssocAlgebra, LieAlgebra, build_assoc, build_lie, current
-from .cochain import cohomology, trivial_module
+from .cochain import _skew_square, cohomology, trivial_module
 
 __all__ = [
     "FormSpace",
@@ -274,22 +273,13 @@ def decomposable_span(curr, decomposable_types, symmetry):
 # verdicts
 
 
-def _skew_pairs_to_n2(n, pair_list, vec):
-    out = [_ZERO] * (n * n)
-    for r, (i, j) in enumerate(pair_list):
-        out[i * n + j] = vec[r]
-        out[j * n + i] = -vec[r]
-    return out
-
-
 def _h2_via_cochain(curr):
     """Z^2 and B^2 of the current algebra with trivial coefficients,
     transported from alternating pair coordinates into n^2 coordinates."""
     res = cohomology(curr, trivial_module(curr, 1), 2)
     n = curr.dim
-    pairs = list(combinations(range(n), 2))
     return tuple(Subspace.from_vectors(
-        n * n, [_skew_pairs_to_n2(n, pairs, v) for v in space.basis])
+        n * n, [_skew_square(n, v) for v in space.basis])
         for space in (res.z_space, res.b_space))
 
 

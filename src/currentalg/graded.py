@@ -6,10 +6,13 @@ touches exponents at most d - 1 inside brackets, so the truncation
 g tensor tK[t]/(t^order) computes it exactly whenever order >= d + 1.  That
 window is the default; callers can widen it to confirm stability.
 
-Coordinates are alternating pair coordinates: one unknown per increasing
-flat basis pair (u, v) with deg(u) + deg(v) = d.  Cocycle rows come from
-increasing triples of total degree d, coboundaries from functionals on the
-degree-d slice g tensor t^d.
+The component is the weight-d slice of the Chevalley-Eilenberg complex
+of the truncation with trivial coefficients, computed by currentalg.cochain
+on the tuples of weight d alone: the bracket adds degrees, so the
+differential maps each weight slice to itself.  Coordinates are
+alternating pair coordinates, one unknown per increasing flat basis pair
+(u, v) with deg(u) + deg(v) = d; cocycle rows come from the increasing
+triples of weight d, coboundaries from the functionals on g tensor t^d.
 
 larsson_report compares the computed dimensions for a direct sum of sl(n)
 summands against the closed-form profile: at degree 2 the quotient of all
@@ -21,15 +24,12 @@ forms on g inject onto a complement of the coboundaries.  That is the
 quadratic_presentation verdict.
 """
 
-from fractions import Fraction
-from itertools import combinations
 from math import comb
 
-from .exactlin import Subspace, kernel_from_rows, subspace_intersect, subspace_sum
+from .exactlin import Subspace, subspace_intersect, subspace_sum
 from .algebras import assoc_truncated_poly, build_lie, current
-from .cochain import cohomology, trivial_module
+from .cochain import _cochain_spaces, cohomology, trivial_module
 from .forms import condition_space
-from .identities import add_entry, require
 
 __all__ = [
     "GradedComponent",
@@ -38,8 +38,6 @@ __all__ = [
     "graded_form_dims",
     "graded_vs_whole",
 ]
-
-_ZERO = Fraction(0)
 
 
 class GradedComponent:
@@ -74,46 +72,15 @@ def graded_h2(g, degree, order=None):
         order = degree + 1
     if order < 3:
         raise ValueError("order must be at least 3")
-    A = assoc_truncated_poly(order)
-    curr = current(g, A)
-    deg = curr.degrees
-    n = curr.dim
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if deg[u] + deg[v] == degree]
-    pidx = {p: r for r, p in enumerate(pairs)}
-
-    rows = []
-    for u, v, w in combinations(range(n), 3):
-        if deg[u] + deg[v] + deg[w] != degree:
-            continue
-        row = {}
-        for a, b, c in ((u, v, w), (w, u, v), (v, w, u)):
-            for k, coeff in curr.bracket(a, b):
-                if k == c:
-                    continue
-                if k < c:
-                    add_entry(row, pidx[(k, c)], coeff)
-                else:
-                    add_entry(row, pidx[(c, k)], -coeff)
-        if row:
-            rows.append(row)
-    z_space = kernel_from_rows(len(pairs), rows)
-
-    b_rows = []
-    if degree <= order - 1:
-        ng = g.dim
-        for k in range(ng):
-            target = curr.flat(k, degree - 1)
-            vec = {}
-            for idx, (u, v) in enumerate(pairs):
-                for kk, coeff in curr.bracket(u, v):
-                    if kk == target:
-                        add_entry(vec, idx, -coeff)
-            if vec:
-                b_rows.append(vec)
-    b_space = Subspace.from_vectors(len(pairs), b_rows)
-    require(z_space.contains(b_space), "graded coboundaries must be cocycles")
+    curr = current(g, assoc_truncated_poly(order))
+    pairs, z_space, b_space = _cochain_spaces(curr, trivial_module(curr), 2,
+                                              weight=degree)
     return GradedComponent(degree, order, curr, pairs, z_space, b_space)
+
+
+def _dims(res):
+    """Z, B and H dimensions of a cohomology result or a graded component."""
+    return {"Z": res.z_space.dim, "B": res.b_space.dim, "H": res.h_dim}
 
 
 def _sl2_offsets(g):
@@ -138,33 +105,23 @@ def _quadratic_presentation(g, comp):
     complement of the coboundaries, and every cocycle's symmetrized
     (t, t^2) block obeys psi(e-, e+) = psi(h, h) / 2 per sl(2) summand."""
     ng = g.dim
-    npairs = len(comp.pairs)
     sym_space = condition_space(g, "jacobi_sum_zero", "symmetric").space
-    svecs = []
-    for psi in sym_space.basis:
-        vec = [_ZERO] * npairs
-        for i in range(ng):
-            for j in range(ng):
-                val = psi[i * ng + j]
-                if val:
-                    vec[_degree3_block_index(comp, i, j)] = val
-        svecs.append(vec)
-    s_space = Subspace.from_vectors(npairs, svecs)
+    s_space = Subspace.from_vectors(len(comp.pairs), [
+        {_degree3_block_index(comp, i, j): psi[i * ng + j]
+         for i in range(ng) for j in range(ng) if psi[i * ng + j]}
+        for psi in sym_space.basis])
     ok = comp.z_space.contains(s_space)
     ok = ok and subspace_intersect(s_space, comp.b_space).dim == 0
     ok = ok and subspace_sum(s_space, comp.b_space) == comp.z_space
 
-    half = Fraction(1, 2)
     for z in comp.z_space.basis:
         def block(i, j):
             return z[_degree3_block_index(comp, i, j)]
 
-        def sym(i, j):
-            return (block(i, j) + block(j, i)) * half
-
         for off in _sl2_offsets(g):
             em, h, ep = off, off + 1, off + 2
-            if sym(em, ep) != sym(h, h) * half:
+            # psi(e-, e+) = psi(h, h) / 2 for psi(x, y) = (z(x, y) + z(y, x)) / 2
+            if block(em, ep) + block(ep, em) != block(h, h):
                 return False
     return ok
 
@@ -185,22 +142,17 @@ def larsson_report(g, max_degree, order=None, gname=None):
 
     b2_dim = cohomology(g, trivial_module(g), 2).b_space.dim
     n_sl2 = sum(1 for n in g.sl_summands if n == 2)
-    expected = {}
-    for d in range(2, max_degree + 1):
-        if d == 2:
-            expected[str(d)] = comb(g.dim, 2) - b2_dim
-        elif d == 3:
-            expected[str(d)] = 5 * n_sl2
-        else:
-            expected[str(d)] = 0
+    expected = {str(d): 0 for d in range(2, max_degree + 1)}
+    expected["2"] = comb(g.dim, 2) - b2_dim
+    if max_degree >= 3:
+        expected["3"] = 5 * n_sl2
 
     degrees = {}
     quadratic = True
     verdict = True
     for d in range(2, max_degree + 1):
         comp = graded_h2(g, d, order=order)
-        degrees[str(d)] = {"Z": comp.z_space.dim, "B": comp.b_space.dim,
-                           "H": comp.h_dim}
+        degrees[str(d)] = _dims(comp)
         if comp.h_dim != expected[str(d)]:
             verdict = False
         if d == 3:
@@ -237,14 +189,8 @@ def graded_vs_whole(g, order):
         g = build_lie(g)
     A = assoc_truncated_poly(order)
     curr = current(g, A)
-    whole = cohomology(curr, trivial_module(curr), 2)
-    sums = {"Z": 0, "B": 0, "H": 0}
-    for d in range(2, 2 * (order - 1) + 1):
-        comp = graded_h2(g, d, order=order)
-        sums["Z"] += comp.z_space.dim
-        sums["B"] += comp.b_space.dim
-        sums["H"] += comp.h_dim
-    whole_dims = {"Z": whole.z_space.dim, "B": whole.b_space.dim,
-                  "H": whole.h_dim}
-    return {"whole": whole_dims, "graded_sum": sums,
-            "match": whole_dims == sums}
+    whole = _dims(cohomology(curr, trivial_module(curr), 2))
+    slices = [_dims(graded_h2(g, d, order=order))
+              for d in range(2, 2 * (order - 1) + 1)]
+    sums = {key: sum(dims[key] for dims in slices) for key in whole}
+    return {"whole": whole, "graded_sum": sums, "match": whole == sums}

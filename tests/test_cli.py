@@ -10,6 +10,7 @@ import pytest
 import currentalg.cli
 from currentalg.cli import main
 from currentalg.identities import InvariantError
+from currentalg.modp import PRIMES
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text())
 
@@ -207,3 +208,43 @@ def test_invariant_error_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "cocycle routes disagree" in err
+
+
+def test_derivation_verbs_on_an_associative_algebra(capsys):
+    # a commutative associative algebra has no nonzero inner derivations
+    code, out, _ = run(capsys, "derivations", "--A", "tpoly:3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"algebra": "tpoly:3", "der_dim": 2,
+                               "inner_dim": 0, "outer_dim": 2}
+    for verb in (["antiderivations"], ["cohomology", "--n", "2"]):
+        code, out, err = run(capsys, *verb, "--A", "tpoly:3")
+        assert code == 2
+        assert out == "" and "needs a Lie algebra" in err
+
+
+def test_sequence_rejects_an_unread_A(capsys):
+    for form in (["--form", "killing"], ["--form", "dual"], []):
+        code, out, err = run(capsys, "sequence", "--L", "sl2", "--A", "tpoly:3",
+                             *form)
+        assert code == 2
+        assert out == "" and "--A is read only with --form product" in err
+    code, out, err = run(capsys, "sequence", "--A", "tpoly:3", "--form", "product")
+    assert code == 2
+    assert out == "" and "needs --L" in err
+
+
+def test_pencil_search_without_usable_primes_exits_2(tmp_path, capsys):
+    # sl2 with y0 = e- / d for d the product of all but the last search
+    # prime: [y0, e+] = h / d leaves one usable prime for the pencil search
+    d = 1
+    for q in PRIMES[:-1]:
+        d *= q
+    table = tmp_path / "sl2_scaled.json"
+    table.write_text(json.dumps({
+        "kind": "lie", "dim": 3, "basis": ["y0", "h", "e+"],
+        "table": [{"i": 0, "j": 1, "terms": [{"k": 0, "c": "1"}]},
+                  {"i": 0, "j": 2, "terms": [{"k": 1, "c": "1/%d" % d}]},
+                  {"i": 1, "j": 2, "terms": [{"k": 2, "c": "1"}]}]}))
+    code, out, err = run(capsys, "verify", "der", "--L", str(table), "--A", "tpoly:2")
+    assert code == 2
+    assert out == "" and "search primes" in err

@@ -1,10 +1,20 @@
 """Chevalley-Eilenberg complex: d^2 = 0 and frozen cohomology dimensions."""
 
+from itertools import combinations
+
 import pytest
 
-from currentalg.algebras import lie_heisenberg3, lie_sl, lie_sl2
+from currentalg.algebras import (
+    assoc_truncated_poly,
+    current,
+    lie_heisenberg3,
+    lie_sl,
+    lie_sl2,
+)
 from currentalg.cochain import (
     LieModule,
+    _cochain_spaces,
+    _tuples,
     adjoint_module,
     ce_differential,
     coadjoint_module,
@@ -12,6 +22,7 @@ from currentalg.cochain import (
     cohomology,
     trivial_module,
 )
+from currentalg.exactlin import Subspace
 
 
 def algebras():
@@ -97,3 +108,32 @@ def test_trivial_module_zero_degree_is_invariants():
     assert cohomology(g, adjoint_module(g), 0).h_dim == 0
     h = lie_heisenberg3()
     assert cohomology(h, adjoint_module(h), 0).h_dim == 1
+
+
+def test_weight_slices_add_up_to_the_whole_complex():
+    # With trivial coefficients the differential keeps the total weight of a
+    # tuple, so the weight slices of Z and B, put back into the coordinates
+    # of the whole complex, add up to its Z and B.
+    for g, order in ((lie_sl2(), 4), (lie_heisenberg3(), 3)):
+        curr = current(g, assoc_truncated_poly(order))
+        module = trivial_module(curr)
+        for degree in (1, 2, 3):
+            whole = cohomology(curr, module, degree)
+            all_tuples = list(combinations(range(curr.dim), degree))
+            rank = {S: r for r, S in enumerate(all_tuples)}
+            z_vecs, b_vecs, z_dim, b_dim = [], [], 0, 0
+            for weight in range(degree * (order - 1) + 1):
+                tuples, z, b = _cochain_spaces(curr, module, degree, weight)
+                assert tuples == _tuples(curr, degree, weight) == [
+                    S for S in all_tuples
+                    if sum(curr.degrees[i] for i in S) == weight]
+                z_dim, b_dim = z_dim + z.dim, b_dim + b.dim
+                for vecs, space in ((z_vecs, z), (b_vecs, b)):
+                    vecs.extend({rank[S]: c for S, c in zip(tuples, v) if c}
+                                for v in space.basis)
+            ncols = len(all_tuples)
+            assert Subspace.from_vectors(ncols, z_vecs) == whole.z_space
+            assert Subspace.from_vectors(ncols, b_vecs) == whole.b_space
+            assert (z_dim, b_dim) == (whole.z_space.dim, whole.b_space.dim)
+    with pytest.raises(ValueError):
+        _cochain_spaces(curr, adjoint_module(curr), 2, 3)
