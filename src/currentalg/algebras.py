@@ -74,8 +74,8 @@ def _canonical_terms(terms):
 
 
 class _Algebra:
-    """The interface the identity engine reads: dim, mul(i, j) as a tuple of
-    (index, coefficient) pairs, and mul_vectors on dense coordinates."""
+    """The interface the identity engine reads: dim and mul(i, j) as a tuple
+    of (index, coefficient) pairs; mul_vectors multiplies dense coordinates."""
 
     def mul_vectors(self, u, v):
         """Product of two coordinate vectors, as a dense coordinate list."""
@@ -189,6 +189,7 @@ class AssocAlgebra(_Algebra):
         self.tpoly_order = None
         if validate:
             self._validate_associativity()
+            self._validate_grading()
         self.unital = bool(unital)
         self.unit = self._find_unit() if unital else None
         if unital and self.unit is None:
@@ -224,6 +225,21 @@ class AssocAlgebra(_Algebra):
                             axiom="associativity",
                             witness=(i, j, k),
                         )
+
+    def _validate_grading(self):
+        # every product term x_i x_j -> x_k needs deg k = deg i + deg j
+        if self.degrees is None:
+            return
+        deg = self.degrees
+        for (i, j), terms in sorted(self.table.items()):
+            for k, _ in terms:
+                if deg[k] != deg[i] + deg[j]:
+                    raise ValidationError(
+                        "degrees are not a grading: %s * %s has a term in %s "
+                        "of degree %d, not %d + %d"
+                        % (self.labels[i], self.labels[j], self.labels[k],
+                           deg[k], deg[i], deg[j]),
+                        axiom="grading", witness=(i, j, k))
 
     def _find_unit(self):
         # unit u solves sum_i u_i m[i][j][k] = delta_jk for all j, k

@@ -43,12 +43,13 @@ Apart from module_map and self_bracket_zero, every condition above is a
 pencil of currentalg.identities at fixed weights: derivation is d[x,y] =
 lam([dx,y] + [x,dy]) at lam = 1, kill_derived its lam-free part, and so
 on.  Rows come from basis tuples through the sparse structure constants.
-Each solution basis vector, of a condition space or of a pencil kernel at
-a value, is rechecked on 10 seeded random pairs of dense vectors through
-mul_vectors.  The recheck shares only the written identity and the
-coordinate convention with the rows: a wrong tuple enumeration, coordinate
-or sign in the row path makes it raise InvariantError, rows that are too
-strict (a kernel too small) do not.
+Each solution space, of a condition or of a pencil kernel at a value, is
+rechecked at one seeded combination of its basis on 10 seeded random
+pairs of dense vectors; a space holding a bad vector passes with chance
+at most 2^-30 + (3/7)^10.  The recheck shares only the written identity
+and the coordinate convention with the rows: a wrong tuple enumeration,
+coordinate or sign in the row path makes it raise InvariantError, rows
+that are too strict (a kernel too small) do not.
 """
 
 from fractions import Fraction

@@ -5,13 +5,15 @@ coordinate i*n + j holding phi(x_i, x_j).  condition_space solves the exact
 linear system for a named condition plus a symmetry constraint and returns
 the canonical subspace.  The conditions and symmetries are identities of
 currentalg.identities, whose rows come from basis tuples through the sparse
-structure constants.  Every solution basis vector is then rechecked: the
-condition on 12 seeded random triples of dense vectors through
-mul_vectors, the symmetry on every pair of coordinates.  The recheck
-shares only the written identity and the coordinate convention with the
-rows; a wrong tuple enumeration, coordinate or sign in the row path makes
-it raise InvariantError, while a row system that is too strict (a kernel
-too small) is beyond its reach.
+structure constants.  The solution space is then rechecked: the
+condition at one seeded combination of its basis on 12 seeded random
+triples of dense vectors, which lets a space holding a bad vector pass
+with chance at most 2^-30 + (3/7)^10, and the symmetry exactly on every
+basis vector and pair of coordinates.  The recheck shares only the
+written identity and the coordinate convention with the rows; a wrong
+tuple enumeration, coordinate or sign in the row path makes it raise
+InvariantError, while a row system that is too strict (a kernel too
+small) is beyond its reach.
 
 Conditions on a Lie algebra L (phi: L x L -> K):
 

@@ -62,6 +62,21 @@ class GradedComponent:
                    self.h_dim))
 
 
+def _truncation(g, order):
+    """g tensor tK[t]/(t^order), the window of every degree below order."""
+    if order < 3:
+        raise ValueError("order must be at least 3")
+    return current(g, assoc_truncated_poly(order))
+
+
+def _component(curr, degree):
+    """The degree-d slice of H^2 of a truncation built by _truncation."""
+    pairs, z_space, b_space = _cochain_spaces(curr, trivial_module(curr), 2,
+                                              weight=degree)
+    return GradedComponent(degree, curr.factorA.tpoly_order, curr, pairs,
+                           z_space, b_space)
+
+
 def graded_h2(g, degree, order=None):
     """The degree-d slice of H^2(g tensor tK[t], K), exact for order >= d+1."""
     if isinstance(g, str):
@@ -70,12 +85,7 @@ def graded_h2(g, degree, order=None):
         raise ValueError("pair degrees start at 2")
     if order is None:
         order = degree + 1
-    if order < 3:
-        raise ValueError("order must be at least 3")
-    curr = current(g, assoc_truncated_poly(order))
-    pairs, z_space, b_space = _cochain_spaces(curr, trivial_module(curr), 2,
-                                              weight=degree)
-    return GradedComponent(degree, order, curr, pairs, z_space, b_space)
+    return _component(_truncation(g, order), degree)
 
 
 def _dims(res):
@@ -147,11 +157,15 @@ def larsson_report(g, max_degree, order=None, gname=None):
     if max_degree >= 3:
         expected["3"] = 5 * n_sl2
 
+    # one truncation serves every degree: the slices are stable in the order
+    if order is None:
+        order = max_degree + 1
+    curr = _truncation(g, order)
     degrees = {}
     quadratic = True
     verdict = True
     for d in range(2, max_degree + 1):
-        comp = graded_h2(g, d, order=order)
+        comp = _component(curr, d)
         degrees[str(d)] = _dims(comp)
         if comp.h_dim != expected[str(d)]:
             verdict = False
@@ -187,10 +201,9 @@ def graded_vs_whole(g, order):
     whole truncated current algebra."""
     if isinstance(g, str):
         g = build_lie(g)
-    A = assoc_truncated_poly(order)
-    curr = current(g, A)
+    curr = _truncation(g, order)
     whole = _dims(cohomology(curr, trivial_module(curr), 2))
-    slices = [_dims(graded_h2(g, d, order=order))
+    slices = [_dims(_component(curr, d))
               for d in range(2, 2 * (order - 1) + 1)]
     sums = {key: sum(dims[key] for dims in slices) for key in whole}
     return {"whole": whole, "graded_sum": sums, "match": whole == sums}

@@ -25,9 +25,11 @@ Two independent evaluations are derived from each identity:
   coordinate for each basis tuple that the identity's ``order`` selects,
   through the sparse structure constants alg.mul(i, j);
 * the recheck (recheck) evaluates the identity on seeded random dense
-  vectors through alg.mul_vectors(u, v), as a linear functional of the
-  unknown, and applies that functional to every solution basis vector;
-  the symmetries, which have no products, it checks on every basis pair.
+  integer vectors, with the structure constants of alg.mul(i, j) scaled
+  to integers, directly at one seeded integer combination of the solution
+  basis; a space holding a vector that fails passes with chance at most
+  2^-30 + (3/7)^10.  The symmetries, which have no products, it checks
+  exactly on every basis vector and basis pair.
 
 The two share only the identity's terms and the coordinate convention
 above, not the tuple enumeration, the expansion of terms into sparse
@@ -40,6 +42,7 @@ Neither path solves: the callers in forms and derivations own the kernels.
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import product
+from math import lcm
 import random
 import re
 
@@ -259,115 +262,169 @@ def rows(alg, idents):
 
 
 # ---------------------------------------------------------------------------
-# the recheck: dense evaluation, apart from the row path
+# the recheck: dense integer evaluation, apart from the row path
 
 # form identities: 12 triples from seed 99173; map identities: 10 pairs
-# from seed 74161; entries uniform in -3..3
+# from seed 74161; entries uniform in -3..3.  The combination of the
+# solution basis: one multiplier per basis vector, uniform in 1..2^30, from
+# seed 52711.
 _RANDOM_FORMS = (99173, 12, 3)
 _RANDOM_MAPS = (74161, 10, 2)
+_COMBINATION = (52711, 1 << 30)
 
 
 def _random_tuples(n, seed, count, size):
     rng = random.Random(seed)
-    return [tuple([Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                  for _ in range(size))
+    return [tuple([rng.randint(-3, 3) for _ in range(n)] for _ in range(size))
             for _ in range(count)]
 
 
-def _functional(alg, ident, vecs):
-    """The identity on the dense vectors vecs as a linear functional of the
-    unknown: one (coefficient, kind, a, b) per term, with every product of
-    the random vectors computed here once."""
+def _combination(n, nonzero):
+    """w = sum_i r_i * den_i * v_i over the basis vectors v_i, given by their
+    nonzero (coordinate, value) pairs, with r_i seeded in 1..2^30 and den_i
+    the lcm of v_i's denominators: the integer triples (p, q, value) of the
+    nonzero coordinates p * n + q of w."""
+    seed, top = _COMBINATION
+    rng = random.Random(seed)
+    w = defaultdict(int)
+    for vec in nonzero:
+        den = lcm(1, *(x.denominator for _, x in vec))
+        r = rng.randint(1, top)
+        for col, x in vec:
+            w[col] += r * x.numerator * (den // x.denominator)
+    return [divmod(col, n) + (x,) for col, x in sorted(w.items()) if x]
+
+
+def _int_table(alg):
+    """mul(i, j) times the common denominator of all structure constants:
+    row i lists (j, ((k, c), ...)) for every j with x_i x_j != 0."""
     n = alg.dim
-    mv = alg.mul_vectors
+    rows = [[(j, alg.mul(i, j)) for j in range(n) if alg.mul(i, j)]
+            for i in range(n)]
+    scale = lcm(1, *(c.denominator for row in rows for _, terms in row
+                     for _, c in terms))
+    return [[(j, tuple((k, int(c * scale)) for k, c in terms))
+             for j, terms in row] for row in rows]
+
+
+def _times(table, u, v):
+    """The product of two integer coordinate vectors under an _int_table."""
+    out = [0] * len(u)
+    for i, a in enumerate(u):
+        if a:
+            for j, terms in table[i]:
+                if v[j]:
+                    ab = a * v[j]
+                    for k, c in terms:
+                        out[k] += ab * c
+    return out
+
+
+def _int_terms(ident):
+    """The terms at the identity's weights as (coefficient, kind, left,
+    right), the coefficients times their common denominator; zeros dropped."""
+    weighted = [(c * ident.weights[part], kind, left, right)
+                for c, part, kind, left, right in ident.terms]
+    scale = lcm(1, *(c.denominator for c, _, _, _ in weighted))
+    return [(int(c * scale), kind, left, right)
+            for c, kind, left, right in weighted if c]
+
+
+def _evaluate(table, terms, w, vecs):
+    """The identity at the unknown w (nonzero (p, q, value): phi(x_p, x_q),
+    or the coefficient of x_p in D(x_q)) on the integer vectors vecs, as a
+    list of outputs, all zero when the identity holds."""
+    n = len(vecs[0])
 
     def slot(args):
         if len(args) == 1:
             return vecs[args[0]]
-        return mv(vecs[args[0]], vecs[args[1]])
+        return _times(table, vecs[args[0]], vecs[args[1]])
 
-    func = []
-    for c, part, kind, left, right in ident.terms:
-        c = c * ident.weights[part]
-        if not c:
-            continue
+    def apply(u):
+        # D(u) for the unknown: x_p gets sum_q w(p, q) * u_q
+        out = [0] * n
+        for p, q, x in w:
+            if u[q]:
+                out[p] += x * u[q]
+        return out
+
+    acc = [0] * n
+    for c, kind, left, right in terms:
         if kind == "f":
-            func.append((c, kind, slot(left), slot(right)))
-        elif kind == "D":
-            func.append((c, kind, slot(left), None))
+            a, b = slot(left), slot(right)
+            acc[0] += c * sum(x * a[p] * b[q] for p, q, x in w)
+            continue
+        if kind == "D":
+            out = apply(slot(left))
+        elif kind == "Dl":
+            out = _times(table, apply(vecs[left[0]]), vecs[right[0]])
         else:
-            # D(u) v = sum_i u_i sum_m D[m*n + i] (x_m v): keep u and the
-            # products x_m v (or v x_m) as sparse (output, value) lists
-            u, other = ((vecs[left[0]], vecs[right[0]]) if kind == "Dl"
-                        else (vecs[right[0]], vecs[left[0]]))
-            prods = []
-            for m in range(n):
-                unit = [_ZERO] * n
-                unit[m] = _ONE
-                prod = mv(unit, other) if kind == "Dl" else mv(other, unit)
-                prods.append([(r, y) for r, y in enumerate(prod) if y])
-            func.append((c, kind, u, prods))
-    return func
-
-
-def _value(func, n, vec):
-    """The functional at a vector given by its nonzero (unknown, value)
-    pairs: {output: value}, all zero when the identity holds."""
-    acc = defaultdict(Fraction)
-    for c, kind, a, b in func:
-        for col, x in vec:
-            p, q = divmod(col, n)
-            if kind == "f":
-                # phi(x_p, x_q)
-                if a[p] and b[q]:
-                    acc[0] += c * a[p] * b[q] * x
-            elif a[q]:
-                # the coefficient of x_p in D(x_q)
-                if kind == "D":
-                    acc[p] += c * a[q] * x
-                else:
-                    for r, y in b[p]:
-                        acc[r] += c * a[q] * y * x
+            out = _times(table, vecs[left[0]], apply(vecs[right[0]]))
+        for r, y in enumerate(out):
+            acc[r] += c * y
     return acc
 
 
+def _is_symmetry(ident):
+    """Whether every term is phi(x, y) or phi(y, x): no products."""
+    return all(kind == "f" and left + right in ((0, 1), (1, 0))
+               for _, _, kind, left, right in ident.terms)
+
+
 def _fails_on_a_pair(ident, n, vec):
-    """For a form identity without products (a symmetry): whether the dense
-    vector vec breaks it on some ordered basis pair."""
+    """For a symmetry: whether the vector with the nonzero (coordinate,
+    value) pairs vec breaks it on some ordered basis pair.  Each term reads
+    phi at (p, q) or (q, p), so a pair that fails is a nonzero coordinate
+    or its transpose."""
+    value = dict(vec)
     terms = [(c * ident.weights[part], l[0], r[0])
              for c, part, _, l, r in ident.terms]
-    return any(sum(c * vec[t[a] * n + t[b]] for c, a, b in terms
-                   if vec[t[a] * n + t[b]])
-               for t in product(range(n), repeat=2))
+    for col in value:
+        pair = divmod(col, n)
+        for t in (pair, pair[::-1]):
+            if sum(c * value.get(t[a] * n + t[b], 0) for c, a, b in terms):
+                return True
+    return False
 
 
 def recheck(alg, idents, space):
     """Raise InvariantError unless every basis vector of space satisfies
     every identity at its weights.
 
-    An identity without products involves no structure constants and is
-    checked exactly, on every ordered basis pair.  Every other identity is
-    checked on each seeded random tuple: a vector that fails it passes one
-    tuple with chance at most (degree of the identity in the random
-    entries) / 7, so it slips through all 12 triples or 10 pairs with
-    chance below (3/7)^10.
+    A symmetry involves no structure constants and is checked exactly, on
+    every basis vector and every ordered basis pair.  Every other identity
+    is evaluated at one seeded combination w = sum_i r_i * den_i * v_i of
+    the basis vectors v_i (r_i uniform in 1..2^30, den_i clearing the
+    denominators of v_i) on each seeded random tuple, in integers: the
+    structure constants and the weighted term coefficients are scaled by
+    their common denominators.  Each term holds exactly one product, so the
+    scaling multiplies the identity by one nonzero constant and cannot
+    change which outputs vanish.
+
+    A vector v_j that fails the identity passes one tuple with chance at
+    most (degree of the identity in the random entries) / 7, so it passes
+    all 12 triples or 10 pairs with chance below (3/7)^10.  On a tuple it
+    fails, the identity at w is a linear form in the r_i whose coefficient
+    of r_j is nonzero, so it vanishes with chance at most 2^-30.  A space
+    holding a failing vector passes with chance at most 2^-30 + (3/7)^10.
     """
-    if not space.basis:
+    idents = [ident for ident in idents if ident.terms]
+    if not (idents and space.basis):
         return
     n = alg.dim
     nonzero = [[(col, x) for col, x in enumerate(vec) if x]
                for vec in space.basis]
+    table = w = None
     for ident in idents:
-        if not ident.terms:
-            continue
-        if all(kind == "f" and len(left) == len(right) == 1
-               for _, _, kind, left, right in ident.terms):
-            failed = any(_fails_on_a_pair(ident, n, vec) for vec in space.basis)
+        if _is_symmetry(ident):
+            failed = any(_fails_on_a_pair(ident, n, vec) for vec in nonzero)
         else:
+            if w is None:
+                table, w = _int_table(alg), _combination(n, nonzero)
             spec = _RANDOM_FORMS if ident.terms[0][2] == "f" else _RANDOM_MAPS
-            funcs = (_functional(alg, ident, vecs)
-                     for vecs in _random_tuples(n, *spec))
-            failed = any(any(_value(func, n, vec).values())
-                         for func in funcs for vec in nonzero)
+            terms = _int_terms(ident)
+            failed = any(any(_evaluate(table, terms, w, vecs))
+                         for vecs in _random_tuples(n, *spec))
         require(not failed, "a solution fails its identity %s = 0 at weights %s"
-                % (ident.text, tuple(str(w) for w in ident.weights)))
+                % (ident.text, tuple(str(v) for v in ident.weights)))

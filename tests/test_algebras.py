@@ -123,6 +123,20 @@ def test_associativity_violation_carries_witness():
     assert exc.value.witness == (0, 0, 1)
 
 
+def test_json_degrees_must_be_a_grading():
+    record = algebra_to_dict(assoc_truncated_poly(3))
+    assert algebra_from_dict(record).degrees == (1, 2)
+    record["degrees"] = [1, 7]
+    with pytest.raises(ValidationError) as exc:
+        algebra_from_dict(record)
+    assert exc.value.axiom == "grading"
+    assert exc.value.witness == (0, 0, 1)
+    # a zero product constrains nothing
+    record["degrees"] = [5, 7]
+    record["table"] = []
+    assert algebra_from_dict(record).degrees == (5, 7)
+
+
 def test_unital_flag_requires_identity():
     with pytest.raises(ValidationError) as exc:
         AssocAlgebra(("a",), {}, unital=True)

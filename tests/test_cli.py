@@ -192,6 +192,19 @@ def test_malformed_algebra_file_exits_2(tmp_path, capsys, case):
     assert err.startswith("validation error: ") and "Traceback" not in err
 
 
+def test_degrees_that_are_not_a_grading_exit_2(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    code, out, _ = run(capsys, "algebra", "show", "--A", "tpoly:3", "--json")
+    record = json.loads(out)
+    record["degrees"] = [1, 7]
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "algebra", "show", "--A", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error: degrees are not a grading")
+    assert "Traceback" not in err
+
+
 def test_seed_only_on_verify_der(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["forms", "--L", "sl2", "--seed", "1"])

@@ -13,6 +13,7 @@ from currentalg.algebras import (
 )
 from currentalg.cochain import (
     LieModule,
+    _ce_rows,
     _cochain_spaces,
     _tuples,
     adjoint_module,
@@ -23,6 +24,7 @@ from currentalg.cochain import (
     trivial_module,
 )
 from currentalg.exactlin import Subspace
+from currentalg.identities import add_entry
 
 
 def algebras():
@@ -33,15 +35,27 @@ def modules(g):
     return [trivial_module(g), adjoint_module(g), coadjoint_module(g)]
 
 
+def _composite(outer, inner):
+    """The sparse rows of the product of two sparse row matrices."""
+    out = []
+    for row in outer:
+        acc = {}
+        for c, v in row.items():
+            for col, w in inner[c].items():
+                add_entry(acc, col, v * w)
+        out.append(acc)
+    return out
+
+
 def test_differential_squares_to_zero():
     for _, g in algebras():
         for mod in modules(g):
             for n in (0, 1, 2):
                 if cochain_dim(g, mod, n + 2) == 0:
                     continue  # composite lands in the zero space
-                d_n = ce_differential(g, mod, n)
-                d_next = ce_differential(g, mod, n + 1)
-                assert (d_next * d_n).is_zero()
+                _, d_n = _ce_rows(g, mod, n)
+                _, d_next = _ce_rows(g, mod, n + 1)
+                assert not any(_composite(d_next, d_n))
 
 
 def test_cochain_dims_are_binomial():

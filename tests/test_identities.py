@@ -2,6 +2,7 @@
 catching defects planted in the row path."""
 
 import json
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 
 import currentalg
 from currentalg import derivations, identities
-from currentalg.algebras import build_assoc, build_lie
+from currentalg.algebras import LieAlgebra, build_assoc, build_lie, current
 from currentalg.derivations import derivation_space, lambda_candidates, map_condition_space
+from currentalg.exactlin import Subspace
 from currentalg.forms import condition_space
 from currentalg.identities import InvariantError
 
@@ -98,3 +100,101 @@ def test_mutation_caught_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env={"PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 7, proc.stderr
+
+
+# --- the recheck on spaces planted directly ---------------------------------
+#
+# recheck evaluates every identity with products at one seeded combination
+# of the basis, so a single bad basis vector must still make it raise.
+
+
+def _one_bad_vector(alg, ident, space):
+    """space with its last basis vector moved off the solutions: plus the
+    first unit vector that breaks the identity on the row path."""
+    *good, last = space.basis
+    bad = next(v for v in (tuple(x + (c == col) for c, x in enumerate(last))
+                           for col in range(alg.dim ** 2))
+               if identities.first_failure(alg, ident, v) is not None)
+    assert all(identities.first_failure(alg, ident, v) is None for v in good)
+    return Subspace(space.ambient_dim, tuple(good) + (bad,), space.pivots)
+
+
+def _scaled(space, factors):
+    """space with basis vector i times factors[i] and plus vector i + 1 over 3:
+    the same span in a basis with non-integer entries."""
+    basis = [tuple(f * x for x in v) for v, f in zip(space.basis, factors)]
+    basis = [tuple(x + y / 3 for x, y in zip(v, w))
+             for v, w in zip(basis, basis[1:])] + basis[-1:]
+    return Subspace(space.ambient_dim, tuple(basis), space.pivots)
+
+
+def _space(case):
+    """(algebra, identities, solution space) of a map or a form condition;
+    the identity with products comes first."""
+    if case == "der heis3":
+        alg = build_lie("heis3")
+        return alg, (identities.LIE_MAPS["derivation"],), derivation_space(alg).space
+    alg = current(build_lie("sl2"), build_assoc("tpoly:3"))
+    idents = (identities.LIE_FORMS["invariant"], identities.SYMMETRIES["symmetric"])
+    return alg, idents, condition_space(alg, "invariant", "symmetric").space
+
+
+@pytest.mark.parametrize("case", ["der heis3", "invariant sl2*tpoly:3"])
+def test_recheck_catches_a_single_bad_basis_vector(case):
+    alg, idents, space = _space(case)
+    assert space.dim >= 4
+    identities.recheck(alg, idents, space)
+    with pytest.raises(InvariantError):
+        identities.recheck(alg, idents[:1], _one_bad_vector(alg, idents[0], space))
+
+
+def test_single_bad_vector_caught_under_optimize():
+    code = (
+        "from currentalg import identities as ids\n"
+        "from currentalg.algebras import build_lie\n"
+        "from currentalg.derivations import derivation_space\n"
+        "from currentalg.exactlin import Subspace\n"
+        "alg = build_lie('heis3')\n"
+        "ident = ids.LIE_MAPS['derivation']\n"
+        "space = derivation_space(alg).space\n"
+        "last = list(space.basis[-1])\n"
+        "last[0] += 1\n"
+        "if ids.first_failure(alg, ident, last) is None:\n"
+        "    raise SystemExit(5)\n"
+        "bad = Subspace(9, space.basis[:-1] + (tuple(last),), space.pivots)\n"
+        "try:\n"
+        "    ids.recheck(alg, (ident,), bad)\n"
+        "except ids.InvariantError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    src = str(Path(currentalg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 7, proc.stderr
+
+
+@pytest.mark.parametrize("case", ["der heis3", "invariant sl2*tpoly:3"])
+def test_recheck_on_a_basis_with_fraction_entries(case):
+    alg, idents, space = _space(case)
+    factors = [Fraction(k + 2, 2 * k + 3) for k in range(space.dim)]
+    scaled = _scaled(space, factors)
+    assert any(x.denominator > 1 for v in scaled.basis for x in v)
+    identities.recheck(alg, idents, scaled)
+    bad = _scaled(_one_bad_vector(alg, idents[0], space), factors)
+    with pytest.raises(InvariantError):
+        identities.recheck(alg, idents[:1], bad)
+
+
+def test_recheck_with_structure_constant_denominators():
+    # sl2 on (e-/2, h, e+): [x0, x2] = x1 / 2
+    alg = LieAlgebra(("x0", "x1", "x2"), {(0, 1): [(0, 1)],
+                                          (0, 2): [(1, Fraction(1, 2))],
+                                          (1, 2): [(2, 1)]})
+    der = map_condition_space(alg, ("derivation",))
+    forms = condition_space(alg, "invariant", "symmetric")
+    assert (der.dim, forms.dim) == (3, 1)
+    for idents, space in (((identities.LIE_MAPS["derivation"],), der.space),
+                          ((identities.LIE_FORMS["invariant"],), forms.space)):
+        identities.recheck(alg, idents, space)
+        with pytest.raises(InvariantError):
+            identities.recheck(alg, idents, _one_bad_vector(alg, idents[0], space))
