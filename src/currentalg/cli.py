@@ -23,8 +23,9 @@ byte-identical output.  Exit status: 0 all verdicts hold, 1 a verification
 failed (the report carries a witness), 2 unusable input (a descriptor or
 table failed to parse or validate, a verb got an algebra or flag it does
 not read, or a table's denominators left the pencil search fewer than two
-primes), 3 an internal invariant failed (a defect in currentalg, not in
-the input).
+primes), 3 an internal invariant failed or another arithmetic error
+surfaced, such as a division by zero (a defect in currentalg, not in the
+input).
 """
 
 import argparse
@@ -348,11 +349,14 @@ def main(argv=None):
         return 3
     except ArithmeticError as exc:
         # the pencil search's "fewer than two usable primes" is a bare
-        # ArithmeticError; ZeroDivisionError and the like keep their traceback
-        if type(exc) is not ArithmeticError:
-            raise
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        # ArithmeticError, a limit of the input; any other arithmetic error
+        # (ZeroDivisionError, OverflowError) is a defect of the program
+        if type(exc) is ArithmeticError:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        print("internal invariant failed: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ weight alone.
 """
 
 from bisect import bisect_left
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -139,13 +140,21 @@ def _tuples(algebra, size, weight=None):
 
 def _skew_square(n, vec):
     """A 2-cochain with one-dimensional coefficients, given in alternating
-    pair coordinates, as a skew n^2 vector: (i, j) at i * n + j."""
-    out = [_ZERO] * (n * n)
-    for (i, j), c in zip(combinations(range(n), 2), vec):
-        if c:
-            out[i * n + j] = c
-            out[j * n + i] = -c
+    pair coordinates as a sparse {rank: value} dict, as a sparse skew n^2
+    vector: (i, j) at i * n + j."""
+    pairs = _pairs(n)
+    out = {}
+    for r, c in vec.items():
+        i, j = pairs[r]
+        out[i * n + j] = c
+        out[j * n + i] = -c
     return out
+
+
+@lru_cache(maxsize=16)
+def _pairs(n):
+    """The increasing index pairs of range(n), by rank."""
+    return tuple(combinations(range(n), 2))
 
 
 def _ce_rows(algebra, module, degree, weight=None):

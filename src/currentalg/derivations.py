@@ -527,14 +527,14 @@ def sequence_maps(L, form=None, lname=None):
     triples = _tuples(L, 3)
 
     def times(vec, rows):
-        # vec as an n x n matrix times the sparse matrix with these rows
+        # vec, a dense or sparse n^2 vector, as an n x n matrix times the
+        # sparse matrix with these rows
         out = [_ZERO] * (n * n)
-        for i in range(n):
-            for t in range(n):
-                c = vec[i * n + t]
-                if c:
-                    for m, k in rows[t]:
-                        out[i * n + m] += c * k
+        for col, c in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+            if c:
+                i, t = divmod(col, n)
+                for m, k in rows[t]:
+                    out[i * n + m] += c * k
         return out
 
     def u_map(vec):
@@ -555,10 +555,13 @@ def sequence_maps(L, form=None, lname=None):
             out[t] = s
         return out
 
-    u_z2 = [u_map(z) for z in h2.z_space.basis]
+    # u is read on the integer rows of Z^2 and B^2: every use below is
+    # blind to rescaling a vector
+    u_z2 = [u_map(z) for z in h2.z_space.rows.values()]
     require(all(h1.z_space.contains_vector(vec) for vec in u_z2),
             "u must map cocycles to cocycles")
-    require(all(h1.b_space.contains_vector(u_map(b)) for b in h2.b_space.basis),
+    require(all(h1.b_space.contains_vector(u_map(b))
+                for b in h2.b_space.rows.values()),
             "u must map coboundaries to coboundaries")
 
     v_after_u_zero = all(not any(v_map(vec)) for vec in u_z2)

@@ -2,18 +2,29 @@ r"""Exact linear algebra over the rationals.
 
 Everything downstream reduces to three primitives: kernels of sparse
 homogeneous systems, spans of vector families, and the subspace lattice
-(sum, intersection, containment, preimage) on coordinate spaces Q^N.  A
-subspace is always stored by its reduced row-echelon basis with pivot
-entries 1, so two subspaces are equal iff their bases are identical tuples.
+(sum, intersection, containment, preimage) on coordinate spaces Q^N.
 
-The elimination engine works on rows kept as sparse {column: int} dicts.
-Fractions are cleared on entry and each row is renormalized by its content
-(gcd) after every combination, which keeps the integers small without the
-bookkeeping of full fraction-free elimination.  Dense matrices are plain
-tuples of Fraction tuples and only show up where the ambient dimension is
-small (forms of one factor algebra, inverses); their inverses and ranks
-come from the same engine.  rref and solve are a separate dense
-Gauss-Jordan path, kept as the reference the engine is tested against.
+A subspace is stored by its reduced row-echelon form as sparse integer
+rows: ``rows[p]`` is the row with pivot column p, a {column: int} dict
+scaled to content (gcd) 1 with a positive pivot entry.  That form is
+unique, so two subspaces are equal iff their rows are.  The dense basis,
+Fraction tuples with pivot entries 1, is built from the rows on first
+read, for the callers that index it.  Membership, sums, intersections and
+preimages read the integer rows and touch only the pivots a vector hits.
+Vectors enter as sparse {column: value} dicts or dense sequences, with int
+or Fraction values only: anything else raises TypeError, so a float never
+passes as a rational.
+
+The elimination engine works on the same integer rows.  Fractions are
+cleared on entry and each row is renormalized by its content after every
+combination, which keeps the integers small without the bookkeeping of
+full fraction-free elimination.  A kernel is eliminated with the rightmost
+column of each row as its pivot, so its free columns give the canonical
+basis directly (see kernel_from_rows).  Dense matrices are plain tuples of
+Fraction tuples and only show up where the ambient dimension is small
+(forms of one factor algebra, inverses); their inverses and ranks come
+from the same engine.  rref and solve are a separate dense Gauss-Jordan
+path, kept as the reference the engine is tested against.
 """
 
 from fractions import Fraction
@@ -33,27 +44,35 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_EXACT = (int, Fraction)
 
 
 # ---------------------------------------------------------------------------
 # sparse integer elimination engine
 
 
-def _as_int_row(row):
-    """Turn a sparse dict or dense sequence of rationals into a {col: int} dict."""
-    if not isinstance(row, dict):
-        row = {j: v for j, v in enumerate(row) if v}
-    else:
-        row = {j: v for j, v in row.items() if v}
-    if not row:
-        return {}
-    scale = 1
-    for v in row.values():
-        if isinstance(v, Fraction) and v.denominator != 1:
-            scale = lcm(scale, v.denominator)
-    if scale == 1:
-        return {j: int(v) for j, v in row.items()}
-    return {j: int(v * scale) for j, v in row.items()}
+def _nonzero(vector):
+    """The nonzero (column, value) pairs of a sparse dict or dense sequence.
+
+    Values must be ints or Fractions: anything else, a float above all,
+    raises TypeError rather than pass as an inexact rational."""
+    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+    out = []
+    for j, v in items:
+        if not isinstance(v, _EXACT):
+            raise TypeError("exact linear algebra takes int or Fraction "
+                            "entries, not %s %r" % (type(v).__name__, v))
+        if v:
+            out.append((j, v))
+    return out
+
+
+def _as_int_row(vector):
+    """(row, scale): vector times scale, the lcm of its denominators, as a
+    {col: int} dict of its nonzero entries."""
+    entries = _nonzero(vector)
+    scale = lcm(1, *(v.denominator for _, v in entries))
+    return {j: v.numerator * (scale // v.denominator) for j, v in entries}, scale
 
 
 def _normalize(row):
@@ -106,26 +125,17 @@ def _echelon(int_rows):
 
 
 def _back_reduce(pivots):
-    """Clear entries above every pivot, in place."""
+    """Clear the entries of every row at the other pivots, in place.
+
+    From the last pivot up, each row meets only the pivot columns it holds,
+    all right of its own, against rows that are already reduced; those
+    rows hold no other pivot, so no cleared column comes back."""
     for j in sorted(pivots, reverse=True):
-        piv = pivots[j]
-        for j2 in pivots:
-            if j2 < j and j in pivots[j2]:
-                pivots[j2] = _eliminate(pivots[j2], piv, j)
-    return pivots
-
-
-def _pivot_rows_to_basis(pivots, ncols):
-    """Canonical RREF rows (pivot entry 1) as dense Fraction tuples, sorted."""
-    basis = []
-    for j in sorted(pivots):
         row = pivots[j]
-        lead = row[j]
-        dense = [_ZERO] * ncols
-        for c, v in row.items():
-            dense[c] = Fraction(v, lead)
-        basis.append(tuple(dense))
-    return tuple(basis)
+        for c in [c for c in row if c != j and c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        pivots[j] = row
+    return pivots
 
 
 def _dedupe_sorted(int_rows):
@@ -149,76 +159,128 @@ def _dedupe_sorted(int_rows):
 
 
 class Subspace:
-    """A subspace of Q^ambient_dim with a canonical reduced row-echelon basis.
+    """A subspace of Q^ambient_dim, stored by its reduced row-echelon form.
 
-    Equal subspaces have identical bases, so == is structural equality.
+    rows maps each pivot column, in increasing order, to its RREF row as a
+    {col: int} dict of content 1 with a positive pivot entry; pivots lists
+    the pivot columns.  The form is canonical, so == is structural
+    equality.  basis holds the same rows as dense Fraction tuples with
+    pivot entries 1; it is built on first read.
+
+    Subspace(ambient_dim, basis, pivots) takes a basis in that dense form,
+    one vector per pivot.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
 
     def __init__(self, ambient_dim, basis, pivots):
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
+        self.pivots = tuple(pivots)
+        self.rows = {p: _normalize(_as_int_row(v)[0])
+                     for p, v in zip(self.pivots, basis)}
+        self._basis = tuple(basis)
+
+    @classmethod
+    def _from_pivots(cls, ambient_dim, pivots):
+        """The subspace whose canonical rows are {pivot: row}."""
+        space = cls.__new__(cls)
+        space.ambient_dim = ambient_dim
+        space.pivots = tuple(sorted(pivots))
+        space.rows = {p: pivots[p] for p in space.pivots}
+        space._basis = None
+        return space
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            basis = []
+            for p, row in self.rows.items():
+                lead = row[p]
+                dense = [_ZERO] * self.ambient_dim
+                for c, v in row.items():
+                    dense[c] = Fraction(v, lead)
+                basis.append(tuple(dense))
+            self._basis = tuple(basis)
+        return self._basis
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls(ambient_dim, (), ())
+        return cls._from_pivots(ambient_dim, {})
 
     @classmethod
     def full(cls, ambient_dim):
-        basis = tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(ambient_dim, basis, tuple(range(ambient_dim)))
+        return cls._from_pivots(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        pivots = _echelon(_as_int_row(v) for v in vectors)
-        _back_reduce(pivots)
-        basis = _pivot_rows_to_basis(pivots, ambient_dim)
-        return cls(ambient_dim, basis, tuple(sorted(pivots)))
+        """The span of vectors (sparse dicts or dense sequences)."""
+        return _span(ambient_dim, (_as_int_row(v)[0] for v in vectors))
+
+    def _residual(self, vector):
+        """(row, den): den times the residual of vector, as an int row.
+
+        Every row is zero at the other pivots, so the residual is
+        vector - sum_p (vector[p] / rows[p][p]) rows[p] over the pivots p
+        that vector holds, and no other pivot is touched."""
+        row, den = _as_int_row(vector)
+        hits = [(p, c) for p, c in row.items() if p in self.rows]
+        if not hits:
+            return row, den
+        m = lcm(*(self.rows[p][p] for p, _ in hits))
+        if m != 1:
+            row = {j: m * v for j, v in row.items()}
+            den *= m
+        for p, c in hits:
+            piv = self.rows[p]
+            f = c * (m // piv[p])
+            for j, x in piv.items():
+                w = row.get(j, 0) - f * x
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+        return row, den
 
     def reduce(self, vector):
-        """Residual of vector after reduction against the basis (dense list).
-
-        Entries that are not Fractions yet (ints, floats) become exact ones."""
-        v = [x if isinstance(x, Fraction) else Fraction(x) for x in vector]
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return v
+        """The residual of vector (a sparse dict or dense sequence) after
+        reduction against the basis, as a sparse {col: Fraction} dict of
+        its nonzero entries in column order: empty iff vector lies in the
+        subspace."""
+        row, den = self._residual(vector)
+        return {j: Fraction(row[j], den) for j in sorted(row)}
 
     def contains_vector(self, vector):
-        return not any(self.reduce(vector))
+        return not self._residual(vector)[0]
 
     def contains(self, other):
         if isinstance(other, Subspace):
             if other.ambient_dim != self.ambient_dim:
                 raise ValueError("ambient mismatch")
-            return all(self.contains_vector(b) for b in other.basis)
+            return all(not self._residual(row)[0] for row in other.rows.values())
         return self.contains_vector(other)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(
+            (p, tuple(sorted(row.items()))) for p, row in self.rows.items())))
 
     def __repr__(self):
         return "Subspace(dim %d in Q^%d)" % (self.dim, self.ambient_dim)
+
+
+def _span(ambient_dim, int_rows):
+    """The span of nonzero-valued {col: int} rows."""
+    return Subspace._from_pivots(ambient_dim, _back_reduce(_echelon(int_rows)))
 
 
 def kernel_from_rows(ncols, rows):
@@ -227,73 +289,89 @@ def kernel_from_rows(ncols, rows):
     The workhorse for every condition space in the package.  Rows may be
     dicts {col: rational} or dense sequences; duplicates and zero rows are
     discarded before elimination.
+
+    The engine runs on mirrored columns, so every reduced row p takes its
+    rightmost column as pivot and holds only columns f < p besides.  For
+    each free column f, e_f - sum_p (a_pf / a_pp) e_p then leads at f and
+    vanishes at every other free column: together these vectors are the
+    canonical basis of the kernel, with no second elimination.
     """
-    int_rows = _dedupe_sorted([_as_int_row(r) for r in rows])
-    pivots = _echelon(int_rows)
-    _back_reduce(pivots)
-    pivot_cols = sorted(pivots)
-    pivot_set = set(pivot_cols)
-    kernel_vectors = []
+    last = ncols - 1
+    reduced = _back_reduce(_echelon(_dedupe_sorted(
+        [{last - j: v for j, v in _as_int_row(r)[0].items()} for r in rows])))
+    # free column f -> (p, a_pf, a_pp) over the pivot rows p holding f
+    hits = {}
+    for mp, row in reduced.items():
+        p, a = last - mp, row[mp]
+        for mj, v in row.items():
+            if mj != mp:
+                hits.setdefault(last - mj, []).append((p, v, a))
+    kernel = {}
     for f in range(ncols):
-        if f in pivot_set:
+        if last - f in reduced:
             continue
-        vec = {f: _ONE}
-        for p in pivot_cols:
-            row = pivots[p]
-            if f in row:
-                vec[p] = -Fraction(row[f], row[p])
-        kernel_vectors.append(vec)
-    return Subspace.from_vectors(ncols, kernel_vectors)
+        entries = hits.get(f, ())
+        m = lcm(1, *(a for _, _, a in entries))
+        vec = {f: m}
+        for p, v, a in entries:
+            vec[p] = -v * (m // a)
+        kernel[f] = _normalize(vec)
+    return Subspace._from_pivots(ncols, kernel)
 
 
 def subspace_sum(u, v):
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient mismatch")
-    return Subspace.from_vectors(u.ambient_dim, u.basis + v.basis)
+    return _span(u.ambient_dim, [*u.rows.values(), *v.rows.values()])
 
 
 def subspace_intersect(u, v):
     """U cap V: the preimage of V under the inclusion of U."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient mismatch")
-    return preimage(u, u.basis, v)
+    return _preimage(u, [row.items() for row in u.rows.values()], v)
 
 
 def preimage(domain, images, target):
     """{x in domain : f(x) in target} for a linear map f given on the basis.
 
-    images[k] is f(domain.basis[k]), a vector of the target's ambient space.
-    The kernel of the stacked system sum_k c_k images[k] = sum_l d_l
-    target.basis[l] gives the coefficients c, which are recombined over the
-    domain basis.
+    images[k] is f(domain.basis[k]), a sparse dict or dense vector of the
+    target's ambient space.
     """
     if len(images) != domain.dim:
         raise ValueError("one image per domain basis vector")
+    # rows[p] is rows[p][p] times the basis vector with pivot p
+    return _preimage(domain, [
+        [(i, row[p] * x) for i, x in _nonzero(img)]
+        for (p, row), img in zip(domain.rows.items(), images)], target)
+
+
+def _preimage(domain, images, target):
+    """preimage with images[k] = f(k-th row of domain) as (coordinate,
+    value) pairs.  The kernel of the stacked system sum_k c_k images[k] =
+    sum_l d_l target row l gives the coefficients c, which are recombined
+    over the domain rows."""
     if domain.dim == 0:
         return Subspace.zero(domain.ambient_dim)
     r = domain.dim
-    rows = []
-    for i in range(target.ambient_dim):
-        row = {}
-        for k, img in enumerate(images):
-            if img[i]:
-                row[k] = img[i]
-        for l, t in enumerate(target.basis):
-            if t[i]:
-                row[r + l] = -t[i]
-        if row:
-            rows.append(row)
-    coeffs = kernel_from_rows(r + target.dim, rows)
+    system = {}
+    for k, img in enumerate(images):
+        for i, x in img:
+            system.setdefault(i, {})[k] = x
+    for l, t in enumerate(target.rows.values()):
+        for i, x in t.items():
+            system.setdefault(i, {})[r + l] = -x
+    coeffs = kernel_from_rows(r + target.dim, list(system.values()))
+    domain_rows = list(domain.rows.values())
     vectors = []
-    for c in coeffs.basis:
-        w = [_ZERO] * domain.ambient_dim
-        for k in range(r):
-            if c[k]:
-                for i, x in enumerate(domain.basis[k]):
-                    if x:
-                        w[i] += c[k] * x
-        vectors.append(w)
-    return Subspace.from_vectors(domain.ambient_dim, vectors)
+    for c in coeffs.rows.values():
+        w = {}
+        for k, ck in c.items():
+            if k < r:
+                for i, x in domain_rows[k].items():
+                    w[i] = w.get(i, 0) + ck * x
+        vectors.append({i: x for i, x in w.items() if x})
+    return _span(domain.ambient_dim, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,6 @@ __all__ = [
     "FORMS_DECOMPOSABLE_TYPES",
 ]
 
-_ZERO = Fraction(0)
-
 # The sub-typed tables pin a definite symmetry on each factor, which makes
 # every single generator a form of the right overall symmetry.  That is too
 # restrictive for the spanning direction: a target form may need summands
@@ -169,40 +167,53 @@ def hc1_space(alg):
 # tensor-product families on a current algebra, shared with derivations
 
 
+def _basis_vector(p, row):
+    """The canonical basis vector (pivot entry 1) of the integer Subspace
+    row with pivot p, as a sparse {coordinate: Fraction} dict."""
+    return {c: Fraction(v, row[p]) for c, v in row.items()}
+
+
 def _tensor_vec(curr, lvec, avec):
-    """l tensor a in n^2 coordinates: (x_i a_p, x_j a_q) holds l[i, j] a[p, q].
+    """l tensor a in n^2 coordinates, all three sparse {coordinate: value}
+    dicts: (x_i a_p, x_j a_q) holds l[i, j] a[p, q].
 
     Forms and maps share the layout, so this is phi tensor alpha as a form
     and d tensor b as a map alike."""
     nl = curr.factorL.dim
     na = curr.factorA.dim
     n = curr.dim
-    out = [_ZERO] * (n * n)
-    lnz = [(i, j, lvec[i * nl + j])
-           for i in range(nl) for j in range(nl) if lvec[i * nl + j]]
-    for p in range(na):
-        for q in range(na):
-            a = avec[p * na + q]
-            if not a:
-                continue
-            for i, j, lv in lnz:
-                out[(p * nl + i) * n + q * nl + j] = lv * a
+    lnz = []
+    for c, lv in lvec.items():
+        i, j = divmod(c, nl)
+        lnz.append((i * n + j, lv))
+    out = {}
+    for c, a in avec.items():
+        p, q = divmod(c, na)
+        base = p * nl * n + q * nl
+        for ij, lv in lnz:
+            out[base + ij] = lv * a
     return out
 
 
 def _family(curr, factor_pairs):
     """Generators s_L tensor s_A over the basis vectors of each factor-space
     pair (S_L, S_A), and their span."""
-    gens = [_tensor_vec(curr, lv, av)
-            for sl, sa in factor_pairs for lv in sl.basis for av in sa.basis]
+    gens = []
+    for sl, sa in factor_pairs:
+        avecs = [_basis_vector(p, row) for p, row in sa.rows.items()]
+        for p, row in sl.rows.items():
+            lv = _basis_vector(p, row)
+            gens.extend(_tensor_vec(curr, lv, av) for av in avecs)
     return gens, Subspace.from_vectors(curr.dim ** 2, gens)
 
 
 def _entries(fmt, labels, vec):
-    """Nonzero coordinates r * n + c of vec, keyed fmt.format(label_r, label_c)."""
+    """Nonzero coordinates r * n + c of vec, a sparse dict or a dense
+    sequence, keyed fmt.format(label_r, label_c) in coordinate order."""
     n = len(labels)
-    return {fmt.format(labels[r], labels[c]): str(vec[r * n + c])
-            for r in range(n) for c in range(n) if vec[r * n + c]}
+    items = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
+    return {fmt.format(labels[col // n], labels[col % n]): str(x)
+            for col, x in items if x}
 
 
 # witness key and coordinate format of forms and of maps
@@ -226,11 +237,11 @@ def _residual_witness(space, span, labels, kind, direction):
     """Witness for the first basis vector of space outside span, with its
     residual, or None."""
     key, fmt = kind
-    for b in space.basis:
-        residual = span.reduce(b)
-        if any(residual):
+    for p, row in space.rows.items():
+        if not span.contains_vector(row):
+            b = _basis_vector(p, row)
             return {"direction": direction, key: _entries(fmt, labels, b),
-                    "residual": _entries(fmt, labels, residual)}
+                    "residual": _entries(fmt, labels, span.reduce(b))}
     return None
 
 
@@ -281,7 +292,7 @@ def _h2_via_cochain(curr):
     res = cohomology(curr, trivial_module(curr, 1), 2)
     n = curr.dim
     return tuple(Subspace.from_vectors(
-        n * n, [_skew_square(n, v) for v in space.basis])
+        n * n, [_skew_square(n, row) for row in space.rows.values()])
         for space in (res.z_space, res.b_space))
 
 

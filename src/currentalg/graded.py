@@ -117,16 +117,17 @@ def _quadratic_presentation(g, comp):
     ng = g.dim
     sym_space = condition_space(g, "jacobi_sum_zero", "symmetric").space
     s_space = Subspace.from_vectors(len(comp.pairs), [
-        {_degree3_block_index(comp, i, j): psi[i * ng + j]
-         for i in range(ng) for j in range(ng) if psi[i * ng + j]}
-        for psi in sym_space.basis])
+        {_degree3_block_index(comp, *divmod(col, ng)): x
+         for col, x in psi.items()}
+        for psi in sym_space.rows.values()])
     ok = comp.z_space.contains(s_space)
     ok = ok and subspace_intersect(s_space, comp.b_space).dim == 0
     ok = ok and subspace_sum(s_space, comp.b_space) == comp.z_space
 
-    for z in comp.z_space.basis:
+    # the check is linear, so the integer rows of Z serve as its basis
+    for z in comp.z_space.rows.values():
         def block(i, j):
-            return z[_degree3_block_index(comp, i, j)]
+            return z.get(_degree3_block_index(comp, i, j), 0)
 
         for off in _sl2_offsets(g):
             em, h, ep = off, off + 1, off + 2

@@ -279,19 +279,17 @@ def _random_tuples(n, seed, count, size):
             for _ in range(count)]
 
 
-def _combination(n, nonzero):
-    """w = sum_i r_i * den_i * v_i over the basis vectors v_i, given by their
-    nonzero (coordinate, value) pairs, with r_i seeded in 1..2^30 and den_i
-    the lcm of v_i's denominators: the integer triples (p, q, value) of the
+def _combination(n, rows):
+    """w = sum_i r_i * v_i over the integer basis rows v_i of a Subspace,
+    with r_i seeded in 1..2^30: the integer triples (p, q, value) of the
     nonzero coordinates p * n + q of w."""
     seed, top = _COMBINATION
     rng = random.Random(seed)
     w = defaultdict(int)
-    for vec in nonzero:
-        den = lcm(1, *(x.denominator for _, x in vec))
+    for row in rows:
         r = rng.randint(1, top)
-        for col, x in vec:
-            w[col] += r * x.numerator * (den // x.denominator)
+        for col, x in row.items():
+            w[col] += r * x
     return [divmod(col, n) + (x,) for col, x in sorted(w.items()) if x]
 
 
@@ -372,12 +370,10 @@ def _is_symmetry(ident):
                for _, _, kind, left, right in ident.terms)
 
 
-def _fails_on_a_pair(ident, n, vec):
-    """For a symmetry: whether the vector with the nonzero (coordinate,
-    value) pairs vec breaks it on some ordered basis pair.  Each term reads
-    phi at (p, q) or (q, p), so a pair that fails is a nonzero coordinate
-    or its transpose."""
-    value = dict(vec)
+def _fails_on_a_pair(ident, n, value):
+    """For a symmetry: whether the sparse {coordinate: value} vector breaks
+    it on some ordered basis pair.  Each term reads phi at (p, q) or
+    (q, p), so a pair that fails is a nonzero coordinate or its transpose."""
     terms = [(c * ident.weights[part], l[0], r[0])
              for c, part, _, l, r in ident.terms]
     for col in value:
@@ -394,9 +390,9 @@ def recheck(alg, idents, space):
 
     A symmetry involves no structure constants and is checked exactly, on
     every basis vector and every ordered basis pair.  Every other identity
-    is evaluated at one seeded combination w = sum_i r_i * den_i * v_i of
-    the basis vectors v_i (r_i uniform in 1..2^30, den_i clearing the
-    denominators of v_i) on each seeded random tuple, in integers: the
+    is evaluated at one seeded combination w = sum_i r_i * v_i of the
+    integer rows v_i of space, each a nonzero multiple of a basis vector
+    (r_i uniform in 1..2^30), on each seeded random tuple, in integers: the
     structure constants and the weighted term coefficients are scaled by
     their common denominators.  Each term holds exactly one product, so the
     scaling multiplies the identity by one nonzero constant and cannot
@@ -410,18 +406,17 @@ def recheck(alg, idents, space):
     holding a failing vector passes with chance at most 2^-30 + (3/7)^10.
     """
     idents = [ident for ident in idents if ident.terms]
-    if not (idents and space.basis):
+    if not (idents and space.dim):
         return
     n = alg.dim
-    nonzero = [[(col, x) for col, x in enumerate(vec) if x]
-               for vec in space.basis]
+    rows = list(space.rows.values())
     table = w = None
     for ident in idents:
         if _is_symmetry(ident):
-            failed = any(_fails_on_a_pair(ident, n, vec) for vec in nonzero)
+            failed = any(_fails_on_a_pair(ident, n, row) for row in rows)
         else:
             if w is None:
-                table, w = _int_table(alg), _combination(n, nonzero)
+                table, w = _int_table(alg), _combination(n, rows)
             spec = _RANDOM_FORMS if ident.terms[0][2] == "f" else _RANDOM_MAPS
             terms = _int_terms(ident)
             failed = any(any(_evaluate(table, terms, w, vecs))

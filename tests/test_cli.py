@@ -261,3 +261,16 @@ def test_pencil_search_without_usable_primes_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "der", "--L", str(table), "--A", "tpoly:2")
     assert code == 2
     assert out == "" and "search primes" in err
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_arithmetic_defect_in_the_pencil_search_exits_3(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error("planted in the pencil search")
+
+    monkeypatch.setattr(currentalg.derivations, "lambda_candidates", broken)
+    code, out, err = run(capsys, "verify", "der", "--L", "sl2", "--A", "tpoly:2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal invariant failed: %s: planted in the pencil search\n" % (
+        error.__name__)

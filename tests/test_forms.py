@@ -1,6 +1,7 @@
 """Form condition spaces and the two tensor-decomposition verdicts."""
 
 from fractions import Fraction
+import json
 from pathlib import Path
 import subprocess
 import sys
@@ -209,6 +210,37 @@ def test_witness_reporting_helpers():
     ok = w is None
     assert not ok and w["direction"] == "target_not_in_span"
     assert w["form"] == {"phi(a,a)": "1"}
+
+
+def test_witnesses_read_sparse_and_dense_vectors_alike():
+    curr = current(lie_sl2(), assoc_truncated_poly(3))
+    n, labels = curr.dim, curr.labels
+    target = condition_space(curr, "jacobi_sum_zero", "skew").space
+    inside = {j: x for j, x in enumerate(target.basis[0]) if x}
+    # symmetric in the pair (x_0, x_1), so no 2-cocycle
+    outside = {1 * n + 4: Fraction(-3), 0 * n + 1: Fraction(1, 2),
+               1 * n + 0: Fraction(1, 2)}
+    vectors = [(vec, [vec.get(j, Fraction(0)) for j in range(n * n)])
+               for vec in (inside, outside)]
+    witnesses = []
+    for form in (0, 1):
+        gens = {"t": [pair[form] for pair in vectors]}
+        span = Subspace.from_vectors(n * n, [vectors[1][form]])
+        witnesses.append((
+            _generator_witness(target, gens, labels, _FORM, "generator_outside_target"),
+            _residual_witness(span, target, labels, _FORM, "span_element_not_cocycle")))
+    assert witnesses[0] == witnesses[1]
+    assert json.dumps(witnesses[0]) == json.dumps(witnesses[1])
+    generator, residual = witnesses[0]
+    phi = "phi({0},{1})".format
+    assert generator["form"] == {phi(labels[0], labels[1]): "1/2",
+                                 phi(labels[1], labels[0]): "1/2",
+                                 phi(labels[1], labels[4]): "-3"}
+    # the basis vector of the span has pivot entry 1
+    assert residual["form"] == {phi(labels[0], labels[1]): "1",
+                                phi(labels[1], labels[0]): "1",
+                                phi(labels[1], labels[4]): "-6"}
+    assert residual["residual"]
 
 
 def test_every_subtyped_generator_is_a_cocycle():
