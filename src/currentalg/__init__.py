@@ -8,13 +8,10 @@ linear algebra; no verdict rests on floating point.
 """
 
 from .exactlin import (
-    Matrix,
     Subspace,
     inverse,
     kernel_from_rows,
     preimage,
-    rref,
-    solve,
     subspace_intersect,
     subspace_sum,
 )
@@ -43,7 +40,6 @@ from .cochain import (
     CochainSpaceResult,
     LieModule,
     adjoint_module,
-    ce_differential,
     coadjoint_module,
     cohomology,
     trivial_module,
@@ -63,7 +59,6 @@ from .derivations import (
     PencilCandidates,
     antiderivation_space,
     derivation_space,
-    form_to_map,
     inner_derivations,
     lambda_candidates,
     map_condition_space,

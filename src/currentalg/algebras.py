@@ -23,12 +23,7 @@ import json
 import os
 import re
 
-from .exactlin import (
-    Matrix,
-    Subspace,
-    kernel_from_rows,
-    solve,
-)
+from .exactlin import Subspace, _exact, kernel_from_rows
 from .identities import ASSOC_FORMS, LIE_FORMS, add_entry, first_failure, require
 
 __all__ = [
@@ -73,26 +68,11 @@ def _canonical_terms(terms):
     return tuple(sorted(acc.items()))
 
 
-class _Algebra:
-    """The interface the identity engine reads: dim and mul(i, j) as a tuple
-    of (index, coefficient) pairs; mul_vectors multiplies dense coordinates."""
+class LieAlgebra:
+    """Finite-dimensional Lie algebra over Q given by structure constants.
 
-    def mul_vectors(self, u, v):
-        """Product of two coordinate vectors, as a dense coordinate list."""
-        out = [_ZERO] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in self.mul(i, j):
-                    out[k] += a * b * c
-        return out
-
-
-class LieAlgebra(_Algebra):
-    """Finite-dimensional Lie algebra over Q given by structure constants."""
+    Both algebra types expose the interface the identity engine reads: dim
+    and mul(i, j) as a tuple of (index, coefficient) pairs."""
 
     def __init__(self, labels, table, validate=True):
         self.labels = tuple(labels)
@@ -163,7 +143,7 @@ class LieAlgebra(_Algebra):
         return "LieAlgebra(dim %d: %s)" % (self.dim, ", ".join(self.labels))
 
 
-class AssocAlgebra(_Algebra):
+class AssocAlgebra:
     """Commutative associative algebra given by structure constants.
 
     Possibly without unit; the unital flag certifies that a two-sided
@@ -242,28 +222,33 @@ class AssocAlgebra(_Algebra):
                         axiom="grading", witness=(i, j, k))
 
     def _find_unit(self):
-        # unit u solves sum_i u_i m[i][j][k] = delta_jk for all j, k
+        # unit u solves sum_i u_i m[i][j][k] = delta_jk for all j, k; with
+        # s at column n the homogenised rows sum_i u_i m[i][j][k] = s delta_jk
+        # have a kernel vector with s != 0 iff a unit exists
         n = self.dim
         rows = []
-        rhs = []
         for j in range(n):
-            for k in range(n):
-                row = [_ZERO] * n
-                for i in range(n):
-                    for l, c in self.product(i, j):
-                        if l == k:
-                            row[i] += c
-                rows.append(row)
-                rhs.append(_ONE if j == k else _ZERO)
-        u = solve(Matrix(rows), rhs)
-        if u is None:
+            per_k = {j: {n: -1}}
+            for i in range(n):
+                for k, c in self.product(i, j):
+                    per_k.setdefault(k, {})[i] = c
+            rows.extend(per_k.values())
+        row = next((r for r in kernel_from_rows(n + 1, rows).rows.values()
+                    if n in r), None)
+        if row is None:
             return None
-        # re-check both sides exhaustively
+        u = tuple(Fraction(row.get(i, 0), row[n]) for i in range(n))
+        # re-check u e_j = e_j exactly; the table is commutative by
+        # construction (product sorts its arguments), so one side is enough
         for j in range(n):
-            col = [_ONE if i == j else _ZERO for i in range(n)]
-            if self.mul_vectors(u, col) != col or self.mul_vectors(col, u) != col:
+            acc = {}
+            for i, a in enumerate(u):
+                if a:
+                    for k, c in self.product(i, j):
+                        add_entry(acc, k, a * c)
+            if acc != {j: 1}:
                 return None
-        return tuple(u)
+        return u
 
     def _key(self):
         return ("assoc", self.labels, tuple(sorted(self.table.items())),
@@ -569,36 +554,39 @@ def square_assoc(alg):
 
 
 class BilinearForm:
-    """A bilinear form on an algebra's coordinate space, with a symmetry tag."""
+    """A bilinear form on an algebra's coordinate space, with a symmetry tag.
+
+    matrix is a tuple of Fraction rows, matrix[i][j] = phi(x_i, x_j); the
+    entries given must be ints or Fractions (a float raises TypeError)."""
 
     __slots__ = ("matrix", "symmetry")
 
     def __init__(self, matrix):
-        if not isinstance(matrix, Matrix):
-            matrix = Matrix(matrix)
-        if matrix.nrows != matrix.ncols:
+        matrix = tuple(tuple(_exact(x) for x in row) for row in matrix)
+        if any(len(row) != len(matrix) for row in matrix):
             raise ValueError("bilinear form matrix must be square")
         self.matrix = matrix
-        if matrix == matrix.transpose():
+        transpose = tuple(zip(*matrix))
+        if matrix == transpose:
             self.symmetry = "symmetric"
-        elif matrix == Matrix(tuple(tuple(-x for x in row) for row in matrix.transpose().data)):
+        elif matrix == tuple(tuple(-x for x in row) for row in transpose):
             self.symmetry = "skew"
         else:
             self.symmetry = "none"
 
     @property
     def dim(self):
-        return self.matrix.nrows
+        return len(self.matrix)
 
     def __call__(self, i, j):
-        return self.matrix[i, j]
+        return self.matrix[i][j]
 
     def as_vector(self):
         """Row-major coordinates in the n^2-dimensional form space."""
-        return tuple(x for row in self.matrix.data for x in row)
+        return tuple(x for row in self.matrix for x in row)
 
     def is_nondegenerate(self):
-        return kernel_from_rows(self.dim, self.matrix.data).dim == 0
+        return kernel_from_rows(self.dim, self.matrix).dim == 0
 
 
 def killing_form(alg):
@@ -622,7 +610,7 @@ def killing_form(alg):
                     s += v * w
             rows[i][j] = s
             rows[j][i] = s
-    form = BilinearForm(Matrix(rows))
+    form = BilinearForm(rows)
     require(form.symmetry == "symmetric", "Killing form not symmetric")
     defect = first_failure(alg, LIE_FORMS["invariant"], form.as_vector())
     require(defect is None, "Killing form not invariant at %r" % (defect,))
@@ -640,7 +628,7 @@ def residue_form(alg):
          for j in range(alg.dim)]
         for i in range(alg.dim)
     ]
-    form = BilinearForm(Matrix(rows))
+    form = BilinearForm(rows)
     require(form.symmetry == "symmetric", "residue form not symmetric")
     require(form.is_nondegenerate(), "residue form degenerate")
     # associativity-invariance <ab, c> = <a, bc> on all basis triples
@@ -668,7 +656,7 @@ def product_form(form_lie, form_assoc, curr):
                     lval = form_lie(i, j)
                     if lval:
                         rows[u][curr.flat(j, q)] = lval * aval
-    return BilinearForm(Matrix(rows))
+    return BilinearForm(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,10 @@ weight alone.
 
 from bisect import bisect_left
 from functools import lru_cache
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactlin import Matrix, Subspace, kernel_from_rows
+from .exactlin import Subspace, kernel_from_rows
 from .identities import add_entry, require
 
 __all__ = [
@@ -33,12 +32,9 @@ __all__ = [
     "adjoint_module",
     "coadjoint_module",
     "cochain_dim",
-    "ce_differential",
     "cohomology",
     "CochainSpaceResult",
 ]
-
-_ZERO = Fraction(0)
 
 
 class LieModule:
@@ -198,13 +194,6 @@ def _ce_rows(algebra, module, degree, weight=None):
                     for m in range(dm):
                         add_entry(rows[t_rank * dm + m], u_rank * dm + m, sgn)
     return domain, rows
-
-
-def ce_differential(algebra, module, degree):
-    """The differential C^degree -> C^{degree+1} as a dense matrix."""
-    domain, rows = _ce_rows(algebra, module, degree)
-    ncols = len(domain) * module.dim
-    return Matrix([[row.get(c, _ZERO) for c in range(ncols)] for row in rows])
 
 
 class CochainSpaceResult:

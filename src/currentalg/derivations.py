@@ -36,7 +36,7 @@ values are discovered by projecting the affine-in-lam row system to square
 matrices with three independent random integer maps, interpolating their
 determinant polynomials modulo a word-size prime, and lifting the roots of
 the gcd to rationals; every candidate is confirmed modulo a second prime
-and then by an exact kernel solve over Q, and 1 and 1/2 are always checked
+and then by an exact kernel over Q, and 1 and 1/2 are always checked
 whether or not they show up as roots.
 
 Apart from module_map and self_bracket_zero, every condition above is a
@@ -58,7 +58,6 @@ import random
 
 from . import identities as ids
 from .exactlin import (
-    Matrix,
     Subspace,
     inverse,
     kernel_from_rows,
@@ -104,7 +103,6 @@ __all__ = [
     "lambda_candidates",
     "theorem_der_span",
     "verify_der_decomposition",
-    "form_to_map",
     "sequence_maps",
     "sl2_loop_derivation",
     "LoopDerivation",
@@ -216,9 +214,9 @@ class PencilCandidates:
     a rational root has numerator or denominator above isqrt(p // 2), or
     (about once in 10**9 roots) when a nonrational root passes the second
     prime; lambda_candidates spells these out.  It cannot report a wrong
-    value: every entry of lambdas has a nonzero kernel from an exact solve
-    over Q, and solution_at rechecks every kernel against the pencil
-    identity at its value.
+    value: every entry of lambdas has a nonzero exact kernel over Q, and
+    solution_at rechecks every kernel against the pencil identity at its
+    value.
     """
 
     __slots__ = ("algebra", "kind", "lambdas", "degenerate",
@@ -333,7 +331,7 @@ def lambda_candidates(alg, kind, seed=0):
       ArithmeticError is raised.
 
     None of these can add a wrong value to lambdas: every reported value
-    has a nonzero kernel from an exact solve over Q.
+    has a nonzero exact kernel over Q.
     """
     key = (alg, kind, seed)
     if key in _pencil_cache:
@@ -469,17 +467,6 @@ def verify_der_decomposition(L, A, lname=None, aname=None, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# transport between forms and maps through a nondegenerate form
-
-
-def form_to_map(kappa, form_matrix):
-    """The map D with kappa(D(x), y) = phi(x, y), as a matrix."""
-    if not isinstance(form_matrix, Matrix):
-        form_matrix = Matrix(form_matrix)
-    return inverse(kappa.matrix) * form_matrix.transpose()
-
-
-# ---------------------------------------------------------------------------
 # the four-term sequence H^2(L,K) -> H^1(L,L*) -> B(L) -> H^3(L,K)
 
 
@@ -517,7 +504,7 @@ def sequence_maps(L, form=None, lname=None):
         module = adjoint_module(L)
         # kappa and its inverse are symmetric, so row t lists column t too
         pairing, copairing = [[[(j, x) for j, x in enumerate(row) if x]
-                               for row in mat.data]
+                               for row in mat]
                               for mat in (kappa.matrix, inverse(kappa.matrix))]
 
     h2 = cohomology(L, trivial_module(L), 2)
@@ -547,15 +534,13 @@ def sequence_maps(L, form=None, lname=None):
         return [g[i * n + j] + g[j * n + i] for i in range(n) for j in range(n)]
 
     def w_map(f):
-        out = [_ZERO] * len(triples)
-        for t, (i, j, k) in enumerate(triples):
-            s = _ZERO
-            for m, c in L.bracket(i, j):
-                s += c * f[m * n + k]
-            out[t] = s
-        return out
+        # phi([x_i, x_j], x_k) for a dense or sparse form vector f
+        f = f if isinstance(f, dict) else dict(enumerate(f))
+        return [sum(c * f.get(m * n + k, 0) for m, c in L.bracket(i, j))
+                for i, j, k in triples]
 
-    # u is read on the integer rows of Z^2 and B^2: every use below is
+    # u, v and w are read on the integer rows of Z^2, B^2, Z^1, B^1 and
+    # B(L), and preimage takes the images of those rows: every use below is
     # blind to rescaling a vector
     u_z2 = [u_map(z) for z in h2.z_space.rows.values()]
     require(all(h1.z_space.contains_vector(vec) for vec in u_z2),
@@ -566,15 +551,15 @@ def sequence_maps(L, form=None, lname=None):
 
     v_after_u_zero = all(not any(v_map(vec)) for vec in u_z2)
 
-    v_z1 = [v_map(z) for z in h1.z_space.basis]
+    v_z1 = [v_map(z) for z in h1.z_space.rows.values()]
     require(all(b_forms.contains_vector(vec) for vec in v_z1),
             "v must land in invariant symmetric forms")
-    require(not any(any(v_map(b)) for b in h1.b_space.basis),
+    require(not any(any(v_map(b)) for b in h1.b_space.rows.values()),
             "v must kill coboundaries")
     v_image = Subspace.from_vectors(n * n, v_z1)
 
-    w_of_basis = [w_map(f) for f in b_forms.basis]
-    require(all(h3.z_space.contains_vector(vec) for vec in w_of_basis),
+    w_of_rows = [w_map(f) for f in b_forms.rows.values()]
+    require(all(h3.z_space.contains_vector(vec) for vec in w_of_rows),
             "w must produce cocycles")
     w_after_v_in_b3 = all(h3.b_space.contains_vector(w_map(vec)) for vec in v_z1)
 
@@ -584,7 +569,7 @@ def sequence_maps(L, form=None, lname=None):
     exact_at_h1 = subspace_sum(ker_v_z1, h1.b_space) == u_image_b1
 
     # exactness at B(L): v(Z^1) == {phi in B(L) : w(phi) in B^3}
-    exact_at_b = v_image == preimage(b_forms, w_of_basis, h3.b_space)
+    exact_at_b = v_image == preimage(b_forms, w_of_rows, h3.b_space)
 
     u_injective = u_image_b1.dim - h1.b_space.dim == h2.h_dim
 
@@ -610,7 +595,10 @@ def sequence_maps(L, form=None, lname=None):
 
 
 class LoopDerivation:
-    """The degree-counting derivation with weight-dependent corrections."""
+    """The degree-counting derivation with weight-dependent corrections.
+
+    matrix is a tuple of Fraction rows: matrix[m][i] is the coefficient of
+    x_m in D(x_i)."""
 
     __slots__ = ("algebra", "matrix", "order")
 
@@ -622,38 +610,31 @@ class LoopDerivation:
     def derivation_defect(self):
         """First basis pair where the derivation identity fails, or None."""
         curr = self.algebra
-        n = curr.dim
-        vec = [self.matrix[m, i] for m in range(n) for i in range(n)]
+        vec = [x for row in self.matrix for x in row]
         pair = ids.first_failure(curr, ids.LIE_MAPS["derivation"], vec)
         return None if pair is None else tuple(curr.labels[u] for u in pair)
 
     def flattening(self):
         """The coefficient tensor reshaped so rank 1 means d tensor b."""
-        curr = self.algebra
-        nl = curr.factorL.dim
-        na = curr.factorA.dim
-        rows = []
-        for k in range(nl):
-            for i in range(nl):
-                row = []
-                for r in range(na):
-                    for p in range(na):
-                        row.append(self.matrix[curr.flat(k, r), curr.flat(i, p)])
-                rows.append(row)
-        return Matrix(rows)
+        curr, m = self.algebra, self.matrix
+        nl, na = curr.factorL.dim, curr.factorA.dim
+        return tuple(
+            tuple(m[curr.flat(k, r)][curr.flat(i, p)]
+                  for r in range(na) for p in range(na))
+            for k in range(nl) for i in range(nl))
 
     def nondecomposability_witness(self):
         """A nonzero 2x2 minor of the flattening: ((rows), (cols), value)."""
         flat = self.flattening()
-        nr, nc = flat.nrows, flat.ncols
-        nz_rows = [r for r in range(nr) if any(flat[r, c] for c in range(nc))]
+        nc = len(flat[0])
+        nz_rows = [r for r, row in enumerate(flat) if any(row)]
         for a in range(len(nz_rows)):
             for b in range(a + 1, len(nz_rows)):
                 r1, r2 = nz_rows[a], nz_rows[b]
                 for c1 in range(nc):
                     for c2 in range(c1 + 1, nc):
-                        minor = (flat[r1, c1] * flat[r2, c2]
-                                 - flat[r1, c2] * flat[r2, c1])
+                        minor = (flat[r1][c1] * flat[r2][c2]
+                                 - flat[r1][c2] * flat[r2][c1])
                         if minor:
                             return ((r1, r2), (c1, c2), minor)
         return None
@@ -676,4 +657,4 @@ def sl2_loop_derivation(N):
             data[col][col] += exp
             if weight and exp + 1 <= N - 1:
                 data[curr.flat(i, p + 1)][col] += weight
-    return LoopDerivation(curr, Matrix(data), N)
+    return LoopDerivation(curr, tuple(map(tuple, data)), N)

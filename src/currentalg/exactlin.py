@@ -9,8 +9,9 @@ rows: ``rows[p]`` is the row with pivot column p, a {column: int} dict
 scaled to content (gcd) 1 with a positive pivot entry.  That form is
 unique, so two subspaces are equal iff their rows are.  The dense basis,
 Fraction tuples with pivot entries 1, is built from the rows on first
-read, for the callers that index it.  Membership, sums, intersections and
-preimages read the integer rows and touch only the pivots a vector hits.
+read, for the callers that print it.  Membership, sums, intersections and
+preimages read the integer rows and touch only the pivots a vector hits;
+a preimage takes the images of the domain's rows.
 Vectors enter as sparse {column: value} dicts or dense sequences, with int
 or Fraction values only: anything else raises TypeError, so a float never
 passes as a rational.
@@ -21,29 +22,25 @@ combination, which keeps the integers small without the bookkeeping of
 full fraction-free elimination.  A kernel is eliminated with the rightmost
 column of each row as its pivot, so its free columns give the canonical
 basis directly (see kernel_from_rows).  Dense matrices are plain tuples of
-Fraction tuples and only show up where the ambient dimension is small
-(forms of one factor algebra, inverses); their inverses and ranks come
-from the same engine.  rref and solve are a separate dense Gauss-Jordan
-path, kept as the reference the engine is tested against.
+Fraction rows, indexed m[i][j], and only show up where the ambient
+dimension is small (forms of one factor algebra, inverses); their
+inverses and ranks come from the same engine.  There is no other
+elimination path.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
-    "Matrix",
     "Subspace",
-    "rref",
     "kernel_from_rows",
     "subspace_sum",
     "subspace_intersect",
     "preimage",
     "inverse",
-    "solve",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _EXACT = (int, Fraction)
 
 
@@ -51,17 +48,24 @@ _EXACT = (int, Fraction)
 # sparse integer elimination engine
 
 
-def _nonzero(vector):
-    """The nonzero (column, value) pairs of a sparse dict or dense sequence.
+def _exact(v):
+    """v as a Fraction.  It must be an int or a Fraction: anything else, a
+    float above all, raises TypeError rather than pass as an inexact
+    rational."""
+    if not isinstance(v, _EXACT):
+        raise TypeError("exact linear algebra takes int or Fraction "
+                        "entries, not %s %r" % (type(v).__name__, v))
+    return Fraction(v)
 
-    Values must be ints or Fractions: anything else, a float above all,
-    raises TypeError rather than pass as an inexact rational."""
+
+def _nonzero(vector):
+    """The nonzero (column, value) pairs of a sparse dict or dense sequence,
+    whose values must pass _exact."""
     items = vector.items() if isinstance(vector, dict) else enumerate(vector)
     out = []
     for j, v in items:
         if not isinstance(v, _EXACT):
-            raise TypeError("exact linear algebra takes int or Fraction "
-                            "entries, not %s %r" % (type(v).__name__, v))
+            _exact(v)   # raises
         if v:
             out.append((j, v))
     return out
@@ -329,34 +333,25 @@ def subspace_intersect(u, v):
     """U cap V: the preimage of V under the inclusion of U."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient mismatch")
-    return _preimage(u, [row.items() for row in u.rows.values()], v)
+    return preimage(u, list(u.rows.values()), v)
 
 
 def preimage(domain, images, target):
-    """{x in domain : f(x) in target} for a linear map f given on the basis.
+    """{x in domain : f(x) in target} for a linear map f given on the rows.
 
-    images[k] is f(domain.basis[k]), a sparse dict or dense vector of the
-    target's ambient space.
+    images[k] is f of the k-th row of domain.rows (in pivot order), a
+    sparse dict or dense vector of the target's ambient space.  The kernel
+    of the stacked system sum_k c_k images[k] = sum_l d_l (target row l)
+    gives the coefficients c, which are recombined over the domain rows.
     """
     if len(images) != domain.dim:
-        raise ValueError("one image per domain basis vector")
-    # rows[p] is rows[p][p] times the basis vector with pivot p
-    return _preimage(domain, [
-        [(i, row[p] * x) for i, x in _nonzero(img)]
-        for (p, row), img in zip(domain.rows.items(), images)], target)
-
-
-def _preimage(domain, images, target):
-    """preimage with images[k] = f(k-th row of domain) as (coordinate,
-    value) pairs.  The kernel of the stacked system sum_k c_k images[k] =
-    sum_l d_l target row l gives the coefficients c, which are recombined
-    over the domain rows."""
+        raise ValueError("one image per domain row")
     if domain.dim == 0:
         return Subspace.zero(domain.ambient_dim)
     r = domain.dim
     system = {}
     for k, img in enumerate(images):
-        for i, x in img:
+        for i, x in _nonzero(img):
             system.setdefault(i, {})[k] = x
     for l, t in enumerate(target.rows.values()):
         for i, x in t.items():
@@ -375,133 +370,20 @@ def _preimage(domain, images, target):
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
-
-
-class Matrix:
-    """Immutable dense matrix of Fractions."""
-
-    __slots__ = ("nrows", "ncols", "data")
-
-    def __init__(self, data):
-        data = tuple(tuple(Fraction(x) for x in row) for row in data)
-        self.data = data
-        self.nrows = len(data)
-        self.ncols = len(data[0]) if data else 0
-        if any(len(row) != self.ncols for row in data):
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def transpose(self):
-        return Matrix(zip(*self.data)) if self.data else Matrix([])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            out = [[_ZERO] * other.ncols for _ in range(self.nrows)]
-            for i, row in enumerate(self.data):
-                acc = out[i]
-                for k, a in enumerate(row):
-                    if not a:
-                        continue
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-            return Matrix(out)
-        c = Fraction(other)
-        return Matrix(tuple(c * x for x in row) for row in self.data)
-
-    __rmul__ = __mul__
-
-    def apply(self, vector):
-        """Matrix times a dense vector."""
-        if len(vector) != self.ncols:
-            raise ValueError("shape mismatch")
-        out = []
-        for row in self.data:
-            s = _ZERO
-            for a, x in zip(row, vector):
-                if a and x:
-                    s += a * x
-            out.append(s)
-        return out
-
-    def __repr__(self):
-        return "Matrix(%dx%d)" % (self.nrows, self.ncols)
-
-
-def rref(m):
-    """Reduced row echelon form of a dense matrix.
-
-    Returns (R, pivots, rank) with zero rows of R moved to the bottom.
-    Kept independent of the sparse engine on purpose, so the two can be
-    cross-checked against each other in tests.
-    """
-    rows = [list(r) for r in m.data]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    lead = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(lead, nrows):
-            if rows[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = 1 / rows[lead][j]
-        rows[lead] = [x * inv for x in rows[lead]]
-        for i in range(nrows):
-            if i != lead and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[lead])]
-        pivots.append(j)
-        lead += 1
-        if lead == nrows:
-            break
-    return Matrix(rows), tuple(pivots), len(pivots)
+# small dense matrices: tuples of Fraction rows
 
 
 def inverse(m):
-    """Inverse of a square matrix: the row space of [M | I] reduces to
-    [I | M^-1] exactly when M is invertible; raises ValueError otherwise."""
-    if m.nrows != m.ncols:
+    """Inverse of a square matrix, given and returned as a tuple of rows:
+    the row space of [M | I] reduces to [I | M^-1] exactly when M is
+    invertible; raises ValueError otherwise.  Entries must be ints or
+    Fractions (TypeError otherwise)."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("inverse of non-square matrix")
-    n = m.nrows
     aug = Subspace.from_vectors(2 * n, [
-        tuple(row) + tuple(_ONE if i == j else _ZERO for j in range(n))
-        for i, row in enumerate(m.data)])
+        (*row, *(1 if i == j else 0 for j in range(n))) for i, row in enumerate(m)])
     if aug.pivots != tuple(range(n)):
         raise ValueError("singular matrix")
-    return Matrix(tuple(row[n:] for row in aug.basis))
-
-
-def solve(m, rhs):
-    """One solution of M x = rhs, or None if inconsistent."""
-    aug = Matrix(tuple(tuple(row) + (b,) for row, b in zip(m.data, rhs)))
-    r, pivots, rank = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [_ZERO] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = r.data[i][m.ncols]
-    return x
+    return tuple(tuple(Fraction(row.get(n + j, 0), row[p]) for j in range(n))
+                 for p, row in aug.rows.items())

@@ -205,8 +205,8 @@ def test_criterion_07_cohomology_form_sequence(capsys):
     sl2 = lie_sl2()
     b3 = cohomology(sl2, trivial_module(sl2), 3).b_space.dim
     kappa = killing_form(sl2)
-    w_inj = b3 == 0 and kappa.matrix[(0, 2)] != 0
-    assert w_inj, (b3, kappa.matrix[(0, 2)])
+    w_inj = b3 == 0 and kappa(0, 2) != 0
+    assert w_inj, (b3, kappa(0, 2))
     ok = ok and w_inj
 
     r = sequence_maps("sl3")
@@ -235,8 +235,8 @@ def test_criterion_08_loop_derivation_certificate(capsys):
     (r1, r2), (c1, c2), minor = witness
     flat = ld.flattening()
     ok = (ok and minor != 0
-          and flat[(r1, c1)] * flat[(r2, c2)]
-          - flat[(r1, c2)] * flat[(r2, c1)] == minor)
+          and flat[r1][c1] * flat[r2][c2]
+          - flat[r1][c2] * flat[r2][c1] == minor)
     assert ok, witness
     _report(capsys, 8, "loop derivation: identity + 2x2 minor",
             ok, time.time() - t0, 5)

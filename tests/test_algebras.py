@@ -31,7 +31,6 @@ from currentalg.algebras import (
     serialize_algebra,
     square_assoc,
 )
-from currentalg.exactlin import Matrix
 from currentalg.algebras import BilinearForm
 
 
@@ -229,21 +228,21 @@ def test_current_algebra_structure():
 
 def test_killing_form_values():
     k2 = killing_form(lie_sl2())
-    assert k2.matrix == Matrix([[0, 0, -2], [0, 2, 0], [-2, 0, 0]])
+    assert k2.matrix == ((0, 0, -2), (0, 2, 0), (-2, 0, 0))
     assert k2.symmetry == "symmetric" and k2.is_nondegenerate()
     sl3 = lie_sl(3)
     k3 = killing_form(sl3)
     assert k3.is_nondegenerate()
     h1, h2 = sl3.labels.index("h1"), sl3.labels.index("h2")
-    assert (k3.matrix[(h1, h1)], k3.matrix[(h1, h2)], k3.matrix[(h2, h2)]) == (12, -6, 12)
-    assert k3.matrix[(sl3.labels.index("e21"), sl3.labels.index("e12"))] == 6
+    assert (k3(h1, h1), k3(h1, h2), k3(h2, h2)) == (12, -6, 12)
+    assert k3(sl3.labels.index("e21"), sl3.labels.index("e12")) == 6
     # Nilpotent algebras have vanishing Killing form.
-    assert killing_form(lie_heisenberg3()).matrix.is_zero()
+    assert not any(any(row) for row in killing_form(lie_heisenberg3()).matrix)
 
 
 def test_residue_form():
     r = residue_form(assoc_truncated_poly(4))
-    assert r.matrix == Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert r.matrix == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert r.is_nondegenerate()
     with pytest.raises(ValueError):
         residue_form(assoc_truncated_poly(3, unital=True))
@@ -254,14 +253,50 @@ def test_product_form():
     c = current(L, A)
     pf = product_form(killing_form(L), residue_form(A), c)
     assert pf.symmetry == "symmetric" and pf.is_nondegenerate()
-    assert pf.matrix[(c.flat(1, 0), c.flat(1, 1))] == 2
-    assert pf.matrix[(c.flat(1, 0), c.flat(1, 0))] == 0
+    assert pf(c.flat(1, 0), c.flat(1, 1)) == 2
+    assert pf(c.flat(1, 0), c.flat(1, 0)) == 0
 
 
 def test_bilinear_form_symmetry_autodetect():
-    assert BilinearForm(Matrix([[0, 1], [-1, 0]])).symmetry == "skew"
-    assert BilinearForm(Matrix([[1, 0], [0, 0]])).symmetry == "symmetric"
-    assert not BilinearForm(Matrix([[1, 0], [0, 0]])).is_nondegenerate()
+    assert BilinearForm([[0, 1], [-1, 0]]).symmetry == "skew"
+    assert BilinearForm([[1, 0], [0, 0]]).symmetry == "symmetric"
+    assert not BilinearForm([[1, 0], [0, 0]]).is_nondegenerate()
+
+
+def test_bilinear_form_rejects_floats_and_its_exact_twin_passes():
+    # 0.1 used to become 3602879701896397/36028797018963968, tagged symmetric
+    for matrix in ([[0.1, 0], [0, 1]], [[1, 0.0], [0.0, 1]], ((0, 0.5), (-0.5, 0))):
+        with pytest.raises(TypeError):
+            BilinearForm(matrix)
+    form = BilinearForm([[Fraction(1, 10), 0], [0, 1]])
+    assert form.matrix == ((Fraction(1, 10), 0), (0, 1))
+    assert form(0, 0) == Fraction(1, 10) and type(form(0, 1)) is Fraction
+    assert form.symmetry == "symmetric" and form.is_nondegenerate()
+    assert form.as_vector() == (Fraction(1, 10), 0, 0, 1)
+    assert BilinearForm(((0, Fraction(1, 2)), (Fraction(-1, 2), 0))).symmetry == "skew"
+    with pytest.raises(ValueError):
+        BilinearForm([[1, 0]])
+
+
+def test_unit_that_is_not_a_basis_vector():
+    # K + K with idempotents e1, e2 (e1 e2 = 0): the unit is e1 + e2
+    kk = AssocAlgebra(("e1", "e2"), {(0, 0): ((0, 1),), (1, 1): ((1, 1),)}, unital=True)
+    assert kk.unit == (Fraction(1), Fraction(1))
+    # the same algebra in the basis f1 = e1, f2 = e1 + e2: unit f2
+    kk2 = AssocAlgebra(("f1", "f2"), {(0, 0): ((0, 1),), (0, 1): ((0, 1),),
+                                      (1, 1): ((1, 1),)}, unital=True)
+    assert kk2.unit == (Fraction(0), Fraction(1))
+    # K on f = 2e, so f f = 2f: the unit f/2 has a denominator
+    assert AssocAlgebra(("f",), {(0, 0): ((0, 2),)}, unital=True).unit == (Fraction(1, 2),)
+
+
+def test_idempotent_with_annihilator_is_not_unital():
+    # e^2 = e and z A = 0: e acts as a unit on e but kills z
+    labels, table = ("e", "z"), {(0, 0): ((0, 1),)}
+    assert AssocAlgebra(labels, table).unit is None
+    with pytest.raises(ValidationError) as exc:
+        AssocAlgebra(labels, table, unital=True)
+    assert exc.value.axiom == "unital"
 
 
 json_values = st.recursive(

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from currentalg.algebras import (
     BilinearForm,
@@ -19,7 +20,6 @@ from currentalg.algebras import (
 from currentalg.derivations import (
     antiderivation_space,
     derivation_space,
-    form_to_map,
     inner_derivations,
     lambda_candidates,
     map_condition_space,
@@ -27,9 +27,18 @@ from currentalg.derivations import (
     sl2_loop_derivation,
     verify_der_decomposition,
 )
-from currentalg.exactlin import Matrix, Subspace, inverse
+from currentalg.exactlin import Subspace
 from currentalg.forms import condition_space
 from currentalg.modp import PRIMES
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+
+
+def from_sympy(m):
+    """A sympy matrix's entries, row-major, as Fractions."""
+    return [Fraction(int(x.p), int(x.q)) for x in m]
 
 
 def rebased(alg, new_basis):
@@ -37,11 +46,16 @@ def rebased(alg, new_basis):
     algebra_from_dict."""
     n = alg.dim
     cols = [[Fraction(c) for c in y] for y in new_basis]
-    to_new = inverse(Matrix([[cols[a][i] for a in range(n)] for i in range(n)]))
+    to_new = to_sympy([[cols[a][i] for a in range(n)] for i in range(n)]).inv()
     table = []
     for a in range(n):
         for b in range(a + 1, n):
-            coords = to_new.apply(alg.mul_vectors(cols[a], cols[b]))
+            product = [Fraction(0)] * n
+            for i, x in enumerate(cols[a]):
+                for j, y in enumerate(cols[b]):
+                    for k, c in alg.mul(i, j):
+                        product[k] += x * y * c
+            coords = from_sympy(to_new * to_sympy([product]).T)
             terms = [{"k": k, "c": str(c)} for k, c in enumerate(coords) if c]
             if terms:
                 table.append({"i": a, "j": b, "terms": terms})
@@ -92,13 +106,13 @@ def test_killing_transport_splits_by_symmetry():
     # antiderivations and skew ones (the 2-cocycles) onto derivations.
     for g in (lie_sl2(), lie_sl(3)):
         n = g.dim
-        kappa = killing_form(g)
+        kappa_inv = to_sympy(killing_form(g).matrix).inv()
 
         def transport(space):
-            vecs = []
-            for b in space.basis:
-                m = form_to_map(kappa, Matrix([b[i * n:(i + 1) * n] for i in range(n)]))
-                vecs.append([m[(i, j)] for i in range(n) for j in range(n)])
+            # the map D = kappa^-1 phi^T, row-major
+            vecs = [from_sympy(kappa_inv * to_sympy([b[i * n:(i + 1) * n]
+                                                     for i in range(n)]).T)
+                    for b in space.basis]
             return Subspace.from_vectors(n * n, vecs)
 
         sym = condition_space(g, "jacobi_sum_zero", "symmetric").space
@@ -228,6 +242,18 @@ def test_sequence_rejects_unusable_forms():
         sequence_maps("sl2", form=BilinearForm([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
 
 
+def test_sequence_rejects_float_forms_and_its_exact_twin_passes():
+    # half the Killing form of sl2, once in floats and once exactly
+    with pytest.raises(TypeError):
+        sequence_maps("sl2", form=BilinearForm([[0, 0, -1.0], [0, 1.0, 0], [-1.0, 0, 0]]))
+    with pytest.raises(TypeError):
+        sequence_maps("sl2", form=BilinearForm([[0, 0, -0.5], [0, 0.5, 0], [-0.5, 0, 0]]))
+    half = Fraction(1, 2)
+    r = sequence_maps("sl2", form=BilinearForm([[0, 0, -half], [0, half, 0], [-half, 0, 0]]))
+    assert r["mode"] == "form" and r["dims"] == {"H2": 0, "H1": 0, "B": 1, "H3": 1}
+    assert r["verdict"]
+
+
 def test_sequence_sl3():
     r = sequence_maps("sl3")
     assert r["dims"] == {"H2": 0, "H1": 0, "B": 1, "H3": 1}
@@ -250,7 +276,7 @@ def test_loop_derivation_identity_and_values():
 
     def image(lbl_idx, deg_idx):
         col = c.flat(lbl_idx, deg_idx)
-        return {c.labels[r]: m[(r, col)] for r in range(n) if m[(r, col)]}
+        return {c.labels[r]: m[r][col] for r in range(n) if m[r][col]}
 
     assert image(1, 0) == {"h*t": 1}
     assert image(2, 0) == {"e+*t": 1, "e+*t^2": 1}
@@ -267,7 +293,7 @@ def test_loop_derivation_is_not_decomposable():
     assert minor != 0
     # recompute the minor from the flattening to confirm the witness
     f = ld.flattening()
-    assert f[(r1, c1)] * f[(r2, c2)] - f[(r1, c2)] * f[(r2, c1)] == minor
+    assert f[r1][c1] * f[r2][c2] - f[r1][c2] * f[r2][c1] == minor
 
 
 def test_loop_derivation_needs_depth():

@@ -8,13 +8,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from currentalg.exactlin import (
-    Matrix,
     Subspace,
     inverse,
     kernel_from_rows,
     preimage,
-    rref,
-    solve,
     subspace_intersect,
     subspace_sum,
 )
@@ -29,13 +26,14 @@ fracs = st.builds(
 
 
 def matrices(max_n=5):
+    """Dense matrices as lists of rows."""
     return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: st.integers(min_value=1, max_value=max_n).flatmap(
             lambda m: st.lists(
                 st.lists(fracs, min_size=m, max_size=m),
                 min_size=n,
                 max_size=n,
-            ).map(Matrix)
+            )
         )
     )
 
@@ -46,70 +44,68 @@ def square_matrices(max_n=5):
             st.lists(fracs, min_size=n, max_size=n),
             min_size=n,
             max_size=n,
-        ).map(Matrix)
+        )
     )
 
 
 def to_sympy(m):
-    return sympy.Matrix(m.nrows, m.ncols, lambda i, j: sympy.Rational(m[i, j]))
+    return sympy.Matrix(len(m), len(m[0]), lambda i, j: sympy.Rational(m[i][j]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices())
-def test_rref_idempotent_and_rank(m):
-    r, pivots, rank = rref(m)
-    r2, pivots2, rank2 = rref(r)
-    assert (r2, pivots2, rank2) == (r, pivots, rank)
-    assert rank == to_sympy(m).rank()
+def from_sympy(col):
+    return [Fraction(int(x.p), int(x.q)) for x in col]
+
+
+def apply(m, vector):
+    """Matrix times a dense vector."""
+    return [sum(a * x for a, x in zip(row, vector)) for row in m]
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_annihilated_and_dim(m):
-    ker = kernel_from_rows(m.ncols, m.data)
-    assert ker.dim == m.ncols - to_sympy(m).rank()
+    ncols = len(m[0])
+    ker = kernel_from_rows(ncols, m)
+    assert ker.dim == ncols - to_sympy(m).rank()
     for v in ker.basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in apply(m, v))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_matches_sympy_nullspace(m):
-    ker = kernel_from_rows(m.ncols, m.data)
+    ker = kernel_from_rows(len(m[0]), m)
     null = to_sympy(m).nullspace()
-    oracle = Subspace.from_vectors(
-        m.ncols, [[Fraction(int(x.p), int(x.q)) for x in col] for col in null]
-    )
+    oracle = Subspace.from_vectors(len(m[0]), [from_sympy(col) for col in null])
     assert ker == oracle
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_sparse_and_dense_kernels_agree(m):
-    dense = kernel_from_rows(m.ncols, m.data)
+    ncols = len(m[0])
+    dense = kernel_from_rows(ncols, m)
     sparse_rows = [
-        {j: v for j, v in enumerate(row) if v} for row in m.data
+        {j: v for j, v in enumerate(row) if v} for row in m
     ]
-    assert kernel_from_rows(m.ncols, sparse_rows) == dense
-    assert Subspace.from_vectors(m.ncols, m.data) == Subspace.from_vectors(m.ncols, sparse_rows)
+    assert kernel_from_rows(ncols, sparse_rows) == dense
+    assert Subspace.from_vectors(ncols, m) == Subspace.from_vectors(ncols, sparse_rows)
 
 
 @settings(max_examples=40, deadline=None)
 @given(square_matrices(max_n=4))
-def test_inverse_and_solve(m):
-    if rref(m)[2] < m.nrows:
+def test_inverse_is_two_sided(m):
+    n = len(m)
+    if to_sympy(m).rank() < n:
+        with pytest.raises(ValueError):
+            inverse(m)
         return
-    assert m * inverse(m) == Matrix.identity(m.nrows)
-    rhs = [Fraction(i + 1) for i in range(m.nrows)]
-    x = solve(m, rhs)
-    assert x is not None
-    assert list(m.apply(x)) == rhs
-
-
-def test_solve_inconsistent_returns_none():
-    m = Matrix([[1, 2], [2, 4]])
-    assert solve(m, [Fraction(1), Fraction(3)]) is None
-    assert solve(m, [Fraction(1), Fraction(2)]) is not None
+    inv = inverse(m)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert all(type(x) is Fraction for row in inv for x in row)
+    assert tuple(tuple(apply(m, col)) for col in zip(*inv)) == tuple(zip(*identity))
+    assert tuple(tuple(apply(inv, col)) for col in zip(*m)) == tuple(zip(*identity))
+    assert inv == tuple(tuple(from_sympy(row)) for row in to_sympy(m).inv().tolist())
 
 
 vec_lists = st.integers(min_value=1, max_value=4).flatmap(
@@ -163,13 +159,16 @@ def test_subspace_trivial_cases():
 
 def test_inverse_frozen_values():
     # Hilbert 3x3 (det 1/2160): an integer inverse.
-    h = Matrix([[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)])
-    assert inverse(h) == Matrix([[9, -36, 30], [-36, 192, -180], [30, -180, 180]])
+    h = tuple(tuple(Fraction(1, i + j + 1) for j in range(3)) for i in range(3))
+    assert inverse(h) == ((9, -36, 30), (-36, 192, -180), (30, -180, 180))
     # det 4: inverse = adjugate / 4.
-    m = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
-    assert inverse(m) == Matrix([[3, -2, 1], [-2, 4, -2], [1, -2, 3]]) * Fraction(1, 4)
+    m = ((2, 1, 0), (1, 2, 1), (0, 1, 2))
+    assert inverse(m) == tuple(tuple(Fraction(x, 4) for x in row)
+                               for row in ((3, -2, 1), (-2, 4, -2), (1, -2, 3)))
     with pytest.raises(ValueError):
-        inverse(Matrix([[1, 2], [2, 4]]))
+        inverse(((1, 2), (2, 4)))
+    with pytest.raises(ValueError):
+        inverse(((1, 2),))
 
 
 # --- floats are not rationals ------------------------------------------------
@@ -186,6 +185,8 @@ def test_inverse_frozen_values():
     lambda: Subspace.from_vectors(2, [[0, 1]]).contains_vector({0: 1.5}),
     lambda: Subspace.from_vectors(2, [[1, 0.0]]),
     lambda: preimage(Subspace.full(2), [[1, 0], [0, 0.5]], Subspace.zero(2)),
+    # was the inverse of 3602879701896397/36028797018963968
+    lambda: inverse(((0.1, 0), (0, 1))),
 ])
 def test_floats_raise_type_error(call):
     with pytest.raises(TypeError):
@@ -199,6 +200,49 @@ def test_the_exact_twins_of_the_float_cases():
     space = Subspace.from_vectors(2, [[0, 1]])
     assert space.reduce([Fraction(3, 2), 1]) == {0: Fraction(3, 2)}
     assert space.reduce({1: 7}) == {}
+    assert inverse(((Fraction(1, 10), 0), (0, 1))) == ((10, 0), (0, 1))
+
+
+# --- preimage against sympy ---------------------------------------------------
+
+
+@st.composite
+def preimage_problems(draw):
+    """(n, f, us, ts): a map f from Q^n to Q^m as m rows, a spanning list
+    us of the domain (maybe dependent or empty) and one ts of the target."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.just(0), st.just(0), fracs)
+    f = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    us = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    ts = draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=3))
+    return n, f, us, ts
+
+
+@settings(max_examples=80, deadline=None)
+@given(preimage_problems())
+def test_preimage_matches_sympy(problem):
+    n, f, us, ts = problem
+    m = len(f)
+    domain = Subspace.from_vectors(n, us)
+    target = Subspace.from_vectors(m, ts)
+    # images of the domain's rows, dense and as sparse dicts
+    images = [apply(f, [row.get(j, 0) for j in range(n)]) for row in domain.rows.values()]
+    got = preimage(domain, images, target)
+    sparse = [{i: x for i, x in enumerate(img) if x} for img in images]
+    assert preimage(domain, sparse, target) == got
+    # sympy: the coefficients (c, e) with f(sum_k c_k u_k) + sum_l e_l t_l = 0
+    cols = [apply(f, u) for u in us] + [list(t) for t in ts]
+    expected = []
+    if cols:
+        system = sympy.Matrix(m, len(cols), lambda i, j: sympy.Rational(cols[j][i]))
+        for null in system.nullspace():
+            c = from_sympy(null)
+            expected.append([sum(c[k] * u[j] for k, u in enumerate(us)) for j in range(n)])
+    assert got == Subspace.from_vectors(n, expected)
+    assert domain.contains(got)
+    with pytest.raises(ValueError):
+        preimage(domain, images + [[0] * m], target)
 
 
 # --- sparse systems past the dense strategies' sizes --------------------------
