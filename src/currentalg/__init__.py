@@ -45,17 +45,14 @@ from .cochain import (
     trivial_module,
 )
 from .forms import (
-    FormSpace,
     condition_space,
     hc1_space,
     invariant_symmetric_forms,
-    tensor_form_span,
     verify_forms_decomposition,
     verify_h2_decomposition,
 )
 from .derivations import (
     LoopDerivation,
-    MapSpace,
     PencilCandidates,
     antiderivation_space,
     derivation_space,

@@ -413,6 +413,14 @@ def _looks_like_path(spec):
     return spec.endswith(".json") or os.sep in spec or os.path.exists(spec)
 
 
+def _size(spec, prefix):
+    """N of a prefix + N descriptor, or None when spec is not one."""
+    try:
+        return int(spec[len(prefix):]) if spec.startswith(prefix) else None
+    except ValueError:
+        return None
+
+
 def build_lie(spec):
     """Catalog descriptor -> LieAlgebra: sl2, sl3, slN, abelian:N, heis3,
     sum:sl2+sl3, or a JSON file path."""
@@ -423,8 +431,9 @@ def build_lie(spec):
         return lie_heisenberg3()
     if spec.startswith("sl") and spec[2:].isdigit():
         return lie_sl(int(spec[2:]))
-    if spec.startswith("abelian:"):
-        return lie_abelian(int(spec.split(":", 1)[1]))
+    n = _size(spec, "abelian:")
+    if n is not None:
+        return lie_abelian(n)
     if spec.startswith("sum:"):
         parts = [build_lie(p) for p in spec[4:].split("+")]
         return lie_direct_sum(parts)
@@ -441,12 +450,12 @@ def build_assoc(spec):
     if isinstance(spec, AssocAlgebra):
         return spec
     spec = spec.strip()
-    if spec.startswith("tpoly1:"):
-        return assoc_truncated_poly(int(spec.split(":", 1)[1]), unital=True)
-    if spec.startswith("tpoly:"):
-        return assoc_truncated_poly(int(spec.split(":", 1)[1]))
-    if spec.startswith("zero:"):
-        return assoc_zero_mult(int(spec.split(":", 1)[1]))
+    for prefix, make in (("tpoly1:", lambda n: assoc_truncated_poly(n, True)),
+                         ("tpoly:", assoc_truncated_poly),
+                         ("zero:", assoc_zero_mult)):
+        n = _size(spec, prefix)
+        if n is not None:
+            return make(n)
     if _looks_like_path(spec):
         alg = parse_algebra_file(spec)
         if not isinstance(alg, AssocAlgebra):

@@ -21,7 +21,6 @@ weight alone.
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .exactlin import Subspace, kernel_from_rows
 from .identities import add_entry, require
@@ -31,7 +30,6 @@ __all__ = [
     "trivial_module",
     "adjoint_module",
     "coadjoint_module",
-    "cochain_dim",
     "cohomology",
     "CochainSpaceResult",
 ]
@@ -103,10 +101,6 @@ def coadjoint_module(algebra):
     action = [{(j, k): -c for (k, j), c in ad.items()}
               for ad in _adjoint_action(algebra)]
     return LieModule(algebra, algebra.dim, action, "coadjoint")
-
-
-def cochain_dim(algebra, module, degree):
-    return comb(algebra.dim, degree) * module.dim
 
 
 def _tuples(algebra, size, weight=None):

@@ -94,7 +94,6 @@ from .identities import require
 from .modp import PRIMES, det_mod, interpolate, rational_roots
 
 __all__ = [
-    "MapSpace",
     "map_condition_space",
     "derivation_space",
     "antiderivation_space",
@@ -127,31 +126,9 @@ DER_TYPE_TABLE = (
 )
 
 
-class MapSpace:
-    """Solution space of a conjunction of map conditions, n^2 coordinates."""
-
-    __slots__ = ("algebra", "conditions", "space")
-
-    def __init__(self, algebra, conditions, space):
-        self.algebra = algebra
-        self.conditions = tuple(conditions)
-        self.space = space
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    @property
-    def basis(self):
-        return self.space.basis
-
-    def __repr__(self):
-        return "MapSpace(%s, dim=%d)" % ("&".join(self.conditions) or "all",
-                                         self.dim)
-
-
 def map_condition_space(alg, conditions):
-    """Linear maps satisfying every named condition simultaneously."""
+    """Linear maps satisfying every named condition simultaneously, as the
+    canonical Subspace of n^2 coordinates."""
     conditions = tuple(conditions)
     if isinstance(alg, LieAlgebra):
         table = ids.LIE_MAPS
@@ -165,7 +142,7 @@ def map_condition_space(alg, conditions):
     idents = [table[cond] for cond in conditions]
     space = kernel_from_rows(alg.dim ** 2, ids.rows(alg, idents))
     ids.recheck(alg, idents, space)
-    return MapSpace(alg, conditions, space)
+    return space
 
 
 def derivation_space(alg):
@@ -404,7 +381,7 @@ def theorem_der_span(L, A, seed=0):
     curr = current(L, A)
     der = derivation_space(curr)
     inner = inner_derivations(curr)
-    require(der.space.contains(inner), "adjoint maps must be derivations")
+    require(der.contains(inner), "adjoint maps must be derivations")
 
     pencils = {"i": (lambda_candidates(L, "lie_both", seed),
                      lambda_candidates(A, "assoc_left", seed)),
@@ -414,13 +391,13 @@ def theorem_der_span(L, A, seed=0):
     pairs = {label: [(dl, da) for _, dl, da in found]
              for label, found in admissible.items()}
     for label, conds_l, conds_a in DER_TYPE_TABLE:
-        pairs[label] = [(map_condition_space(L, conds_l).space,
-                         map_condition_space(A, conds_a).space)]
+        pairs[label] = [(map_condition_space(L, conds_l),
+                         map_condition_space(A, conds_a))]
     gens, families = {}, {"inner": inner}
     for label, factor_pairs in pairs.items():
         gens[label], families[label] = _family(curr, factor_pairs)
 
-    bad = _generator_witness(der.space, gens, curr.labels, _MAP,
+    bad = _generator_witness(der, gens, curr.labels, _MAP,
                              "generator_not_derivation")
     all_gens = [g for family in gens.values() for g in family]
     span = subspace_sum(inner, Subspace.from_vectors(curr.dim ** 2, all_gens))
@@ -442,7 +419,7 @@ def verify_der_decomposition(L, A, lname=None, aname=None, seed=0):
     """Verdict report: Der(L tensor A) equals the assembled span."""
     L, A, auto_l, auto_a = _resolve_pair(L, A)
     der, span, details = theorem_der_span(L, A, seed=seed)
-    equal = der.space == span
+    equal = der == span
     report = {
         "theorem": "der",
         "L": lname or auto_l,
@@ -459,7 +436,7 @@ def verify_der_decomposition(L, A, lname=None, aname=None, seed=0):
         witness = {"direction": "generator_not_derivation",
                    "map": details["bad_generator"]}
     elif not equal:
-        witness = _residual_witness(der.space, span, current(L, A).labels,
+        witness = _residual_witness(der, span, current(L, A).labels,
                                     _MAP, "derivation_outside_span")
     if witness is not None:
         report["witness"] = witness
@@ -510,7 +487,7 @@ def sequence_maps(L, form=None, lname=None):
     h2 = cohomology(L, trivial_module(L), 2)
     h1 = cohomology(L, module, 1)
     h3 = cohomology(L, trivial_module(L), 3)
-    b_forms = invariant_symmetric_forms(L).space
+    b_forms = invariant_symmetric_forms(L)
     triples = _tuples(L, 3)
 
     def times(vec, rows):

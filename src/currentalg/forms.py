@@ -37,14 +37,15 @@ product families, and the space of symmetric invariant forms equals the
 symmetric layer of the span of three.  A family is a list of factor-space
 pairs (S_L, S_A), and its generators are the tensor products of their basis
 vectors; the derivation verdict in currentalg.derivations builds its
-families, witnesses and spans with the same helpers.  The sub-typed
-families (each factor with a pinned symmetry, derived from the
-decomposable types by the product rule) are reported per type, but the
-spanning direction runs over symmetry-free factors: see the note at
-H2_DECOMPOSABLE_TYPES.  The cocycle space is computed by two routes, which
-must agree.  A failed inclusion is reported with a witness: the first
-generator outside the target, or the first basis vector of one space
-outside the other, with its residual.
+families, witnesses and spans with the same helpers.  Each decomposable
+type (label, L condition, A condition) is solved once on each factor, with
+free symmetry.  The spanning direction runs over these symmetry-free factor
+spaces (see the note at H2_DECOMPOSABLE_TYPES); the sub-typed families
+reported per type are built from their symmetric and skew layers, the
+meets with the symmetric and the skew forms of the factor.  The cocycle
+space is computed by two routes, which must agree.  A failed inclusion is
+reported with a witness: the first generator outside the target, or the
+first basis vector of one space outside the other, with its residual.
 """
 
 from fractions import Fraction
@@ -56,26 +57,22 @@ from .algebras import AssocAlgebra, LieAlgebra, build_assoc, build_lie, current
 from .cochain import _skew_square, cohomology, trivial_module
 
 __all__ = [
-    "FormSpace",
     "condition_space",
     "invariant_symmetric_forms",
-    "tensor_form_span",
     "verify_h2_decomposition",
     "verify_forms_decomposition",
     "hc1_space",
     "decomposable_span",
-    "H2_TYPE_TABLE",
-    "FORMS_TYPE_TABLE",
     "H2_DECOMPOSABLE_TYPES",
     "FORMS_DECOMPOSABLE_TYPES",
 ]
 
-# The sub-typed tables pin a definite symmetry on each factor, which makes
+# The sub-typed families pin a definite symmetry on each factor, which makes
 # every single generator a form of the right overall symmetry.  That is too
 # restrictive for the spanning direction: a target form may need summands
 # phi tensor alpha of one type whose factors are neither symmetric nor skew,
 # with the wrong-symmetry contributions cancelling only across summands.
-# (Smallest case: on heis3 tensor tK[t]/(t^4) the symmetric invariant form
+# (Smallest case: on heis3 tensor tK[t]/(t^3) the symmetric invariant form
 # with phi(x t^2, z t) = phi(z t, x t^2) = 1 needs a type (ii) and a type
 # (iii) piece that are transposes of each other, and no sum of sub-typed
 # generators reaches it.)  The spanning check therefore uses symmetry-free
@@ -94,49 +91,9 @@ FORMS_DECOMPOSABLE_TYPES = (
 )
 
 
-def _type_table(decomposable_types, symmetry):
-    """(label, (L condition, L symmetry), (A condition, A symmetry)) per
-    sub-type.  phi tensor alpha is skew exactly when the factor symmetries
-    differ, so each type splits into an "a" entry with alpha symmetric and
-    a "b" entry with alpha skew, phi taking the symmetry that makes the
-    product's symmetry the given one."""
-    other = {"symmetric": "skew", "skew": "symmetric"}[symmetry]
-    return tuple((label + suffix, (cond_l, sym_l), (cond_a, sym_a))
-                 for label, cond_l, cond_a in decomposable_types
-                 for suffix, sym_l, sym_a in (("a", symmetry, "symmetric"),
-                                              ("b", other, "skew")))
-
-
-H2_TYPE_TABLE = _type_table(H2_DECOMPOSABLE_TYPES, "skew")
-FORMS_TYPE_TABLE = _type_table(FORMS_DECOMPOSABLE_TYPES, "symmetric")
-
-
-class FormSpace:
-    """Solution space of a form condition, in n^2 coordinates."""
-
-    __slots__ = ("algebra", "condition", "symmetry", "space")
-
-    def __init__(self, algebra, condition, symmetry, space):
-        self.algebra = algebra
-        self.condition = condition
-        self.symmetry = symmetry
-        self.space = space
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    @property
-    def basis(self):
-        return self.space.basis
-
-    def __repr__(self):
-        return ("FormSpace(%s, %s, dim=%d)"
-                % (self.condition, self.symmetry, self.dim))
-
-
 def condition_space(alg, condition, symmetry="any"):
-    """Forms on alg satisfying the named condition and symmetry constraint."""
+    """Forms on alg satisfying the named condition and symmetry constraint,
+    as the canonical Subspace of n^2 coordinates."""
     if symmetry not in ids.SYMMETRIES:
         raise ValueError("unknown symmetry %r" % symmetry)
     if isinstance(alg, LieAlgebra):
@@ -150,7 +107,7 @@ def condition_space(alg, condition, symmetry="any"):
     conds = (table[condition], ids.SYMMETRIES[symmetry])
     space = kernel_from_rows(alg.dim ** 2, ids.rows(alg, conds))
     ids.recheck(alg, conds, space)
-    return FormSpace(alg, condition, symmetry, space)
+    return space
 
 
 def invariant_symmetric_forms(alg):
@@ -179,9 +136,7 @@ def _tensor_vec(curr, lvec, avec):
 
     Forms and maps share the layout, so this is phi tensor alpha as a form
     and d tensor b as a map alike."""
-    nl = curr.factorL.dim
-    na = curr.factorA.dim
-    n = curr.dim
+    nl, na, n = curr.factorL.dim, curr.factorA.dim, curr.dim
     lnz = []
     for c, lv in lvec.items():
         i, j = divmod(c, nl)
@@ -245,41 +200,54 @@ def _residual_witness(space, span, labels, kind, direction):
     return None
 
 
-def _factor_pair(curr, cond_l, sym_l, cond_a, sym_a):
-    return (condition_space(curr.factorL, cond_l, sym_l).space,
-            condition_space(curr.factorA, cond_a, sym_a).space)
+def _symmetry_layer(space, sym_space):
+    """space meet sym_space: the forms of a condition space that have one
+    symmetry.
 
-
-def tensor_form_span(curr, type_table):
-    """Per-type spans of phi tensor alpha generators and their total sum.
-
-    Returns (per_type, total, generators) where per_type maps label to a
-    Subspace, total is the sum over all types, and generators maps label to
-    the list of raw tensor vectors, for generator-level membership checks.
-    """
-    per_type = {}
-    generators = {}
-    for label, (cond_l, sym_l), (cond_a, sym_a) in type_table:
-        generators[label], per_type[label] = _family(
-            curr, [_factor_pair(curr, cond_l, sym_l, cond_a, sym_a)])
-    total = Subspace.from_vectors(
-        curr.dim ** 2, [g for gens in generators.values() for g in gens])
-    return per_type, total, generators
+    space passed the recheck of its condition and sym_space the exact
+    symmetry check, so a layer inside both is covered by the two checks; a
+    layer outside either raises InvariantError.  Like the recheck, this
+    cannot catch a space that is too small."""
+    layer = subspace_intersect(space, sym_space)
+    require(space.contains(layer) and sym_space.contains(layer),
+            "symmetry layer escapes its condition or symmetry space")
+    return layer
 
 
 def decomposable_span(curr, decomposable_types, symmetry):
-    """Span of all type products with free factor symmetry, and its
-    intersection with the forms of the given overall symmetry.
+    """The decomposition families of curr for one overall symmetry.
 
-    Returns (full, layer) where full is the span of phi tensor alpha over
-    the symmetry-free factor condition spaces and layer = full meet
-    {symmetry} is the part comparable with the target space.
+    Each type (label, L condition, A condition) is solved once on each
+    factor, with free symmetry.  phi tensor alpha is skew exactly when the
+    factor symmetries differ, so each type splits into sub-type label + "a",
+    the L layer of the given symmetry times the symmetric A layer, and
+    label + "b", the other L layer times the skew A layer.
+
+    Returns (per_type, generators, full, layer): per_type maps each
+    sub-type label to the span of its generators, generators maps it to the
+    raw tensor vectors (for generator-level membership checks), full is the
+    span of phi tensor alpha over the symmetry-free factor spaces of every
+    type, and layer = full meet {symmetry} is the part comparable with the
+    target space.
     """
-    _, full = _family(curr, [_factor_pair(curr, cond_l, "any", cond_a, "any")
-                             for _, cond_l, cond_a in decomposable_types])
-    n = curr.dim
-    sym = kernel_from_rows(n * n, ids.rows(curr, (ids.SYMMETRIES[symmetry],)))
-    return full, subspace_intersect(full, sym)
+    L, A = curr.factorL, curr.factorA
+    other = {"symmetric": "skew", "skew": "symmetric"}[symmetry]
+    sym_l, sym_a = ({sym: condition_space(alg, "none", sym)
+                     for sym in ("symmetric", "skew")} for alg in (L, A))
+    per_type, generators, factor_pairs = {}, {}, []
+    for label, cond_l, cond_a in decomposable_types:
+        s_l, s_a = condition_space(L, cond_l), condition_space(A, cond_a)
+        factor_pairs.append((s_l, s_a))
+        for suffix, l_sym, a_sym in (("a", symmetry, "symmetric"),
+                                     ("b", other, "skew")):
+            pair = (_symmetry_layer(s_l, sym_l[l_sym]),
+                    _symmetry_layer(s_a, sym_a[a_sym]))
+            generators[label + suffix], per_type[label + suffix] = _family(
+                curr, [pair])
+    _, full = _family(curr, factor_pairs)
+    sym = kernel_from_rows(curr.dim ** 2,
+                           ids.rows(curr, (ids.SYMMETRIES[symmetry],)))
+    return per_type, generators, full, subspace_intersect(full, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +265,18 @@ def _h2_via_cochain(curr):
 
 
 def _resolve_pair(L, A):
-    lname = L if isinstance(L, str) else None
-    aname = A if isinstance(A, str) else None
-    L = build_lie(L) if isinstance(L, str) else L
-    A = build_assoc(A) if isinstance(A, str) else A
-    return L, A, lname or "lie(dim %d)" % L.dim, aname or "assoc(dim %d)" % A.dim
+    """(L, A, L name, A name); a descriptor is built and names itself."""
+    lie, assoc = build_lie(L), build_assoc(A)
+    return (lie, assoc, L if isinstance(L, str) else "lie(dim %d)" % lie.dim,
+            A if isinstance(A, str) else "assoc(dim %d)" % assoc.dim)
 
 
 def _decomposition_report(theorem, curr, target, decomposable_types,
                           symmetry, direction, names):
     """Both inclusions between target and the decomposable span, with the
     first witness of a failure."""
-    type_table = _type_table(decomposable_types, symmetry)
-    per_type, _, gens = tensor_form_span(curr, type_table)
-    full, span = decomposable_span(curr, decomposable_types, symmetry)
+    per_type, gens, full, span = decomposable_span(curr, decomposable_types,
+                                                   symmetry)
     # sub-typed generators first (per-generator witnesses are sharper), then
     # the whole symmetry layer of the symmetry-free span
     w1 = (_generator_witness(target, gens, curr.labels, _FORM,
@@ -329,9 +295,8 @@ def _decomposition_report(theorem, curr, target, decomposable_types,
         "span_in_Z": w1 is None,
         "Z_in_span": w2 is None,
     }
-    witness = w1 or w2
-    if witness is not None:
-        report["witness"] = witness
+    if w1 or w2:
+        report["witness"] = w1 or w2
     return report
 
 
@@ -346,10 +311,11 @@ def verify_h2_decomposition(L, A, lname=None, aname=None):
     """
     L, A, auto_l, auto_a = _resolve_pair(L, A)
     curr = current(L, A)
-    z_form = condition_space(curr, "jacobi_sum_zero", "skew").space
+    z_form = condition_space(curr, "jacobi_sum_zero", "skew")
     z_cochain, b_cochain = _h2_via_cochain(curr)
     require(z_form == z_cochain, "cocycle routes disagree")
-    _, envelope = _family(curr, [_factor_pair(curr, "none", "skew", "none", "symmetric")])
+    _, envelope = _family(curr, [(condition_space(L, "none", "skew"),
+                                  condition_space(A, "none", "symmetric"))])
     require(envelope.contains(b_cochain),
             "coboundaries escape the skew/symmetric envelope")
     return _decomposition_report(
@@ -362,6 +328,6 @@ def verify_forms_decomposition(L, A, lname=None, aname=None):
     L, A, auto_l, auto_a = _resolve_pair(L, A)
     curr = current(L, A)
     return _decomposition_report(
-        "forms", curr, invariant_symmetric_forms(curr).space,
+        "forms", curr, invariant_symmetric_forms(curr),
         FORMS_DECOMPOSABLE_TYPES, "symmetric", "span_element_not_invariant",
         (lname or auto_l, aname or auto_a))

@@ -115,7 +115,7 @@ def _quadratic_presentation(g, comp):
     complement of the coboundaries, and every cocycle's symmetrized
     (t, t^2) block obeys psi(e-, e+) = psi(h, h) / 2 per sl(2) summand."""
     ng = g.dim
-    sym_space = condition_space(g, "jacobi_sum_zero", "symmetric").space
+    sym_space = condition_space(g, "jacobi_sum_zero", "symmetric")
     s_space = Subspace.from_vectors(len(comp.pairs), [
         {_degree3_block_index(comp, *divmod(col, ng)): x
          for col, x in psi.items()}
@@ -192,7 +192,7 @@ def graded_form_dims(condition, symmetry, degree, order=None):
     n = A.dim
     # both conditions and the symmetries respect the degree, so every
     # canonical basis vector is homogeneous: count those of degree d
-    space = condition_space(A, condition, symmetry).space
+    space = condition_space(A, condition, symmetry)
     return sum(1 for p in space.pivots
                if A.degrees[p // n] + A.degrees[p % n] == degree)
 

@@ -178,7 +178,7 @@ def test_criterion_05_skew_form_components_on_tpoly(capsys):
 def test_criterion_06_form_and_antiderivation_lemmas(capsys):
     t0 = time.time()
     checks = (
-        antiderivation_space(lie_sl(3)).space.dim == 0,
+        antiderivation_space(lie_sl(3)).dim == 0,
         condition_space(lie_sl2(), "jacobi_sum_zero", "symmetric").dim == 5,
         condition_space(lie_sl2(), "cyclic", "skew").dim == 0,
         condition_space(lie_sl(3), "cyclic", "skew").dim == 0,

@@ -56,6 +56,14 @@ def test_unknown_descriptor_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, spec, kind", [("--A", "tpoly:x", "associative"),
+                                               ("--L", "abelian:", "Lie")])
+def test_descriptor_without_a_size_exits_2_with_its_name(capsys, flag, spec, kind):
+    code, _, err = run(capsys, "forms", flag, spec)
+    assert code == 2
+    assert err == "error: unknown %s algebra descriptor: %r\n" % (kind, spec)
+
+
 def test_cohomology_verb(capsys):
     code, out, _ = run(capsys, "cohomology", "--L", "heis3", "--n", "2")
     assert code == 0

@@ -13,6 +13,7 @@ import currentalg
 from currentalg.algebras import (
     assoc_truncated_poly,
     build_assoc,
+    build_lie,
     current,
     killing_form,
     lie_heisenberg3,
@@ -27,12 +28,25 @@ from currentalg.forms import (
     H2_DECOMPOSABLE_TYPES,
     hc1_space,
     invariant_symmetric_forms,
-    tensor_form_span,
     verify_forms_decomposition,
     verify_h2_decomposition,
-    H2_TYPE_TABLE,
 )
-from currentalg.forms import _FORM, _generator_witness, _h2_via_cochain, _residual_witness
+from currentalg.forms import (
+    _FORM,
+    _family,
+    _generator_witness,
+    _h2_via_cochain,
+    _residual_witness,
+    _symmetry_layer,
+)
+from test_derivations import rebased
+
+
+def subtyped_span(curr, decomposable_types, symmetry):
+    """The span of every sub-typed generator of decomposable_span."""
+    _, gens, _, _ = decomposable_span(curr, decomposable_types, symmetry)
+    return Subspace.from_vectors(curr.dim ** 2,
+                                 [g for vecs in gens.values() for g in vecs])
 
 
 # (condition, symmetry) -> dim on sl2, solved once and pinned; the sympy
@@ -83,7 +97,7 @@ def test_invariant_symmetric_forms_of_simple_algebras():
     for g in (lie_sl2(), lie_sl(3)):
         space = invariant_symmetric_forms(g)
         assert space.dim == 1
-        assert space.space.contains_vector(killing_form(g).as_vector())
+        assert space.contains_vector(killing_form(g).as_vector())
 
 
 def test_hc1_vanishes_on_truncated_polynomials():
@@ -103,7 +117,7 @@ def test_cocycle_routes_agree():
     for L, A in ((lie_sl2(), assoc_truncated_poly(3)),
                  (lie_heisenberg3(), assoc_truncated_poly(3))):
         curr = current(L, A)
-        z_form = condition_space(curr, "jacobi_sum_zero", "skew").space
+        z_form = condition_space(curr, "jacobi_sum_zero", "skew")
         z_cochain, b_cochain = _h2_via_cochain(curr)
         assert z_form == z_cochain
         assert z_cochain.contains(b_cochain)
@@ -140,8 +154,7 @@ def test_verify_h2_beyond_subtyped_span():
     assert r["span_in_Z"] and r["Z_in_span"]
     assert r["dims"]["Z2"] == r["dims"]["span"] == 25
     curr = current(lie_heisenberg3(), assoc_truncated_poly(4))
-    _, subtyped, _ = tensor_form_span(curr, H2_TYPE_TABLE)
-    assert subtyped.dim == 23
+    assert subtyped_span(curr, H2_DECOMPOSABLE_TYPES, "skew").dim == 23
 
 
 FORMS_FROZEN = {
@@ -173,21 +186,95 @@ def test_mixed_symmetry_form_needs_two_types():
     phi = [Fraction(0)] * (n * n)
     phi[u * n + v] = Fraction(1)
     phi[v * n + u] = Fraction(1)
-    assert invariant_symmetric_forms(curr).space.contains_vector(phi)
-    full, layer = decomposable_span(curr, FORMS_DECOMPOSABLE_TYPES, "symmetric")
+    assert invariant_symmetric_forms(curr).contains_vector(phi)
+    _, _, full, layer = decomposable_span(curr, FORMS_DECOMPOSABLE_TYPES,
+                                          "symmetric")
     assert full.contains_vector(phi) and layer.contains_vector(phi)
-    from currentalg.forms import FORMS_TYPE_TABLE
-    _, subtyped, _ = tensor_form_span(curr, FORMS_TYPE_TABLE)
+    subtyped = subtyped_span(curr, FORMS_DECOMPOSABLE_TYPES, "symmetric")
     assert not subtyped.contains_vector(phi)
 
 
 def test_decomposable_span_layers():
     L, A = lie_sl2(), assoc_truncated_poly(3)
     curr = current(L, A)
-    full, skew_layer = decomposable_span(curr, H2_DECOMPOSABLE_TYPES, "skew")
+    per_type, gens, full, skew_layer = decomposable_span(
+        curr, H2_DECOMPOSABLE_TYPES, "skew")
     assert full.contains(skew_layer)
-    z = condition_space(curr, "jacobi_sum_zero", "skew").space
+    z = condition_space(curr, "jacobi_sum_zero", "skew")
     assert skew_layer == z
+    assert skew_layer.contains(subtyped_span(curr, H2_DECOMPOSABLE_TYPES, "skew"))
+    assert per_type.keys() == gens.keys()
+    assert all(per_type[label] == Subspace.from_vectors(curr.dim ** 2, vecs)
+               for label, vecs in gens.items())
+
+
+@pytest.mark.parametrize("L, A", [("sl2", "tpoly:3"), ("heis3", "tpoly:3")])
+@pytest.mark.parametrize("types, symmetry", [(H2_DECOMPOSABLE_TYPES, "skew"),
+                                             (FORMS_DECOMPOSABLE_TYPES, "symmetric")])
+def test_subtyped_families_are_the_symmetric_solves(L, A, types, symmetry):
+    # each sub-type pairs factor spaces solved with a pinned symmetry: the
+    # L factor with the overall symmetry and A symmetric ("a"), or the other
+    # L symmetry and A skew ("b")
+    curr = current(build_lie(L), build_assoc(A))
+    per_type, gens, _, _ = decomposable_span(curr, types, symmetry)
+    other = {"symmetric": "skew", "skew": "symmetric"}[symmetry]
+    expected = {}
+    for label, cond_l, cond_a in types:
+        for suffix, sym_l, sym_a in (("a", symmetry, "symmetric"),
+                                     ("b", other, "skew")):
+            expected[label + suffix] = _family(curr, [(
+                condition_space(curr.factorL, cond_l, sym_l),
+                condition_space(curr.factorA, cond_a, sym_a))])
+    assert list(per_type) == list(gens) == list(expected)
+    for label, (vecs, span) in expected.items():
+        assert gens[label] == vecs and per_type[label] == span, label
+
+
+LAYER_ALGEBRAS = {
+    "sl2": lie_sl2,
+    "sl3": lambda: lie_sl(3),
+    "heis3": lie_heisenberg3,
+    "abelian:4": lambda: build_lie("abelian:4"),
+    "tpoly:3": lambda: build_assoc("tpoly:3"),
+    "tpoly1:3": lambda: build_assoc("tpoly1:3"),
+    "zero:2": lambda: build_assoc("zero:2"),
+    # heis3 in a basis with rational change-of-basis entries
+    "heis3 rebased": lambda: rebased(lie_heisenberg3(), [
+        [1, Fraction(1, 2), 0], [Fraction(-2, 3), 1, 1], [0, Fraction(3, 4), 2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_ALGEBRAS))
+def test_symmetry_layers_are_the_symmetric_solves(name):
+    alg = LAYER_ALGEBRAS[name]()
+    for sym in ("symmetric", "skew"):
+        sym_space = condition_space(alg, "none", sym)
+        for cond in ("cyclic", "jacobi_sum_zero", "radical", "none"):
+            layer = _symmetry_layer(condition_space(alg, cond), sym_space)
+            assert layer == condition_space(alg, cond, sym), (cond, sym)
+
+
+def test_planted_wrong_layer_raises_under_optimize():
+    # a layer that skips the meet (the whole condition space) or that
+    # ignores the condition (the whole symmetry space) must not pass
+    code = (
+        "from currentalg import forms\n"
+        "from currentalg.identities import InvariantError\n"
+        "for wrong in (lambda u, v: u, lambda u, v: v):\n"
+        "    forms.subspace_intersect = wrong\n"
+        "    try:\n"
+        "        forms.verify_h2_decomposition('sl2', 'tpoly:2')\n"
+        "    except InvariantError as exc:\n"
+        "        assert str(exc) == ('symmetry layer escapes its condition '\n"
+        "                            'or symmetry space')\n"
+        "    else:\n"
+        "        raise SystemExit(1)\n"
+        "raise SystemExit(7)\n"
+    )
+    src = str(Path(currentalg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 7, proc.stderr
 
 
 def test_witness_reporting_helpers():
@@ -215,7 +302,7 @@ def test_witness_reporting_helpers():
 def test_witnesses_read_sparse_and_dense_vectors_alike():
     curr = current(lie_sl2(), assoc_truncated_poly(3))
     n, labels = curr.dim, curr.labels
-    target = condition_space(curr, "jacobi_sum_zero", "skew").space
+    target = condition_space(curr, "jacobi_sum_zero", "skew")
     inside = {j: x for j, x in enumerate(target.basis[0]) if x}
     # symmetric in the pair (x_0, x_1), so no 2-cocycle
     outside = {1 * n + 4: Fraction(-3), 0 * n + 1: Fraction(1, 2),
@@ -245,8 +332,8 @@ def test_witnesses_read_sparse_and_dense_vectors_alike():
 
 def test_every_subtyped_generator_is_a_cocycle():
     curr = current(lie_sl2(), assoc_truncated_poly(3))
-    z = condition_space(curr, "jacobi_sum_zero", "skew").space
-    _, _, gens = tensor_form_span(curr, H2_TYPE_TABLE)
+    z = condition_space(curr, "jacobi_sum_zero", "skew")
+    _, gens, _, _ = decomposable_span(curr, H2_DECOMPOSABLE_TYPES, "skew")
     for label, vecs in gens.items():
         for g in vecs:
             assert z.contains_vector(g), label

@@ -133,10 +133,10 @@ def _space(case):
     the identity with products comes first."""
     if case == "der heis3":
         alg = build_lie("heis3")
-        return alg, (identities.LIE_MAPS["derivation"],), derivation_space(alg).space
+        return alg, (identities.LIE_MAPS["derivation"],), derivation_space(alg)
     alg = current(build_lie("sl2"), build_assoc("tpoly:3"))
     idents = (identities.LIE_FORMS["invariant"], identities.SYMMETRIES["symmetric"])
-    return alg, idents, condition_space(alg, "invariant", "symmetric").space
+    return alg, idents, condition_space(alg, "invariant", "symmetric")
 
 
 @pytest.mark.parametrize("case", ["der heis3", "invariant sl2*tpoly:3"])
@@ -156,7 +156,7 @@ def test_single_bad_vector_caught_under_optimize():
         "from currentalg.exactlin import Subspace\n"
         "alg = build_lie('heis3')\n"
         "ident = ids.LIE_MAPS['derivation']\n"
-        "space = derivation_space(alg).space\n"
+        "space = derivation_space(alg)\n"
         "last = list(space.basis[-1])\n"
         "last[0] += 1\n"
         "if ids.first_failure(alg, ident, last) is None:\n"
@@ -193,8 +193,8 @@ def test_recheck_with_structure_constant_denominators():
     der = map_condition_space(alg, ("derivation",))
     forms = condition_space(alg, "invariant", "symmetric")
     assert (der.dim, forms.dim) == (3, 1)
-    for idents, space in (((identities.LIE_MAPS["derivation"],), der.space),
-                          ((identities.LIE_FORMS["invariant"],), forms.space)):
+    for idents, space in (((identities.LIE_MAPS["derivation"],), der),
+                          ((identities.LIE_FORMS["invariant"],), forms)):
         identities.recheck(alg, idents, space)
         with pytest.raises(InvariantError):
             identities.recheck(alg, idents, _one_bad_vector(alg, idents[0], space))
