@@ -5,7 +5,10 @@ commutative algebra is a table of products a_i a_j for i <= j.  Both are
 validated exhaustively at construction (Jacobi, respectively associativity),
 because every theorem checked downstream silently assumes the axioms.  A
 violation raises ValidationError carrying the offending triple, which is the
-machine-readable witness the CLI reports.
+machine-readable witness the CLI reports.  A structure constant is stored
+as an int when it is integral and as a Fraction otherwise, so an integral
+table keeps the axiom checks, and everything read from mul(i, j), in int
+arithmetic.
 
 The catalog covers what the verification suites need: sl(n) on trace-zero
 matrices (with the standard weight basis (e-, h, e+) hard-coded for sl(2)),
@@ -48,9 +51,6 @@ __all__ = [
     "serialize_algebra",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class ValidationError(ValueError):
     """An algebra axiom failed; witness names the offending basis triple."""
@@ -61,10 +61,19 @@ class ValidationError(ValueError):
         self.witness = witness
 
 
+def _rational(c):
+    """A coefficient as stored: an int when it is integral, a Fraction
+    otherwise.  c must be an int or a Fraction; a float raises TypeError."""
+    if type(c) is int:
+        return c
+    c = _exact(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _canonical_terms(terms):
     acc = {}
     for k, c in terms:
-        add_entry(acc, k, Fraction(c))
+        add_entry(acc, k, _rational(c))
     return tuple(sorted(acc.items()))
 
 
@@ -271,9 +280,9 @@ class AssocAlgebra:
 def lie_sl2():
     """sl(2) in the weight basis (e-, h, e+): [h,e-] = -e-, [h,e+] = e+, [e-,e+] = h."""
     table = {
-        (0, 1): ((0, _ONE),),   # [e-, h] = e-
-        (0, 2): ((1, _ONE),),   # [e-, e+] = h
-        (1, 2): ((2, _ONE),),   # [h, e+] = e+
+        (0, 1): ((0, 1),),   # [e-, h] = e-
+        (0, 2): ((1, 1),),   # [e-, e+] = h
+        (1, 2): ((2, 1),),   # [h, e+] = e+
     }
     alg = LieAlgebra(("e-", "h", "e+"), table)
     alg.sl_summands = (2,)
@@ -295,14 +304,14 @@ def lie_sl(n):
     labels = []
     for i in range(n):
         for j in range(i):
-            mats.append({(i, j): _ONE})
+            mats.append({(i, j): 1})
             labels.append("e%d%d" % (i + 1, j + 1))
     for k in range(n - 1):
-        mats.append({(k, k): _ONE, (k + 1, k + 1): -_ONE})
+        mats.append({(k, k): 1, (k + 1, k + 1): -1})
         labels.append("h%d" % (k + 1))
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append({(i, j): _ONE})
+            mats.append({(i, j): 1})
             labels.append("e%d%d" % (i + 1, j + 1))
     offdiag_index = {}
     for idx, m in enumerate(mats):
@@ -313,8 +322,8 @@ def lie_sl(n):
 
     def decompose(mat):
         terms = []
-        diag = [mat.get((i, i), _ZERO) for i in range(n)]
-        part = _ZERO
+        diag = [mat.get((i, i), 0) for i in range(n)]
+        part = 0
         for k in range(n - 1):
             part += diag[k]
             if part:
@@ -329,7 +338,7 @@ def lie_sl(n):
         for (r, m), va in a.items():
             for (m2, c), vb in b.items():
                 if m == m2:
-                    out[(r, c)] = out.get((r, c), _ZERO) + va * vb
+                    out[(r, c)] = out.get((r, c), 0) + va * vb
         return out
 
     table = {}
@@ -340,7 +349,7 @@ def lie_sl(n):
             ba = mat_mul(mats[j], mats[i])
             comm = dict(ab)
             for pos, v in ba.items():
-                comm[pos] = comm.get(pos, _ZERO) - v
+                comm[pos] = comm.get(pos, 0) - v
             terms = decompose(comm)
             if terms:
                 table[(i, j)] = terms
@@ -357,7 +366,7 @@ def lie_abelian(n):
 
 def lie_heisenberg3():
     """Heisenberg algebra: [x, y] = z, z central."""
-    return LieAlgebra(("x", "y", "z"), {(0, 1): ((2, _ONE),)})
+    return LieAlgebra(("x", "y", "z"), {(0, 1): ((2, 1),)})
 
 
 def lie_direct_sum(parts):
@@ -397,7 +406,7 @@ def assoc_truncated_poly(n, unital=False):
     for i, a in enumerate(exps):
         for j, b in enumerate(exps[i:], start=i):
             if a + b in index:
-                table[(i, j)] = ((index[a + b], _ONE),)
+                table[(i, j)] = ((index[a + b], 1),)
     alg = AssocAlgebra(tuple(labels), table, unital=unital, degrees=tuple(exps))
     alg.tpoly_order = n
     return alg
@@ -490,7 +499,7 @@ class CurrentAlgebra(LieAlgebra):
                 for k, c in factor_lie.bracket(i, j):
                     for r, d in factor_assoc.product(p, q):
                         w = r * nl + k
-                        acc[w] = acc.get(w, _ZERO) + c * d
+                        acc[w] = acc.get(w, 0) + c * d
                 terms = tuple(sorted((w, c) for w, c in acc.items() if c))
                 if terms:
                     table[(u, v)] = terms
@@ -520,7 +529,7 @@ def current(factor_lie, factor_assoc):
 def _products_span(alg):
     vectors = []
     for terms in alg.table.values():
-        v = [_ZERO] * alg.dim
+        v = [0] * alg.dim
         for k, c in terms:
             v[k] = c
         vectors.append(v)
@@ -607,12 +616,12 @@ def killing_form(alg):
         m = {}
         for j in range(n):
             for k, c in alg.bracket(i, j):
-                m[(k, j)] = m.get((k, j), _ZERO) + c
+                m[(k, j)] = m.get((k, j), 0) + c
         ad.append(m)
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            s = _ZERO
+            s = 0
             for (r, c), v in ad[i].items():
                 w = ad[j].get((c, r))
                 if w:
@@ -633,7 +642,7 @@ def residue_form(alg):
         raise ValidationError("residue form needs a non-unital truncated polynomial algebra")
     n = alg.tpoly_order
     rows = [
-        [(_ONE if alg.degrees[i] + alg.degrees[j] == n else _ZERO)
+        [(1 if alg.degrees[i] + alg.degrees[j] == n else 0)
          for j in range(alg.dim)]
         for i in range(alg.dim)
     ]
@@ -653,7 +662,7 @@ def product_form(form_lie, form_assoc, curr):
     if form_lie.dim != nl or form_assoc.dim != na:
         raise ValueError("factor form dimensions do not match")
     dim = nl * na
-    rows = [[_ZERO] * dim for _ in range(dim)]
+    rows = [[0] * dim for _ in range(dim)]
     for p in range(na):
         for i in range(nl):
             u = curr.flat(i, p)
@@ -717,10 +726,10 @@ def _index(value, dim, key):
 
 def _coefficient(value):
     if type(value) is int:
-        return Fraction(value)
+        return value
     if isinstance(value, str) and _RATIONAL.match(value):
         try:
-            return Fraction(value)
+            return _rational(Fraction(value))
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError("c = %r is not an integer or a string p/q with q != 0"

@@ -465,7 +465,7 @@ def sequence_maps(L, form=None, lname=None):
         # the dual mode is the form mode for the identity pairing of L* with L
         mode = "dual"
         module = coadjoint_module(L)
-        pairing = copairing = [[(i, _ONE)] for i in range(n)]
+        pairing = copairing = [[(i, 1)] for i in range(n)]
     else:
         mode = "form"
         if form == "killing":
@@ -493,7 +493,7 @@ def sequence_maps(L, form=None, lname=None):
     def times(vec, rows):
         # vec, a dense or sparse n^2 vector, as an n x n matrix times the
         # sparse matrix with these rows
-        out = [_ZERO] * (n * n)
+        out = [0] * (n * n)
         for col, c in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
             if c:
                 i, t = divmod(col, n)

@@ -16,8 +16,9 @@ Vectors enter as sparse {column: value} dicts or dense sequences, with int
 or Fraction values only: anything else raises TypeError, so a float never
 passes as a rational.
 
-The elimination engine works on the same integer rows.  Fractions are
-cleared on entry and each row is renormalized by its content after every
+The elimination engine works on the same integer rows.  A vector of
+ints enters as it is; one holding a Fraction is scaled by the lcm of its
+denominators on entry.  Each row is renormalized by its content after every
 combination, which keeps the integers small without the bookkeeping of
 full fraction-free elimination.  A kernel is eliminated with the rightmost
 column of each row as its pivot, so its free columns give the canonical
@@ -73,8 +74,11 @@ def _nonzero(vector):
 
 def _as_int_row(vector):
     """(row, scale): vector times scale, the lcm of its denominators, as a
-    {col: int} dict of its nonzero entries."""
+    {col: int} dict of its nonzero entries.  A vector of ints is its own
+    row at scale 1."""
     entries = _nonzero(vector)
+    if all(type(v) is int for _, v in entries):
+        return dict(entries), 1
     scale = lcm(1, *(v.denominator for _, v in entries))
     return {j: v.numerator * (scale // v.denominator) for j, v in entries}, scale
 

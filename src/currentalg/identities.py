@@ -19,6 +19,10 @@ several named conditions: D(xy) - lam (D(x)y + xD(y)) is the derivation
 identity at (1, 1), the antiderivation identity at (1, -1), D([L, L]) = 0
 at (1, 0) and [Dx, y] + [x, Dy] = 0 at (0, 1).
 
+Signs, weights and the unit coefficient of a one-argument slot are ints,
+so the rows of an integral table are int rows; a Fraction enters only
+through a structure constant or a lambda that is not an integer.
+
 Two independent evaluations are derived from each identity:
 
 * the row path (pencil_rows, rows) writes one sparse row per output
@@ -40,14 +44,10 @@ Neither path solves: the callers in forms and derivations own the kernels.
 """
 
 from collections import defaultdict, namedtuple
-from fractions import Fraction
 from itertools import product
 from math import lcm
 import random
 import re
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class InvariantError(AssertionError):
@@ -65,7 +65,7 @@ def add_entry(row, col, val):
     """row[col] += val on a sparse row, dropping entries that cancel."""
     if not val:
         return
-    v = row.get(col, _ZERO) + val
+    v = row.get(col, 0) + val
     if v:
         row[col] = v
     elif col in row:
@@ -94,16 +94,16 @@ def _term(sign, part, text):
 
 def _identity(order, text):
     """Parse e.g. "D(xy) - lam D(x)y" into terms (sign, part, kind, left, right)."""
-    terms, sign, part = [], _ONE, 0
+    terms, sign, part = [], 1, 0
     for tok in text.split():
         if tok in ("+", "-"):
-            sign = _ONE if tok == "+" else -_ONE
+            sign = 1 if tok == "+" else -1
         elif tok == "lam":
             part = 1
         else:
             terms.append(_term(sign, part, tok))
-            sign, part = _ONE, 0
-    return Identity(order, text, tuple(terms), (_ONE, _ONE))
+            sign, part = 1, 0
+    return Identity(order, text, tuple(terms), (1, 1))
 
 
 # ``order`` chooses the basis tuples of the row path: consecutive arguments
@@ -146,21 +146,21 @@ PENCILS = {
 }
 
 LIE_MAPS = {
-    "derivation": PENCILS["lie_both"].at(_ONE, _ONE),
-    "antiderivation": PENCILS["lie_both"].at(_ONE, -_ONE),
-    "ad_anticommute": PENCILS["lie_both"].at(_ZERO, _ONE),
-    "kill_derived": PENCILS["lie_both"].at(_ONE, _ZERO),
-    "into_center": PENCILS["lie_left"].at(_ZERO, _ONE),
+    "derivation": PENCILS["lie_both"].at(1, 1),
+    "antiderivation": PENCILS["lie_both"].at(1, -1),
+    "ad_anticommute": PENCILS["lie_both"].at(0, 1),
+    "kill_derived": PENCILS["lie_both"].at(1, 0),
+    "into_center": PENCILS["lie_left"].at(0, 1),
     "self_bracket_zero": _identity("x<=y", "D(x)y + D(y)x"),
-    "centroid": PENCILS["lie_left"].at(_ONE, _ONE),
+    "centroid": PENCILS["lie_left"].at(1, 1),
 }
 
 ASSOC_MAPS = {
-    "derivation": PENCILS["assoc_both"].at(_ONE, _ONE),
+    "derivation": PENCILS["assoc_both"].at(1, 1),
     "module_map": _identity("x<y", "D(x)y - xD(y)"),
-    "anti_module_map": PENCILS["assoc_both"].at(_ZERO, _ONE),
-    "kill_square": PENCILS["assoc_both"].at(_ONE, _ZERO),
-    "into_annihilator": PENCILS["assoc_left"].at(_ZERO, _ONE),
+    "anti_module_map": PENCILS["assoc_both"].at(0, 1),
+    "kill_square": PENCILS["assoc_both"].at(1, 0),
+    "into_annihilator": PENCILS["assoc_left"].at(0, 1),
 }
 
 
@@ -190,7 +190,7 @@ def _entries(alg, terms, t):
 
     def slot(args):
         if len(args) == 1:
-            return ((t[args[0]], _ONE),)
+            return ((t[args[0]], 1),)
         return mul(t[args[0]], t[args[1]])
 
     for c, part, kind, left, right in terms:
@@ -230,6 +230,8 @@ def pencil_rows(alg, ident):
 def rows_at(pairs, weights):
     """Sparse rows w0 * (lambda-free part) + w1 * (lambda part), w0 in {0, 1}."""
     w0, w1 = weights
+    if w1.denominator == 1:
+        w1 = w1.numerator   # an integral lambda keeps integral rows in ints
     out = []
     for const, lin in pairs:
         row = dict(const) if w0 else {}

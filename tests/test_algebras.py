@@ -278,6 +278,16 @@ def test_bilinear_form_rejects_floats_and_its_exact_twin_passes():
         BilinearForm([[1, 0]])
 
 
+def test_structure_constants_reject_floats_and_store_integral_fractions_as_ints():
+    # 0.1 used to be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        LieAlgebra(("x", "y", "z"), {(0, 1): ((2, 0.1),)})
+    with pytest.raises(TypeError):
+        AssocAlgebra(("a", "b"), {(0, 0): ((1, 1.0),)})
+    alg = LieAlgebra(("x", "y", "z"), {(0, 1): ((2, Fraction(4, 2)),)})
+    assert alg.bracket(1, 0) == ((2, -2),) and type(alg.bracket(1, 0)[0][1]) is int
+
+
 def test_unit_that_is_not_a_basis_vector():
     # K + K with idempotents e1, e2 (e1 e2 = 0): the unit is e1 + e2
     kk = AssocAlgebra(("e1", "e2"), {(0, 0): ((0, 1),), (1, 1): ((1, 1),)}, unital=True)

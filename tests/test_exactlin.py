@@ -187,6 +187,11 @@ def test_inverse_frozen_values():
     lambda: preimage(Subspace.full(2), [[1, 0], [0, 0.5]], Subspace.zero(2)),
     # was the inverse of 3602879701896397/36028797018963968
     lambda: inverse(((0.1, 0), (0, 1))),
+    # a float after int entries: the all-int shortcut checks every entry
+    lambda: kernel_from_rows(2, [{0: 1, 1: 0.5}]),
+    lambda: Subspace.from_vectors(2, [[1, 2.0]]),
+    lambda: Subspace.from_vectors(2, [[0, 1]]).reduce({0: 1, 1: 1.0}),
+    lambda: preimage(Subspace.full(2), [[1, 0], [0, 3.0]], Subspace.zero(2)),
 ])
 def test_floats_raise_type_error(call):
     with pytest.raises(TypeError):
@@ -201,6 +206,10 @@ def test_the_exact_twins_of_the_float_cases():
     assert space.reduce([Fraction(3, 2), 1]) == {0: Fraction(3, 2)}
     assert space.reduce({1: 7}) == {}
     assert inverse(((Fraction(1, 10), 0), (0, 1))) == ((10, 0), (0, 1))
+    assert kernel_from_rows(2, [{0: 1, 1: half}]).basis == ((1, -2),)
+    assert Subspace.from_vectors(2, [[1, 2]]).rows == {0: {0: 1, 1: 2}}
+    assert space.reduce({0: 1, 1: 1}) == {0: 1}
+    assert preimage(Subspace.full(2), [[1, 0], [0, 3]], Subspace.zero(2)).dim == 0
 
 
 # --- preimage against sympy ---------------------------------------------------

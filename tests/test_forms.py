@@ -11,6 +11,7 @@ import pytest
 import currentalg
 
 from currentalg.algebras import (
+    algebra_from_dict,
     assoc_truncated_poly,
     build_assoc,
     build_lie,
@@ -20,6 +21,7 @@ from currentalg.algebras import (
     lie_sl,
     lie_sl2,
 )
+from currentalg.derivations import verify_der_decomposition
 from currentalg.exactlin import Subspace
 from currentalg.forms import (
     condition_space,
@@ -155,6 +157,32 @@ def test_verify_h2_beyond_subtyped_span():
     assert r["dims"]["Z2"] == r["dims"]["span"] == 25
     curr = current(lie_heisenberg3(), assoc_truncated_poly(4))
     assert subtyped_span(curr, H2_DECOMPOSABLE_TYPES, "skew").dim == 23
+
+
+def _table(kind, basis, products):
+    """A JSON algebra record; products maps (i, j) to one term (k, c)."""
+    return {"kind": kind, "dim": len(basis), "basis": basis,
+            "table": [{"i": i, "j": j, "terms": [{"k": k, "c": c}]}
+                      for (i, j), (k, c) in products.items()]}
+
+
+# sl2 and tK[t]/(t^4) on rescaled bases, so the structure constants mix
+# ints and Fractions: [E, H] = -2E, [E, F] = (2/3)H, [H, F] = -2F, and
+# a a = (1/2)b, a b = (3/5)c (listed in both orders)
+RATIONAL_SL2 = _table("lie", ["E", "H", "F"],
+                      {(0, 1): (0, -2), (0, 2): (1, "2/3"), (1, 2): (2, -2)})
+RATIONAL_TPOLY4 = _table("assoc", ["a", "b", "c"],
+                         {(0, 0): (1, "1/2"), (0, 1): (2, "3/5"), (1, 0): (2, "3/5")})
+
+
+@pytest.mark.parametrize("verify", [verify_h2_decomposition, verify_forms_decomposition,
+                                    verify_der_decomposition])
+def test_rational_twins_give_the_catalog_verdicts(verify):
+    twin = verify(algebra_from_dict(RATIONAL_SL2), algebra_from_dict(RATIONAL_TPOLY4))
+    catalog = verify("sl2", "tpoly:4")
+    for report in (twin, catalog):
+        del report["L"], report["A"]
+    assert twin == catalog
 
 
 FORMS_FROZEN = {

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import currentalg
-from currentalg import derivations, identities
-from currentalg.algebras import LieAlgebra, build_assoc, build_lie, current
+from currentalg import cochain, derivations, identities
+from currentalg.algebras import LieAlgebra, algebra_from_dict, build_assoc, build_lie, current
 from currentalg.derivations import derivation_space, lambda_candidates, map_condition_space
 from currentalg.exactlin import Subspace
 from currentalg.forms import condition_space
@@ -198,3 +198,44 @@ def test_recheck_with_structure_constant_denominators():
         identities.recheck(alg, idents, space)
         with pytest.raises(InvariantError):
             identities.recheck(alg, idents, _one_bad_vector(alg, idents[0], space))
+
+
+# --- integral tables stay in ints ---------------------------------------------
+
+
+def _coefficients(alg):
+    return [c for i in range(alg.dim) for j in range(alg.dim) for _, c in alg.mul(i, j)]
+
+
+@pytest.mark.parametrize("desc", ["sl3", "heis3", "abelian:4", "tpoly:3", "tpoly1:3",
+                                  "zero:2", "sl3*tpoly:3", "json"])
+def test_integral_tables_store_int_coefficients(desc):
+    if desc == "json":
+        alg = algebra_from_dict({"kind": "lie", "dim": 3, "basis": ["x", "y", "z"],
+                                 "table": [{"i": 0, "j": 1, "terms": [{"k": 2, "c": "4/2"}]},
+                                           {"i": 0, "j": 2, "terms": [{"k": 2, "c": -3}]}]})
+        assert _coefficients(alg)
+    elif desc == "sl3*tpoly:3":
+        alg = current(build_lie("sl3"), build_assoc("tpoly:3"))
+    elif desc.startswith(("tpoly", "zero")):
+        alg = build_assoc(desc)
+    else:
+        alg = build_lie(desc)
+    assert all(type(c) is int for c in _coefficients(alg))
+
+
+def test_rows_and_differentials_of_an_integral_table_are_ints():
+    curr = current(build_lie("sl3"), build_assoc("tpoly:3"))
+    rows = identities.rows(curr, [identities.LIE_FORMS["invariant"]])
+    _, ce_rows = cochain._ce_rows(curr, cochain.trivial_module(curr), 2)
+    for system in (rows, ce_rows):
+        assert system and all(type(v) is int for row in system for v in row.values())
+
+
+def test_a_rational_table_keeps_its_fractions():
+    alg = algebra_from_dict({"kind": "assoc", "dim": 2, "basis": ["a", "b"],
+                             "table": [{"i": 0, "j": 0, "terms": [{"k": 1, "c": "1/2"}]}]})
+    assert alg.product(0, 0) == ((1, Fraction(1, 2)),)
+    assert type(alg.product(0, 0)[0][1]) is Fraction
+    rows = identities.rows(alg, [identities.ASSOC_FORMS["invariant"]])
+    assert any(type(v) is Fraction for row in rows for v in row.values())
