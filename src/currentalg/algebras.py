@@ -574,13 +574,15 @@ def square_assoc(alg):
 class BilinearForm:
     """A bilinear form on an algebra's coordinate space, with a symmetry tag.
 
-    matrix is a tuple of Fraction rows, matrix[i][j] = phi(x_i, x_j); the
-    entries given must be ints or Fractions (a float raises TypeError)."""
+    matrix is a tuple of rows, matrix[i][j] = phi(x_i, x_j), each entry
+    stored like a structure constant: an int when it is integral, a
+    Fraction otherwise.  The entries given must be ints or Fractions (a
+    float raises TypeError)."""
 
     __slots__ = ("matrix", "symmetry")
 
     def __init__(self, matrix):
-        matrix = tuple(tuple(_exact(x) for x in row) for row in matrix)
+        matrix = tuple(tuple(_rational(x) for x in row) for row in matrix)
         if any(len(row) != len(matrix) for row in matrix):
             raise ValueError("bilinear form matrix must be square")
         self.matrix = matrix

@@ -32,12 +32,14 @@ Conditions on a commutative associative algebra A:
 The one-parameter families are pencils: d[x,y] = lam([dx,y] + [x,dy]) on L
 against b(xy) = mu b(x)y on A, and d[x,y] = lam[dx,y] against
 b(xy) = mu(b(x)y + x b(y)), matched by lam * mu = 1.  Rational pencil
-values are discovered by projecting the affine-in-lam row system to square
-matrices with three independent random integer maps, interpolating their
-determinant polynomials modulo a word-size prime, and lifting the roots of
-the gcd to rationals; every candidate is confirmed modulo a second prime
-and then by an exact kernel over Q, and 1 and 1/2 are always checked
-whether or not they show up as roots.
+values are discovered block by block: the affine-in-lam row system falls
+apart into blocks of columns that no row joins, each block is projected
+to square matrices with three independent random integer maps, the
+determinant polynomial of each projection comes from one characteristic
+polynomial modulo a word-size prime, and the roots of the product of the
+blocks' gcds are lifted to rationals; every candidate is confirmed modulo
+a second prime on some block and then by an exact kernel over Q, and 1 and
+1/2 are always checked whether or not they show up as roots.
 
 Apart from module_map and self_bracket_zero, every condition above is a
 pencil of currentalg.identities at fixed weights: derivation is d[x,y] =
@@ -91,7 +93,14 @@ from .forms import (
     invariant_symmetric_forms,
 )
 from .identities import require
-from .modp import PRIMES, det_mod, interpolate, rational_roots
+from .modp import (
+    PRIMES,
+    det_mod,
+    pencil_det,
+    poly_gcd,
+    poly_mul,
+    rational_roots,
+)
 
 __all__ = [
     "map_condition_space",
@@ -180,17 +189,20 @@ class PencilCandidates:
     the determinant gcd; a nonzero value flags solutions living in algebraic
     extensions that exact rational solves cannot reach.
 
-    The roots are searched modulo primes: the determinants of three seeded
-    square projections of the pencil are interpolated modulo primes[0],
-    the roots of the square-free part of their gcd are lifted to fractions
-    by rational reconstruction, and a fraction is kept when the determinants
-    also vanish at it modulo primes[1].  primes is empty for a degenerate
-    pencil.  The search can miss a root or miscount residual_degree when the
-    probe value 7919 is a root, when the projections or the prime make all
-    three determinants vanish, when the prime is unlucky for the gcd, when
-    a rational root has numerator or denominator above isqrt(p // 2), or
-    (about once in 10**9 roots) when a nonrational root passes the second
-    prime; lambda_candidates spells these out.  It cannot report a wrong
+    The roots are searched block by block modulo primes: each block of
+    columns that no row joins to another gets three seeded square
+    projections of its own rows, the determinant polynomial of each is read
+    off one characteristic polynomial modulo primes[0], the roots of the
+    square-free part of the product of the blocks' gcds are lifted to
+    fractions by rational reconstruction, and a fraction is kept when the
+    three determinants of some block also vanish at it modulo primes[1].
+    primes is empty for a degenerate pencil.  The search can miss a root or
+    miscount residual_degree when the probe value 7919 is a root, when the
+    projections or the prime make all three determinants of one block
+    vanish, when the prime is unlucky for a gcd, when a rational root has
+    numerator or denominator above isqrt(p // 2), or (about once in 10**9
+    roots) when a nonrational root passes the second prime;
+    lambda_candidates spells these out.  It cannot report a wrong
     value: every entry of lambdas has a nonzero exact kernel over Q, and
     solution_at rechecks every kernel against the pencil identity at its
     value.
@@ -232,35 +244,73 @@ _GENERIC_PROBE = Fraction(7919)
 _pencil_cache = {}
 
 
-def _projections(rows, n2, seed):
-    """Three seeded random n2 x n2 projections of the pencil rows.
+def _blocks(rows, n2):
+    """The connected blocks of the pencil rows, as (columns, rows) pairs.
 
-    Each is a pair (C, L) of dense integer matrices with C + lam L the
-    projected rows times the lcm of every row denominator, which is
+    Two columns are joined when some row, in either part, holds both.  The
+    columns of a block are sorted, the blocks are ordered by their first
+    column, and each row that holds a column goes with the block of its
+    columns, in its original order.
+    """
+    parent = list(range(n2))
+
+    def find(col):
+        while parent[col] != col:
+            parent[col] = parent[parent[col]]
+            col = parent[col]
+        return col
+
+    for row in rows:
+        cols = [col for part in row for col in part]
+        for col in cols[1:]:
+            a, b = find(cols[0]), find(col)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    blocks = {}
+    for col in range(n2):
+        blocks.setdefault(find(col), ([], []))[0].append(col)
+    for row in rows:
+        first = next((col for part in row for col in part), None)
+        if first is not None:
+            blocks[find(first)][1].append(row)
+    return list(blocks.values())
+
+
+def _projections(rows, n2, seed):
+    """Three seeded random square projections of each block of the rows.
+
+    A block of k columns gets three pairs (C, L) of dense k x k integer
+    matrices, each with C + lam L a seeded combination of the block's rows
+    in its own columns, times the lcm of every row denominator, which is
     returned alongside: scaling leaves the roots of det(C + lam L) alone.
     """
     scale = lcm(*(c.denominator for row in rows for part in row
                   for c in part.values()))
-    int_rows = [[[(col, c.numerator * (scale // c.denominator))
-                  for col, c in part.items()] for part in row]
-                for row in rows]
+    rngs = [random.Random(seed * 1009 + 7 * s + 3) for s in range(3)]
     out = []
-    for s in range(3):
-        rng = random.Random(seed * 1009 + 7 * s + 3)
-        cmat, lmat = [], []
-        for _ in range(n2):
-            crow, lrow = [0] * n2, [0] * n2
-            for const, lin in int_rows:
-                g = rng.randint(-4, 4)
-                if not g:
-                    continue
-                for col, c in const:
-                    crow[col] += g * c
-                for col, c in lin:
-                    lrow[col] += g * c
-            cmat.append(crow)
-            lmat.append(lrow)
-        out.append((cmat, lmat))
+    for cols, block_rows in _blocks(rows, n2):
+        local = {col: i for i, col in enumerate(cols)}
+        int_rows = [[[(local[col], c.numerator * (scale // c.denominator))
+                      for col, c in part.items()] for part in row]
+                    for row in block_rows]
+        k = len(cols)
+        projections = []
+        for rng in rngs:
+            cmat, lmat = [], []
+            for _ in range(k):
+                crow, lrow = [0] * k, [0] * k
+                for const, lin in int_rows:
+                    g = rng.randint(-4, 4)
+                    if not g:
+                        continue
+                    for col, c in const:
+                        crow[col] += g * c
+                    for col, c in lin:
+                        lrow[col] += g * c
+                cmat.append(crow)
+                lmat.append(lrow)
+            projections.append((cmat, lmat))
+        out.append(projections)
     return out, scale
 
 
@@ -271,39 +321,55 @@ def _det_at(projection, t, p):
                     for crow, lrow in zip(cmat, lmat)], p)
 
 
+def _value(poly, t, p):
+    """poly(t) mod p."""
+    out = 0
+    for c in reversed(poly):
+        out = (out * t + c) % p
+    return out
+
+
 def lambda_candidates(alg, kind, seed=0):
     """Find rational parameter values where the pencil kernel jumps.
 
     The pencil is degenerate when its kernel is nonzero at the probe value
-    7919; then only 1 and 1/2 are solved.  Otherwise the rows are projected
-    to three seeded square pencils C + lam L, and each determinant is
-    evaluated at the n^2 + 1 integers around 0 modulo the first prime of
-    modp.PRIMES that divides no row denominator, and interpolated there.
-    The distinct roots mod p of the square-free part of the gcd of the
-    three polynomials are lifted to fractions by rational reconstruction,
-    and a fraction is kept only if all three determinants vanish at it
-    modulo the next such prime.  The kept roots, 1 and 1/2 are then solved
-    exactly over Q, and lambdas holds those with a nonzero kernel.
-    residual_degree is the degree of the square-free gcd mod p minus the
-    number of kept roots.
+    7919; then only 1 and 1/2 are solved.  Otherwise the columns are split
+    into blocks, the connected components of the graph that joins two
+    columns when a row (either part) holds both, so that the pencil is
+    block diagonal.  Each block of k columns is projected to three seeded
+    k x k pencils C + lam L of its own rows, and the determinant polynomial
+    of each comes from one characteristic polynomial (modp.pencil_det)
+    modulo the first prime p of modp.PRIMES that divides no row
+    denominator; each polynomial must agree with a direct determinant at
+    the probe, or InvariantError is raised.  The gcds of the blocks'
+    three polynomials are multiplied mod p, the distinct roots mod p of
+    the square-free part of the product are lifted to fractions by
+    rational reconstruction, and a fraction is kept only if all three
+    determinants of some block vanish at it modulo the next such prime q.
+    The kept roots, 1 and 1/2 are then solved exactly over Q, and lambdas
+    holds those with a nonzero kernel.  residual_degree is the degree of
+    the square-free product mod p minus the number of kept roots; the gcd
+    of the maximal minors of a block diagonal pencil is the product of its
+    blocks' gcds, so this is the quantity a search of the whole pencil
+    would give.
 
     The ways the search can fail:
 
     * the probe 7919 is itself a root of a non-degenerate pencil, which is
       then taken as degenerate;
-    * all three projected determinants vanish mod p (the projections lose
-      rank, or p divides every determinant), so no root is searched and
-      residual_degree is 0;
-    * p is unlucky for the gcd (it divides a resultant, discriminant or
-      leading coefficient), so the gcd mod p has extra factors or its
+    * all three projected determinants of one block vanish mod p (its
+      projections lose rank, or p divides every determinant), so the
+      product is zero, no root is searched and residual_degree is 0;
+    * p is unlucky for a gcd (it divides a resultant, discriminant or
+      leading coefficient), so the product mod p has extra factors or its
       square-free part is too small, and residual_degree is off;
     * a rational root with numerator or denominator above isqrt(p // 2)
       (23170) cannot be reconstructed; it is not solved and counts toward
       residual_degree instead;
     * a root mod p that is not rational reconstructs to a fraction at which
-      all three determinants also vanish mod the second prime, so it is
+      all three determinants of a block also vanish mod q, so it is
       counted as rational and residual_degree is too small (a chance of
-      about 1 in 10**9 per root);
+      about 1 in 10**9 per root and block);
     * fewer than two primes of modp.PRIMES divide no row denominator, and
       ArithmeticError is raised.
 
@@ -323,21 +389,32 @@ def lambda_candidates(alg, kind, seed=0):
     primes = ()
     candidates = set(_FORCED_VALUES)
     if not degenerate:
-        projections, scale = _projections(rows, n2, seed)
+        blocks, scale = _projections(rows, n2, seed)
         primes = tuple(q for q in PRIMES if scale % q)[:2]
         if len(primes) < 2:
             raise ArithmeticError("only %d of the search primes divide no "
                                   "pencil row denominator" % len(primes))
         p, q = primes
-        pts = list(range(-(n2 // 2), n2 - n2 // 2 + 1))
-        polys = [interpolate(pts, [_det_at(proj, t, p) for t in pts], p)
-                 for proj in projections]
+        probe = int(_GENERIC_PROBE)
+        product = [1]
+        for projections in blocks:
+            block_gcd = []
+            for proj in projections:
+                # pencil_det shifts by 0, 1, ..., k, so for any block below
+                # 7919 columns the probe is a point other than the shift
+                poly = pencil_det(*proj, p)
+                require(_value(poly, probe, p) == _det_at(proj, probe, p),
+                        "block determinant polynomial disagrees with its "
+                        "determinant at the probe")
+                block_gcd = poly_gcd(block_gcd, poly, p)
+            product = poly_mul(product, block_gcd, p)
 
         def confirm(x):
             t = x.numerator * pow(x.denominator, -1, q) % q
-            return all(not _det_at(proj, t, q) for proj in projections)
+            return any(all(not _det_at(proj, t, q) for proj in projections)
+                       for projections in blocks)
 
-        roots, residual_degree = rational_roots(polys, p, confirm,
+        roots, residual_degree = rational_roots([product], p, confirm,
                                                 random.Random(seed))
         candidates.update(roots)
     result = PencilCandidates(alg, kind, {}, degenerate,

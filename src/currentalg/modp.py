@@ -6,6 +6,14 @@ prime p explicitly.  PRIMES lists the moduli the pencil search uses, in
 order.  Each is below 2**30, so that a residue is a single CPython integer
 digit: det_mod on 64 x 64 matrices ran about 1.6 times faster than with
 primes just below 2**31.
+
+pencil_det gives det(C + t L) mod p as a polynomial in t from one
+characteristic polynomial, in O(k^3) for k x k matrices: with a shift a
+that makes M = C + a L invertible, det(C + t L) = det(M) det(I + (t - a) K)
+for K = M^-1 L, and det(I + s K) is the characteristic polynomial of K
+read backwards with alternating signs.  The characteristic polynomial comes from the Hessenberg
+form of K (Cohen, A Course in Computational Algebraic Number Theory,
+Alg. 2.2.9).
 """
 
 from fractions import Fraction
@@ -14,7 +22,8 @@ from math import gcd, isqrt
 __all__ = [
     "PRIMES",
     "det_mod",
-    "interpolate",
+    "pencil_det",
+    "poly_mul",
     "poly_gcd",
     "squarefree_part",
     "roots",
@@ -51,6 +60,122 @@ def det_mod(rows, p):
     return det % p
 
 
+def pencil_det(cmat, lmat, p):
+    """det(C + t L) mod p as a polynomial in t, for square integer C and L.
+
+    The shift a is the first of 0, 1, ..., k (k the order) with
+    M = C + a L invertible mod p.  When none is, det(C + t L), of degree
+    at most k, has k + 1 roots mod p and is the zero polynomial.
+    """
+    k = len(cmat)
+    lmat = [[x % p for x in row] for row in lmat]
+    for a in range(k + 1):
+        det, kmat = _solve([[(c + a * l) % p for c, l in zip(crow, lrow)]
+                            for crow, lrow in zip(cmat, lmat)], lmat, p)
+        if det:
+            break
+    else:
+        return []
+    # det(I + s K) = (-s)^k chi(-1/s): the coefficients of chi backwards,
+    # with alternating signs
+    chi = _charpoly(_hessenberg(kmat, p), p)
+    shifted = [(-c if j % 2 else c) % p for j, c in enumerate(reversed(chi))]
+    # Horner in s = t - a, then scale by det(M)
+    poly = []
+    for c in reversed(shifted):
+        poly = [0] + poly
+        for j in range(len(poly) - 1):
+            poly[j] = (poly[j] - a * poly[j + 1]) % p
+        poly[0] = (poly[0] + c) % p
+    return _trim([c * det % p for c in poly])
+
+
+def _solve(mmat, rhs, p):
+    """(det M, M^-1 R) mod p by Gauss-Jordan, or (0, None) if M is singular."""
+    k = len(mmat)
+    rows = [mrow + list(rrow) for mrow, rrow in zip(mmat, rhs)]
+    det = 1
+    for col in range(k):
+        for r in range(col, k):
+            if rows[r][col]:
+                break
+        else:
+            return 0, None
+        if r != col:
+            rows[r], rows[col] = rows[col], rows[r]
+            det = -det
+        piv = rows[col]
+        det = det * piv[col] % p
+        inv = pow(piv[col], -1, p)
+        piv = rows[col] = [x * inv % p for x in piv]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != col:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, piv)]
+    return det % p, [row[k:] for row in rows]
+
+
+def _hessenberg(a, p):
+    """An upper Hessenberg matrix similar to the square matrix a mod p.
+
+    For each column m - 1, a pivot below the subdiagonal is swapped into
+    row m (rows and columns both), and the rows below it are cleared in
+    that column: row i -= u_i row m, then column m += sum u_i column i,
+    which undoes the row operations from the right.
+    """
+    a = [list(row) for row in a]
+    k = len(a)
+    for m in range(1, k - 1):
+        for i in range(m, k):
+            if a[i][m - 1]:
+                break
+        else:
+            continue
+        if i != m:
+            a[i], a[m] = a[m], a[i]
+            for row in a:
+                row[i], row[m] = row[m], row[i]
+        piv = a[m]
+        inv = pow(piv[m - 1], -1, p)
+        factors = []
+        for i in range(m + 1, k):
+            u = a[i][m - 1] * inv % p
+            if u:
+                a[i] = [(x - u * y) % p for x, y in zip(a[i], piv)]
+                factors.append((i, u))
+        if factors:
+            for row in a:
+                row[m] = (row[m] + sum(u * row[i] for i, u in factors)) % p
+    return a
+
+
+def _charpoly(h, p):
+    """det(x I - H) mod p for an upper Hessenberg H, monic of degree k.
+
+    With chi_j the characteristic polynomial of the leading j x j block
+    and chi_0 = 1,
+        chi_{m+1} = (x - h[m][m]) chi_m
+                    - sum over i < m of h[i][m] h[i+1][i] ... h[m][m-1] chi_i.
+    """
+    chis = [[1]]
+    for m in range(len(h)):
+        prev = chis[-1]
+        new = [0] + prev
+        for j, c in enumerate(prev):
+            new[j] = (new[j] - h[m][m] * c) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            coef = h[i][m] * t % p
+            if coef:
+                for j, c in enumerate(chis[i]):
+                    new[j] = (new[j] - coef * c) % p
+        chis.append(new)
+    return chis[-1]
+
+
 def _trim(f):
     while f and not f[-1]:
         f.pop()
@@ -85,7 +210,8 @@ def _divmod(f, g, p):
     return _trim(q), _trim(r[:dg])
 
 
-def _mulmod(f, g, m, p):
+def poly_mul(f, g, p):
+    """The product of f and g mod p."""
     if not f or not g:
         return []
     prod = [0] * (len(f) + len(g) - 1)
@@ -93,7 +219,11 @@ def _mulmod(f, g, m, p):
         if a:
             for j, b in enumerate(g):
                 prod[i + j] += a * b
-    return _divmod([c % p for c in prod], m, p)[1]
+    return _trim([c % p for c in prod])
+
+
+def _mulmod(f, g, m, p):
+    return _divmod(poly_mul(f, g, p), m, p)[1]
 
 
 def _powmod(f, e, m, p):
@@ -107,28 +237,6 @@ def _powmod(f, e, m, p):
         if e:
             base = _mulmod(base, base, m, p)
     return result
-
-
-def interpolate(xs, ys, p):
-    """The polynomial of degree < len(xs) through the points (xs, ys) mod p.
-
-    The xs must be distinct mod p.
-    """
-    xs = [x % p for x in xs]
-    coef = [y % p for y in ys]
-    n = len(xs)
-    # Newton divided differences, then Horner back to monomial coefficients
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = ((coef[i] - coef[i - 1])
-                       * pow(xs[i] - xs[i - j], -1, p) % p)
-    poly = []
-    for i in range(n - 1, -1, -1):
-        poly = [0] + poly
-        for k in range(len(poly) - 1):
-            poly[k] = (poly[k] - xs[i] * poly[k + 1]) % p
-        poly[0] = (poly[0] + coef[i]) % p
-    return _trim(poly)
 
 
 def poly_gcd(f, g, p):

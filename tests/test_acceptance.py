@@ -129,6 +129,18 @@ def test_criterion_03_derivation_decomposition(capsys):
             ok, time.time() - t0, 300)
 
 
+def test_derivation_decomposition_on_sl4():
+    # beyond the criterion 3 grid: 225 pencil unknowns, in 55 blocks
+    t0 = time.time()
+    r = verify_der_decomposition(lie_sl(4), assoc_truncated_poly(3),
+                                 lname="sl4", aname="tpoly:3")
+    elapsed = time.time() - t0
+    assert r["equal"] and r["der_dim"] == r["span_dim"] == 241, r
+    assert r["types"]["inner"] == 15
+    assert _matches_golden("der", "sl4", "tpoly:3", r)
+    assert elapsed < 30, "der sl4 tpoly:3 over budget: %.1fs" % elapsed
+
+
 LARSSON_EXPECTED = [
     ("sl2", lambda: lie_sl2(), 6, [0, 5, 0, 0, 0]),
     ("sl3", lambda: lie_sl(3), 6, [20, 0, 0, 0, 0]),

@@ -268,14 +268,26 @@ def test_bilinear_form_rejects_floats_and_its_exact_twin_passes():
     for matrix in ([[0.1, 0], [0, 1]], [[1, 0.0], [0.0, 1]], ((0, 0.5), (-0.5, 0))):
         with pytest.raises(TypeError):
             BilinearForm(matrix)
-    form = BilinearForm([[Fraction(1, 10), 0], [0, 1]])
+    form = BilinearForm([[Fraction(1, 10), 0], [0, Fraction(2, 2)]])
     assert form.matrix == ((Fraction(1, 10), 0), (0, 1))
-    assert form(0, 0) == Fraction(1, 10) and type(form(0, 1)) is Fraction
+    assert form(0, 0) == Fraction(1, 10) and type(form(0, 0)) is Fraction
+    # integral entries are stored as ints, like structure constants
+    assert type(form(0, 1)) is int and type(form(1, 1)) is int
     assert form.symmetry == "symmetric" and form.is_nondegenerate()
     assert form.as_vector() == (Fraction(1, 10), 0, 0, 1)
     assert BilinearForm(((0, Fraction(1, 2)), (Fraction(-1, 2), 0))).symmetry == "skew"
     with pytest.raises(ValueError):
         BilinearForm([[1, 0]])
+
+
+def test_forms_of_integral_tables_store_ints():
+    sl3, tpoly = lie_sl(3), assoc_truncated_poly(3)
+    forms = (killing_form(sl3), residue_form(tpoly),
+             product_form(killing_form(lie_sl2()), residue_form(tpoly),
+                          current(lie_sl2(), tpoly)))
+    for form in forms:
+        assert all(type(x) is int for x in form.as_vector())
+        assert any(form.as_vector())
 
 
 def test_structure_constants_reject_floats_and_store_integral_fractions_as_ints():

@@ -1,14 +1,22 @@
 """Derivation spaces, lambda pencils, the map sequence, the loop derivation."""
 
 from fractions import Fraction
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 import sympy
+
+import currentalg
+from currentalg import identities as ids
 
 from currentalg.algebras import (
     BilinearForm,
     algebra_from_dict,
     assoc_truncated_poly,
+    build_assoc,
+    build_lie,
     current,
     killing_form,
     lie_heisenberg3,
@@ -17,7 +25,10 @@ from currentalg.algebras import (
     product_form,
     residue_form,
 )
+from currentalg import derivations
 from currentalg.derivations import (
+    _blocks,
+    _projections,
     antiderivation_space,
     derivation_space,
     inner_derivations,
@@ -29,7 +40,7 @@ from currentalg.derivations import (
 )
 from currentalg.exactlin import Subspace
 from currentalg.forms import condition_space
-from currentalg.modp import PRIMES
+from currentalg.modp import PRIMES, rational_roots
 
 
 def to_sympy(rows):
@@ -181,6 +192,136 @@ def test_sl3_pencil_has_no_antiderivation_root():
     pc = lambda_candidates(lie_sl(3), "lie_both", 0)
     got = {str(lam): pc.solution_at(lam).dim for lam in pc.lambdas}
     assert got == {"1": 8, "1/2": 1}
+
+
+def _pencil_blocks(alg, kind):
+    rows = ids.pencil_rows(alg, ids.PENCILS[kind])
+    return rows, _blocks(rows, alg.dim ** 2)
+
+
+# (blocks, columns of the largest block) of both pencil kinds
+BLOCK_SHAPES = {"sl3": (19, 10), "sl4": (55, 21), "sum:sl2+sl2": (28, 3),
+                "tpoly1:4": (7, 4)}
+
+
+@pytest.mark.parametrize("desc", sorted(BLOCK_SHAPES))
+def test_pencil_blocks_partition_the_columns(desc):
+    assoc = desc.startswith("tpoly")
+    alg = build_assoc(desc) if assoc else build_lie(desc)
+    for kind in (("assoc_left", "assoc_both") if assoc
+                 else ("lie_both", "lie_left")):
+        rows, blocks = _pencil_blocks(alg, kind)
+        assert (len(blocks), max(len(cols) for cols, _ in blocks)) == BLOCK_SHAPES[desc]
+        owner = {}
+        for b, (cols, _) in enumerate(blocks):
+            for col in cols:
+                assert col not in owner
+                owner[col] = b
+        assert sorted(owner) == list(range(alg.dim ** 2))
+        placed = 0
+        for b, (_, block_rows) in enumerate(blocks):
+            for row in block_rows:
+                assert {owner[col] for part in row for col in part} == {b}
+            placed += len(block_rows)
+        assert placed == sum(1 for row in rows if any(row))
+
+
+@pytest.mark.parametrize("alg, kind", [(lie_sl2(), "lie_both"),
+                                       (build_assoc("tpoly1:4"), "assoc_both")])
+def test_roots_are_searched_on_the_product_of_the_block_gcds(monkeypatch, alg, kind):
+    searched = []
+
+    def recording(polys, p, confirm, rng):
+        searched.append(polys)
+        return rational_roots(polys, p, confirm, rng)
+
+    monkeypatch.setattr(derivations, "_pencil_cache", {})
+    monkeypatch.setattr(derivations, "rational_roots", recording)
+    lambda_candidates(alg, kind, 0)
+    # the same projections, their determinants and gcds taken by sympy
+    x = sympy.Symbol("x")
+    blocks, _ = _projections(ids.pencil_rows(alg, ids.PENCILS[kind]), alg.dim ** 2, 0)
+    product = sympy.Poly(1, x, domain="QQ")
+    for projections in blocks:
+        block_gcd = sympy.Poly(0, x, domain="QQ")
+        for cmat, lmat in projections:
+            pencil = (sympy.Matrix(cmat) + x * sympy.Matrix(lmat)).to_DM()
+            block_gcd = block_gcd.gcd(sympy.Poly(pencil.domain.to_sympy(pencil.det()), x))
+        product *= block_gcd.monic()
+    p = PRIMES[0]
+    expected = [int(sympy.numer(c)) * pow(int(sympy.denom(c)), -1, p) % p
+                for c in reversed(product.all_coeffs())]
+    assert searched == [[expected]]
+    assert product.degree() >= 3
+
+
+def test_a_block_whose_projections_all_vanish_stops_the_search(monkeypatch):
+    # the documented failure mode: the product of the block gcds is zero,
+    # so no root is searched and only the forced values are solved
+    def first_block_lost(rows, n2, seed):
+        blocks, scale = _projections(rows, n2, seed)
+        k = len(blocks[0][0][0])
+        zero = [[0] * k for _ in range(k)]
+        return [[(zero, zero)] * 3] + blocks[1:], scale
+
+    monkeypatch.setattr(derivations, "_pencil_cache", {})
+    monkeypatch.setattr(derivations, "_projections", first_block_lost)
+    pc = lambda_candidates(lie_sl2(), "lie_both", 0)
+    assert pc.lambdas == {Fraction(1): 3, Fraction(1, 2): 1}
+    assert not pc.degenerate and pc.residual_degree == 0
+
+
+def test_a_dense_basis_is_one_block():
+    dense = rebased(lie_sl2(), [[1, 1, 1], [1, 2, 3], [1, 3, 6]])
+    for kind in ("lie_both", "lie_left"):
+        _, blocks = _pencil_blocks(dense, kind)
+        assert [len(cols) for cols, _ in blocks] == [9]
+    assert lambda_candidates(dense, "lie_both", 0).lambdas == SL2_LIE_BOTH
+
+
+def test_sl4_pencil_gives_the_derivations_and_the_scalars():
+    # Filippov: a nonzero delta-derivation of a simple Lie algebra of
+    # characteristic 0 has delta = 1 (a derivation, here 15 = dim sl4) or
+    # delta = 1/2 (a scalar multiple of the identity)
+    pc = lambda_candidates(lie_sl(4), "lie_both", 0)
+    assert pc.lambdas == {Fraction(1): 15, Fraction(1, 2): 1}
+    assert not pc.degenerate and pc.residual_degree == 0
+
+
+def test_planted_wrong_hessenberg_step_raises_under_optimize():
+    # a Hessenberg reduction that skips the column update of the
+    # similarity, or that does nothing, gives a wrong block polynomial,
+    # which the check against a direct determinant must catch
+    code = (
+        "from currentalg import derivations, modp\n"
+        "from currentalg.algebras import lie_sl\n"
+        "from currentalg.identities import InvariantError\n"
+        "def rows_only(a, p):\n"
+        "    a = [list(r) for r in a]\n"
+        "    for m in range(1, len(a) - 1):\n"
+        "        piv = a[m]\n"
+        "        if piv[m - 1]:\n"
+        "            inv = pow(piv[m - 1], -1, p)\n"
+        "            for i in range(m + 1, len(a)):\n"
+        "                u = a[i][m - 1] * inv % p\n"
+        "                a[i] = [(x - u * y) % p for x, y in zip(a[i], piv)]\n"
+        "    return a\n"
+        "for wrong in (rows_only, lambda a, p: a):\n"
+        "    modp._hessenberg = wrong\n"
+        "    derivations._pencil_cache.clear()\n"
+        "    try:\n"
+        "        derivations.lambda_candidates(lie_sl(3), 'lie_both', 0)\n"
+        "    except InvariantError as exc:\n"
+        "        assert str(exc) == ('block determinant polynomial disagrees '\n"
+        "                            'with its determinant at the probe')\n"
+        "    else:\n"
+        "        raise SystemExit(1)\n"
+        "raise SystemExit(7)\n"
+    )
+    src = str(Path(currentalg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 7, proc.stderr
 
 
 def test_degenerate_assoc_pencil():

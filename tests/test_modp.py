@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from currentalg.modp import (
     PRIMES,
     det_mod,
-    interpolate,
+    pencil_det,
+    poly_mul,
     poly_gcd,
     rational_reconstruction,
     rational_roots,
@@ -60,15 +61,58 @@ def test_det_mod_matches_sympy(rows):
     assert det_mod(rows, P) == sympy.Matrix(rows).det() % P
 
 
+def _shaped(k, shape, cmat, lmat):
+    """C and L with the named defect: a zero column of L (L singular), a
+    zero row of C (C singular), a common zero column (the determinant is
+    identically zero), or L a multiple of C."""
+    cmat, lmat = [list(r) for r in cmat], [list(r) for r in lmat]
+    if shape in ("singular_l", "zero_det"):
+        for r in lmat:
+            r[k - 1] = 0
+    if shape in ("singular_c", "zero_det"):
+        cmat[0] = [0] * k
+    if shape == "zero_det":
+        for r in cmat:
+            r[k - 1] = 0
+    if shape == "proportional":
+        lmat = [[3 * x for x in r] for r in cmat]
+    return cmat, lmat
+
+
+def _square(k):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                    min_size=k, max_size=k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.tuples(st.just(k), _square(k), _square(k))),
+    st.sampled_from(["any", "singular_l", "singular_c", "zero_det",
+                     "proportional"]))
+def test_pencil_det_matches_sympy(pair, shape):
+    k, cmat, lmat = pair
+    cmat, lmat = _shaped(k, shape, cmat, lmat)
+    # sympy's determinant of C + x L, taken over ZZ[x]
+    pencil = (sympy.Matrix(cmat) + X * sympy.Matrix(lmat)).to_DM()
+    exact = sympy.Poly(pencil.domain.to_sympy(pencil.det()), X)
+    got = pencil_det(cmat, lmat, P)
+    assert got == reduce_q(exact)
+    if shape == "zero_det":
+        assert got == []
+
+
+def test_pencil_det_needs_a_later_shift():
+    # C + a L is singular at a = 0, 1 and 2, so the shift is 3; the
+    # determinant t (t - 1) (t - 2) comes back through the shift
+    cmat = [[0, 0, 0], [0, -1, 0], [0, 0, -2]]
+    lmat = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert pencil_det(cmat, lmat, P) == reduce_q(sympy.Poly(X * (X - 1) * (X - 2), X))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=10).flatmap(
-    lambda n: st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)))
-def test_interpolation_matches_sympy_over_q(ys):
-    # the pencil search's sample points: n integers centred on 0
-    n = len(ys)
-    xs = list(range(-((n - 1) // 2), n - (n - 1) // 2))
-    exact = sympy.Poly(sympy.interpolate(list(zip(xs, ys)), X), X, domain="QQ")
-    assert interpolate(xs, ys, P) == reduce_q(exact)
+@given(small_polys, small_polys)
+def test_poly_mul_matches_sympy(a, b):
+    assert poly_mul(ours(gf(a)), ours(gf(b)), P) == ours(gf(a) * gf(b))
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,6 +37,8 @@ DELETED = (
     # the sub-typed solves and the wrappers around condition spaces
     "FormSpace", "MapSpace", "tensor_form_span", "_type_table",
     "H2_TYPE_TABLE", "FORMS_TYPE_TABLE", "_factor_pair", "cochain_dim",
+    # the sample grid of the pencil search
+    "interpolate",
 )
 
 
