@@ -16,17 +16,20 @@ Vectors enter as sparse {column: value} dicts or dense sequences, with int
 or Fraction values only: anything else raises TypeError, so a float never
 passes as a rational.
 
-The elimination engine works on the same integer rows.  A vector of
-ints enters as it is; one holding a Fraction is scaled by the lcm of its
-denominators on entry.  Each row is renormalized by its content after every
-combination, which keeps the integers small without the bookkeeping of
-full fraction-free elimination.  A kernel is eliminated with the rightmost
-column of each row as its pivot, so its free columns give the canonical
-basis directly (see kernel_from_rows).  Dense matrices are plain tuples of
-Fraction rows, indexed m[i][j], and only show up where the ambient
-dimension is small (forms of one factor algebra, inverses); their
-inverses and ranks come from the same engine.  There is no other
-elimination path.
+The elimination engine is one incremental Gauss-Jordan pass whose stored
+rows are in that same reduced form at every step.  A vector of ints enters
+as it is; one holding a Fraction is scaled by the lcm of its denominators.
+An incoming row is scaled once by the lcm of the leads of the pivots it
+holds, has each of those rows subtracted once, as a membership read does,
+and is normalized once: no stored row holds another pivot, so nothing
+cascades.  A zero result is dependent and dropped; otherwise its lowest
+column becomes a pivot, cleared from the stored rows a column index names.
+A kernel is eliminated with the rightmost column of each row as its pivot,
+so its free columns give the canonical basis directly (see
+kernel_from_rows).  Dense matrices are plain tuples of Fraction rows,
+indexed m[i][j], and only show up where the ambient dimension is small
+(forms of one factor algebra, inverses); their inverses and ranks come
+from the same engine.  There is no other elimination path.
 """
 
 from fractions import Fraction
@@ -98,56 +101,65 @@ def _normalize(row):
     return row
 
 
-def _eliminate(row, piv, col):
-    """Combine row with pivot row to kill column col.  Both are int dicts."""
-    a, b = piv[col], row[col]
-    g = gcd(a, b)
-    ma, mb = a // g, b // g
-    out = {}
-    for j, v in row.items():
-        out[j] = ma * v
-    for j, v in piv.items():
-        w = out.get(j, 0) - mb * v
-        if w:
-            out[j] = w
-        elif j in out:
-            del out[j]
-    if out:
-        _normalize(out)
-    return out
+def _reduce(row, pivots):
+    """(row, m): m times row minus its projection on the reduced rows
+    pivots ({pivot: row}, each zero at every other pivot), where m is the
+    lcm of the leads of the pivots row holds.  row is scaled once, each of
+    those pivot rows is subtracted once, and no other pivot is touched, so
+    the result is zero at every pivot.  row may be consumed."""
+    hits = [(p, c) for p, c in row.items() if p in pivots]
+    if not hits:
+        return row, 1
+    m = lcm(*(pivots[p][p] for p, _ in hits))
+    if m != 1:
+        row = {j: m * v for j, v in row.items()}
+    for p, c in hits:
+        piv = pivots[p]
+        f = c * (m // piv[p])
+        for j, x in piv.items():
+            w = row.get(j, 0) - f * x
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    return row, m
 
 
-def _echelon(int_rows):
-    """Forward elimination; returns {pivot_col: row} with rows normalized."""
+def _reduced_rows(int_rows):
+    """{pivot: row}, the reduced row-echelon form of the span of int rows,
+    which it consumes.
+
+    Each row is reduced once against the rows stored so far; a zero result
+    is dependent and dropped.  Otherwise it is normalized and its lowest
+    column j becomes a pivot: each stored row that holds j, which leads
+    left of j, is reduced once against the new row, so every stored row
+    stays zero at every other pivot.  holders[c] lists the pivots whose rows
+    have held column c, so clearing reads only those; an entry goes stale
+    when its row loses c, and is skipped."""
     pivots = {}
-    for r in int_rows:
-        row = dict(r)
-        while row:
-            j = min(row)
-            piv = pivots.get(j)
-            if piv is None:
-                pivots[j] = _normalize(row)
-                break
-            row = _eliminate(row, piv, j)
-    return pivots
-
-
-def _back_reduce(pivots):
-    """Clear the entries of every row at the other pivots, in place.
-
-    From the last pivot up, each row meets only the pivot columns it holds,
-    all right of its own, against rows that are already reduced; those
-    rows hold no other pivot, so no cleared column comes back."""
-    for j in sorted(pivots, reverse=True):
-        row = pivots[j]
-        for c in [c for c in row if c != j and c in pivots]:
-            row = _eliminate(row, pivots[c], c)
+    holders = {}
+    for row in int_rows:
+        row = _reduce(row, pivots)[0]
+        if not row:
+            continue
+        _normalize(row)
+        j = min(row)
+        for q in holders.pop(j, ()):
+            old = pivots[q]
+            if j in old:
+                for c in row:
+                    if c not in old:
+                        holders.setdefault(c, []).append(q)
+                pivots[q] = _normalize(_reduce(old, {j: row})[0])
+        for c in row:
+            if c != j:
+                holders.setdefault(c, []).append(j)
         pivots[j] = row
     return pivots
 
 
 def _dedupe_sorted(int_rows):
-    """Drop duplicate rows (after sign/content normalization), sparsest first."""
+    """Drop zero and duplicate rows, sparsest first."""
     seen = set()
     out = []
     for r in int_rows:
@@ -235,23 +247,8 @@ class Subspace:
         vector - sum_p (vector[p] / rows[p][p]) rows[p] over the pivots p
         that vector holds, and no other pivot is touched."""
         row, den = _as_int_row(vector)
-        hits = [(p, c) for p, c in row.items() if p in self.rows]
-        if not hits:
-            return row, den
-        m = lcm(*(self.rows[p][p] for p, _ in hits))
-        if m != 1:
-            row = {j: m * v for j, v in row.items()}
-            den *= m
-        for p, c in hits:
-            piv = self.rows[p]
-            f = c * (m // piv[p])
-            for j, x in piv.items():
-                w = row.get(j, 0) - f * x
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
-        return row, den
+        row, m = _reduce(row, self.rows)
+        return row, den * m
 
     def reduce(self, vector):
         """The residual of vector (a sparse dict or dense sequence) after
@@ -288,7 +285,7 @@ class Subspace:
 
 def _span(ambient_dim, int_rows):
     """The span of nonzero-valued {col: int} rows."""
-    return Subspace._from_pivots(ambient_dim, _back_reduce(_echelon(int_rows)))
+    return Subspace._from_pivots(ambient_dim, _reduced_rows(int_rows))
 
 
 def kernel_from_rows(ncols, rows):
@@ -296,7 +293,9 @@ def kernel_from_rows(ncols, rows):
 
     The workhorse for every condition space in the package.  Rows may be
     dicts {col: rational} or dense sequences; duplicates and zero rows are
-    discarded before elimination.
+    discarded, and the rest enter the engine sparsest first.  Each is
+    reduced once against the reduced rows so far, so the many dependent
+    rows of a tall system each cost one pass and are dropped.
 
     The engine runs on mirrored columns, so every reduced row p takes its
     rightmost column as pivot and holds only columns f < p besides.  For
@@ -305,8 +304,8 @@ def kernel_from_rows(ncols, rows):
     canonical basis of the kernel, with no second elimination.
     """
     last = ncols - 1
-    reduced = _back_reduce(_echelon(_dedupe_sorted(
-        [{last - j: v for j, v in _as_int_row(r)[0].items()} for r in rows])))
+    reduced = _reduced_rows(_dedupe_sorted(
+        [{last - j: v for j, v in _as_int_row(r)[0].items()} for r in rows]))
     # free column f -> (p, a_pf, a_pp) over the pivot rows p holding f
     hits = {}
     for mp, row in reduced.items():
@@ -330,7 +329,7 @@ def kernel_from_rows(ncols, rows):
 def subspace_sum(u, v):
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient mismatch")
-    return _span(u.ambient_dim, [*u.rows.values(), *v.rows.values()])
+    return _span(u.ambient_dim, [dict(r) for s in (u, v) for r in s.rows.values()])
 
 
 def subspace_intersect(u, v):

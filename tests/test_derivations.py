@@ -1,9 +1,11 @@
 """Derivation spaces, lambda pencils, the map sequence, the loop derivation."""
 
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 import subprocess
 import sys
+import time
 
 import pytest
 import sympy
@@ -277,6 +279,21 @@ def test_a_dense_basis_is_one_block():
         _, blocks = _pencil_blocks(dense, kind)
         assert [len(cols) for cols, _ in blocks] == [9]
     assert lambda_candidates(dense, "lie_both", 0).lambdas == SL2_LIE_BOTH
+
+
+def test_sl3_in_a_dense_basis_is_one_block_within_budget():
+    # the Pascal basis y_a = sum_i C(a + i, i) x_i joins every column, so
+    # the pencil is one block of 64, and its exact kernels are tall and
+    # dense (224 rows each)
+    dense = rebased(lie_sl(3), [[comb(a + i, i) for i in range(8)] for a in range(8)])
+    _, blocks = _pencil_blocks(dense, "lie_both")
+    assert [len(cols) for cols, _ in blocks] == [64]
+    start = time.perf_counter()
+    pc = lambda_candidates(dense, "lie_both", 0)
+    elapsed = time.perf_counter() - start
+    assert pc.lambdas == {Fraction(1): 8, Fraction(1, 2): 1}
+    assert not pc.degenerate and pc.residual_degree == 0
+    assert elapsed < 4, "dense sl3 pencil over budget: %.1fs" % elapsed
 
 
 def test_sl4_pencil_gives_the_derivations_and_the_scalars():

@@ -1,7 +1,7 @@
 """Exact linear algebra kernel, cross-checked against sympy."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from currentalg.exactlin import (
     Subspace,
+    _as_int_row,
+    _reduced_rows,
     inverse,
     kernel_from_rows,
     preimage,
@@ -351,3 +353,122 @@ def test_reduce_reads_dict_and_dense_input_alike(system, probes):
         assert all(x for x in residual.values())
         assert span.contains_vector(
             [vec.get(j, 0) - residual.get(j, 0) for j in range(ncols)])
+
+
+# --- tall systems: many more rows than columns, most of them dependent --------
+
+
+def plain(x):
+    """x as an int when it is integral, so rows mix int and Fraction entries."""
+    return x.numerator if x.denominator == 1 else x
+
+
+@st.composite
+def tall_systems(draw, max_cols=8):
+    """(ncols, rows): 3 to 6 times as many dense rows as columns, each an
+    integer combination of a few generators of rank at least ncols - 2, with
+    the generators themselves, duplicate and zero rows mixed in and the
+    order shuffled."""
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    rank = draw(st.integers(min_value=max(0, ncols - 2), max_value=ncols))
+    entry = st.one_of(st.integers(min_value=-9, max_value=9), fracs)
+    gens = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=rank, max_size=rank))
+    coeffs = st.lists(st.integers(min_value=-3, max_value=3),
+                      min_size=rank, max_size=rank)
+    nrows = draw(st.integers(min_value=3 * ncols, max_value=6 * ncols))
+    rows = [[plain(sum((c * g[j] for c, g in zip(cs, gens)), Fraction(0)))
+             for j in range(ncols)]
+            for cs in draw(st.lists(coeffs, min_size=nrows, max_size=nrows))]
+    rows += gens
+    rows += draw(st.lists(st.sampled_from(rows), max_size=ncols))
+    rows += [[0] * ncols] * draw(st.integers(min_value=0, max_value=2))
+    return ncols, draw(st.permutations(rows))
+
+
+def sympy_canonical_rows(vectors):
+    """{pivot: row}: sympy's RREF of the span of dense vectors, each row
+    scaled to integers of content 1 (the pivot entry stays positive)."""
+    if not vectors:
+        return {}
+    reduced, pivots = to_sympy(vectors).rref()
+    out = {}
+    for i, p in enumerate(pivots):
+        row = {j: Fraction(x) for j, x in enumerate(from_sympy(reduced.row(i))) if x}
+        den = lcm(*(x.denominator for x in row.values()))
+        ints = {j: int(x * den) for j, x in row.items()}
+        g = gcd(*ints.values())
+        out[p] = {j: x // g for j, x in ints.items()}
+    return out
+
+
+def assert_reduced(pivots):
+    """The engine's invariant: each stored row leads at its pivot with a
+    positive int entry, has content 1 and is zero at every other pivot."""
+    for p, row in pivots.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+        assert not set(row) & (set(pivots) - {p})
+
+
+@settings(max_examples=30, deadline=None)
+@given(tall_systems())
+def test_tall_kernel_is_sympys_nullspace_in_canonical_form(system):
+    ncols, rows = system
+    ker = kernel_from_rows(ncols, rows)
+    assert_canonical(ker)
+    null = [from_sympy(col) for col in to_sympy(rows).nullspace()]
+    assert ker.rows == sympy_canonical_rows(null)
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    assert kernel_from_rows(ncols, sparse) == ker
+
+
+@settings(max_examples=30, deadline=None)
+@given(tall_systems(), st.randoms(use_true_random=False))
+def test_tall_spans_are_sympys_row_space_in_every_presentation(system, rng):
+    ncols, rows = system
+    span = Subspace.from_vectors(ncols, rows)
+    assert_canonical(span)
+    assert span.rows == sympy_canonical_rows(rows)
+    # the same span: shuffled, each row rescaled, as dense and sparse vectors
+    vecs = list(rows)
+    rng.shuffle(vecs)
+    vecs = [[plain(f * x) for x in v] for v, f in zip(vecs, (
+        Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) for _ in vecs))]
+    for other in (vecs, [{j: x for j, x in enumerate(v) if x} for v in vecs]):
+        assert Subspace.from_vectors(ncols, other) == span
+    third = len(vecs) // 3
+    parts = (Subspace.from_vectors(ncols, vecs[:third]),
+             Subspace.from_vectors(ncols, vecs[third:]))
+    assert subspace_sum(*parts) == span
+
+
+@settings(max_examples=30, deadline=None)
+@given(tall_systems(max_cols=6))
+def test_every_step_of_the_engine_keeps_its_rows_reduced(system):
+    # the engine's state after k rows is its result on the first k rows
+    ncols, rows = system
+    int_rows = [_as_int_row(r)[0] for r in rows]
+    for k in range(len(int_rows) + 1):
+        assert_reduced(_reduced_rows([dict(r) for r in int_rows[:k]]))
+
+
+def test_a_new_pivot_is_cleared_from_the_rows_that_hold_it():
+    # rows 1, 2 and 3 each take a pivot in a column that earlier rows hold,
+    # so it is cleared from them; row 0 gains column 2 while column 1 is
+    # cleared from it, and must then be found through the column index when
+    # column 2 becomes a pivot.  Row 3 meets pivots of leads 6 and 3, whose
+    # lcm scales it once.
+    rows = [{0: 2, 1: 1}, {1: 3, 2: 1}, {2: 1, 3: 1}, {0: 1, 1: 1}]
+    states = [
+        {0: {0: 2, 1: 1}},
+        {0: {0: 6, 2: -1}, 1: {1: 3, 2: 1}},
+        {0: {0: 6, 3: 1}, 1: {1: 3, 3: -1}, 2: {2: 1, 3: 1}},
+        {p: {p: 1} for p in range(4)},
+    ]
+    for k, state in enumerate(states, 1):
+        assert _reduced_rows([dict(r) for r in rows[:k]]) == state
+        assert_reduced(state)
+    assert kernel_from_rows(4, rows[:3]) == Subspace.from_vectors(4, [[1, -2, 6, -6]])
+    assert Subspace.from_vectors(4, rows[:3]).reduce({3: 1}) == {3: Fraction(1)}

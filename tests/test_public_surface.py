@@ -39,6 +39,8 @@ DELETED = (
     "H2_TYPE_TABLE", "FORMS_TYPE_TABLE", "_factor_pair", "cochain_dim",
     # the sample grid of the pencil search
     "interpolate",
+    # forward elimination and back-reduction, one incremental Gauss-Jordan now
+    "_echelon", "_back_reduce", "_eliminate",
 )
 
 
