@@ -1,14 +1,16 @@
 r"""Structure-constant algebras and the current-algebra construction.
 
 A Lie algebra is a table of brackets [x_i, x_j] for i < j; an associative
-commutative algebra is a table of products a_i a_j for i <= j.  Both are
-validated exhaustively at construction (Jacobi, respectively associativity),
-because every theorem checked downstream silently assumes the axioms.  A
-violation raises ValidationError carrying the offending triple, which is the
-machine-readable witness the CLI reports.  A structure constant is stored
-as an int when it is integral and as a Fraction otherwise, so an integral
-table keeps the axiom checks, and everything read from mul(i, j), in int
-arithmetic.
+commutative algebra is a table of products a_i a_j for i <= j.  One class
+stores, mirrors, validates and compares both kinds of table: they differ
+only in the sign of a mirrored pair and in their axiom.  Each table is
+validated exhaustively at construction (Jacobi, respectively
+associativity), because every theorem checked downstream silently assumes
+the axioms.  A violation raises ValidationError carrying the offending
+triple, which is the machine-readable witness the CLI reports.  A
+structure constant is stored as an int when it is integral and as a
+Fraction otherwise, so an integral table keeps the axiom checks, and
+everything read from mul(i, j), in int arithmetic.
 
 The catalog covers what the verification suites need: sl(n) on trace-zero
 matrices (with the standard weight basis (e-, h, e+) hard-coded for sl(2)),
@@ -22,6 +24,7 @@ on the flat basis x_i tensor a_p, flat index p * dim(L) + i.
 """
 
 from fractions import Fraction
+from itertools import combinations, product as cartesian
 import json
 import os
 import re
@@ -77,143 +80,125 @@ def _canonical_terms(terms):
     return tuple(sorted(acc.items()))
 
 
-class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q given by structure constants.
+class _StructureConstants:
+    """A basis and its structure constants, read as mul(i, j).
 
-    Both algebra types expose the interface the identity engine reads: dim
-    and mul(i, j) as a tuple of (index, coefficient) pairs."""
+    table stores each unordered pair once, keyed (i, j) with i < j on a Lie
+    table and i <= j on an associative one.  A mirrored dict holds both
+    orders, the mirror of a Lie entry negated ([x_j, x_i] = -[x_i, x_j])
+    and that of an associative entry equal to it, so mul(i, j) is one dict
+    read.  mul(i, j) and dim are the interface the identity engine reads.
+    """
 
-    def __init__(self, labels, table, validate=True):
+    _TAGS = ()   # attributes that equality compares besides labels and table
+
+    def __init__(self, labels, table):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         if len(set(self.labels)) != self.dim:
             raise ValidationError("duplicate basis labels")
-        clean = {}
+        self.table, self._full = {}, {}
         for (i, j), terms in table.items():
-            if not (0 <= i < j < self.dim):
-                raise ValueError("lie table keys must satisfy 0 <= i < j < dim")
+            if not (0 <= i <= j < self.dim and (i < j or self._SIGN > 0)):
+                raise ValueError("%s table keys must satisfy 0 <= i %s j < dim"
+                                 % (self.kind, "<" if self._SIGN < 0 else "<="))
             t = _canonical_terms(terms)
             if t:
-                clean[(i, j)] = t
-        self.table = clean
-        full = {}
-        for (i, j), terms in clean.items():
-            full[(i, j)] = terms
-            full[(j, i)] = tuple((k, -c) for k, c in terms)
-        self._full = full
-        self.sl_summands = None
-        if validate:
-            self._validate_jacobi()
+                self.table[(i, j)] = self._full[(i, j)] = t
+                self._full[(j, i)] = (t if self._SIGN > 0
+                                      else tuple((k, -c) for k, c in t))
 
-    def bracket(self, i, j):
-        """[x_i, x_j] as a tuple of (index, coefficient)."""
-        if i == j:
-            return ()
+    def mul(self, i, j):
+        """x_i x_j as a tuple of (index, coefficient)."""
         return self._full.get((i, j), ())
 
-    mul = bracket
-
-    def _jacobi_defect(self, i, j, k):
-        acc = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cf in self.bracket(a, b):
-                for l, cf2 in self.bracket(m, c):
-                    add_entry(acc, l, cf * cf2)
-        return acc
-
-    def _validate_jacobi(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    defect = self._jacobi_defect(i, j, k)
-                    if defect:
-                        names = (self.labels[i], self.labels[j], self.labels[k])
-                        raise ValidationError(
-                            "Jacobi identity fails on (%s, %s, %s)" % names,
-                            axiom="jacobi",
-                            witness=(i, j, k),
-                        )
-
-    @property
-    def is_abelian(self):
-        return not self.table
+    def _check_axiom(self):
+        """Raise ValidationError at the first basis triple t on which the
+        sum of sign * (x_a x_b) x_c over the axiom's terms (sign, a, b, c),
+        positions in t, is nonzero.  A Lie axiom vanishes identically on a
+        repeated index, so increasing triples suffice there."""
+        axiom, name, terms = self._AXIOM
+        n, mul = range(self.dim), self._full.get
+        triples = (combinations(n, 3) if self._SIGN < 0
+                   else cartesian(n, repeat=3))
+        for t in triples:
+            acc = {}
+            for sign, a, b, c in terms:
+                for m, x in mul((t[a], t[b]), ()):
+                    for k, y in mul((m, t[c]), ()):
+                        add_entry(acc, k, x * y if sign > 0 else -x * y)
+            if acc:
+                raise ValidationError(
+                    "%s fails on (%s, %s, %s)"
+                    % ((name,) + tuple(self.labels[i] for i in t)),
+                    axiom=axiom, witness=t)
 
     def _key(self):
-        return ("lie", self.labels, tuple(sorted(self.table.items())))
+        return ((self.kind, self.labels, tuple(sorted(self.table.items())))
+                + tuple(getattr(self, tag) for tag in self._TAGS))
 
     def __eq__(self, other):
-        return isinstance(other, LieAlgebra) and self._key() == other._key()
+        return (isinstance(other, _StructureConstants)
+                and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
 
     def __repr__(self):
-        return "LieAlgebra(dim %d: %s)" % (self.dim, ", ".join(self.labels))
+        return "%s(dim %d: %s)" % (type(self).__name__, self.dim,
+                                   ", ".join(self.labels))
 
 
-class AssocAlgebra:
+class LieAlgebra(_StructureConstants):
+    """Finite-dimensional Lie algebra over Q given by structure constants."""
+
+    kind, _SIGN = "lie", -1
+    # [[x,y],z] + [[y,z],x] + [[z,x],y] = 0
+    _AXIOM = ("jacobi", "Jacobi identity",
+              ((1, 0, 1, 2), (1, 1, 2, 0), (1, 2, 0, 1)))
+
+    def __init__(self, labels, table):
+        super().__init__(labels, table)
+        self.sl_summands = None
+        self._check_axiom()
+
+    bracket = _StructureConstants.mul
+
+    def ad(self, i):
+        """ad x_i as {(k, j): c} for [x_i, x_j] = sum_k c x_k."""
+        return {(k, j): c for j in range(self.dim) for k, c in self.mul(i, j)}
+
+    @property
+    def is_abelian(self):
+        return not self.table
+
+
+class AssocAlgebra(_StructureConstants):
     """Commutative associative algebra given by structure constants.
 
     Possibly without unit; the unital flag certifies that a two-sided
     identity exists among the coordinates and stores it.
     """
 
-    def __init__(self, labels, table, unital=False, degrees=None, validate=True):
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        if len(set(self.labels)) != self.dim:
-            raise ValidationError("duplicate basis labels")
-        clean = {}
-        for (i, j), terms in table.items():
-            if not (0 <= i <= j < self.dim):
-                raise ValueError("assoc table keys must satisfy 0 <= i <= j < dim")
-            t = _canonical_terms(terms)
-            if t:
-                clean[(i, j)] = t
-        self.table = clean
+    kind, _SIGN = "assoc", 1
+    # (xy)z - (yz)x = (xy)z - x(yz) = 0, the table being commutative
+    _AXIOM = ("associativity", "associativity", ((1, 0, 1, 2), (-1, 1, 2, 0)))
+    _TAGS = ("unital", "degrees")
+
+    def __init__(self, labels, table, unital=False, degrees=None):
+        super().__init__(labels, table)
         self.degrees = tuple(degrees) if degrees is not None else None
         if self.degrees is not None and len(self.degrees) != self.dim:
             raise ValueError("degree tags must match dim")
         self.tpoly_order = None
-        if validate:
-            self._validate_associativity()
-            self._validate_grading()
+        self._check_axiom()
+        self._validate_grading()
         self.unital = bool(unital)
         self.unit = self._find_unit() if unital else None
         if unital and self.unit is None:
             raise ValidationError("no two-sided identity found", axiom="unital")
 
-    def product(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.table.get((i, j), ())
-
-    mul = product
-
-    def _assoc_defect(self, i, j, k):
-        acc = {}
-        for m, c in self.product(i, j):
-            for l, d in self.product(m, k):
-                add_entry(acc, l, c * d)
-        for m, c in self.product(j, k):
-            for l, d in self.product(i, m):
-                add_entry(acc, l, -c * d)
-        return acc
-
-    def _validate_associativity(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    defect = self._assoc_defect(i, j, k)
-                    if defect:
-                        names = (self.labels[i], self.labels[j], self.labels[k])
-                        raise ValidationError(
-                            "associativity fails on (%s, %s, %s)" % names,
-                            axiom="associativity",
-                            witness=(i, j, k),
-                        )
+    product = _StructureConstants.mul
 
     def _validate_grading(self):
         # every product term x_i x_j -> x_k needs deg k = deg i + deg j
@@ -248,7 +233,7 @@ class AssocAlgebra:
             return None
         u = tuple(Fraction(row.get(i, 0), row[n]) for i in range(n))
         # re-check u e_j = e_j exactly; the table is commutative by
-        # construction (product sorts its arguments), so one side is enough
+        # construction (product reads one mirrored table), so one side is enough
         for j in range(n):
             acc = {}
             for i, a in enumerate(u):
@@ -258,19 +243,6 @@ class AssocAlgebra:
             if acc != {j: 1}:
                 return None
         return u
-
-    def _key(self):
-        return ("assoc", self.labels, tuple(sorted(self.table.items())),
-                self.unital, self.degrees)
-
-    def __eq__(self, other):
-        return isinstance(other, AssocAlgebra) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "AssocAlgebra(dim %d: %s)" % (self.dim, ", ".join(self.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +585,7 @@ def killing_form(alg):
     """kappa(x, y) = trace(ad x . ad y); symmetric and invariant by construction,
     both re-checked."""
     n = alg.dim
-    ad = []
-    for i in range(n):
-        m = {}
-        for j in range(n):
-            for k, c in alg.bracket(i, j):
-                m[(k, j)] = m.get((k, j), 0) + c
-        ad.append(m)
+    ad = [alg.ad(i) for i in range(n)]
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -689,30 +655,19 @@ def product_form(form_lie, form_assoc, curr):
 
 
 def algebra_to_dict(alg):
-    if isinstance(alg, LieAlgebra):
-        entries = [
-            {"i": i, "j": j,
-             "terms": [{"k": k, "c": str(c)} for k, c in terms]}
-            for (i, j), terms in sorted(alg.table.items())
-        ]
-        return {"kind": "lie", "dim": alg.dim, "basis": list(alg.labels),
-                "table": entries}
-    if isinstance(alg, AssocAlgebra):
-        pairs = {}
-        for (i, j), terms in alg.table.items():
-            pairs[(i, j)] = terms
-            pairs[(j, i)] = terms
-        entries = [
-            {"i": i, "j": j,
-             "terms": [{"k": k, "c": str(c)} for k, c in terms]}
-            for (i, j), terms in sorted(pairs.items())
-        ]
-        out = {"kind": "assoc", "dim": alg.dim, "basis": list(alg.labels),
-               "table": entries, "unital": alg.unital}
+    if not isinstance(alg, _StructureConstants):
+        raise TypeError("not an algebra: %r" % (alg,))
+    assoc = alg.kind == "assoc"
+    out = {"kind": alg.kind, "dim": alg.dim, "basis": list(alg.labels),
+           "table": [{"i": i, "j": j,
+                      "terms": [{"k": k, "c": str(c)} for k, c in terms]}
+                     for (i, j), terms in sorted(
+                         (alg._full if assoc else alg.table).items())]}
+    if assoc:
+        out["unital"] = alg.unital
         if alg.degrees is not None:
             out["degrees"] = list(alg.degrees)
-        return out
-    raise TypeError("not an algebra: %r" % (alg,))
+    return out
 
 
 # an integer or p/q, optionally signed: no exponent, so no string can ask

@@ -53,7 +53,7 @@ from .derivations import (
     verify_der_decomposition,
 )
 from .graded import larsson_report
-from .identities import InvariantError
+from .identities import LIE_FORMS, SYMMETRIES, InvariantError
 
 __all__ = ["main", "build_parser"]
 
@@ -248,11 +248,9 @@ def cmd_hc1(args):
     return 0
 
 
-def _add_lie_assoc(p, lie=True, assoc=True):
-    if lie:
-        p.add_argument("--L", help="Lie algebra descriptor or JSON file")
-    if assoc:
-        p.add_argument("--A", help="associative algebra descriptor or JSON file")
+def _add_lie_assoc(p):
+    p.add_argument("--L", help="Lie algebra descriptor or JSON file")
+    p.add_argument("--A", help="associative algebra descriptor or JSON file")
 
 
 def build_parser():
@@ -276,18 +274,15 @@ def build_parser():
     p = sub.add_parser("cohomology", parents=[common],
                        help="cochain space dimensions in one degree")
     _add_lie_assoc(p)
-    p.add_argument("--n", type=int, required=True, help="cochain degree (0..3)")
+    p.add_argument("--n", type=int, required=True, help="cochain degree (any n >= 0)")
     p.add_argument("--module", choices=sorted(_MODULES), default="trivial")
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("forms", parents=[common],
                        help="bilinear form condition space dimension")
     _add_lie_assoc(p)
-    p.add_argument("--condition", default="invariant",
-                   choices=("jacobi_sum_zero", "cyclic", "radical",
-                            "invariant", "none"))
-    p.add_argument("--symmetry", default="symmetric",
-                   choices=("symmetric", "skew", "any"))
+    p.add_argument("--condition", default="invariant", choices=tuple(LIE_FORMS))
+    p.add_argument("--symmetry", default="symmetric", choices=tuple(SYMMETRIES))
     p.set_defaults(func=cmd_forms)
 
     p = sub.add_parser("derivations", parents=[common])
@@ -295,7 +290,7 @@ def build_parser():
     p.set_defaults(func=cmd_derivations)
 
     p = sub.add_parser("antiderivations", parents=[common])
-    _add_lie_assoc(p, assoc=True)
+    _add_lie_assoc(p)
     p.set_defaults(func=cmd_antiderivations)
 
     p = sub.add_parser("sequence", parents=[common],

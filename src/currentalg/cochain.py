@@ -5,10 +5,10 @@ C^n(L, M) = Hom(Lambda^n L, M) with the differential
     (d w)(x_0..x_n) = sum_i (-1)^i x_i . w(.. x_i-hat ..)
                     + sum_{i<j} (-1)^{i+j} w([x_i, x_j], .. x_i-hat .. x_j-hat ..)
 
-Degrees 0 through 3 are materialized, which is enough for H^0..H^3 and for
-the d^2 = 0 cross-checks the tests run.  A degree-n cochain is coordinatized
-by pairs (S, m): S an increasing n-tuple of basis indices in lexicographic
-rank order, m a module coordinate, flat index rank(S) * dim(M) + m.
+Every degree n >= 0 is built on demand, so H^n is available for any n.  A
+degree-n cochain is coordinatized by pairs (S, m): S an increasing n-tuple
+of basis indices in lexicographic rank order, m a module coordinate, flat
+index rank(S) * dim(M) + m.
 
 This module owns that layout: the other modules take their cochain
 tuples, differentials and the pair-to-n^2 skew transport from here.  With
@@ -40,15 +40,16 @@ class LieModule:
 
     action[i] is {(r, c): v} meaning x_i . m_c = sum_r v m_r.  The
     representation axiom rho([x,y]) = [rho(x), rho(y)] is checked on all
-    bracket pairs at construction.
+    bracket pairs at construction, unless every action entry is zero: the
+    zero action satisfies it trivially.
     """
 
-    def __init__(self, algebra, dim, action, name, validate=True):
+    def __init__(self, algebra, dim, action, name):
         self.algebra = algebra
         self.dim = dim
         self.action = action
         self.name = name
-        if validate:
+        if any(v for matrix in action for v in matrix.values()):
             self._validate()
 
     def _validate(self):
@@ -66,40 +67,24 @@ class LieModule:
                     "module action violates the representation axiom on "
                     "bracket pair (%d, %d)" % _tuples(self.algebra, 2)[r // self.dim])
 
-    def _key(self):
-        return (self.algebra, self.dim, self.name,
-                tuple(tuple(sorted(a.items())) for a in self.action))
-
-    def __eq__(self, other):
-        return isinstance(other, LieModule) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 def trivial_module(algebra, dim=1):
     """K^dim with the zero action."""
     return LieModule(algebra, dim, [dict() for _ in range(algebra.dim)],
-                     "trivial:%d" % dim, validate=False)
-
-
-def _adjoint_action(algebra):
-    """ad x_i as {(k, j): c} for [x_i, x_j] = sum_k c x_k."""
-    n = algebra.dim
-    return [{(k, j): c for j in range(n) for k, c in algebra.bracket(i, j)}
-            for i in range(n)]
+                     "trivial:%d" % dim)
 
 
 def adjoint_module(algebra):
     """L acting on itself by x . y = [x, y]."""
-    return LieModule(algebra, algebra.dim, _adjoint_action(algebra), "adjoint")
+    return LieModule(algebra, algebra.dim,
+                     [algebra.ad(i) for i in range(algebra.dim)], "adjoint")
 
 
 def coadjoint_module(algebra):
     """The dual space with (x . f)(y) = -f([x, y]): the negative transpose
     of the adjoint action."""
-    action = [{(j, k): -c for (k, j), c in ad.items()}
-              for ad in _adjoint_action(algebra)]
+    action = [{(j, k): -c for (k, j), c in algebra.ad(i).items()}
+              for i in range(algebra.dim)]
     return LieModule(algebra, algebra.dim, action, "coadjoint")
 
 

@@ -171,8 +171,7 @@ def inner_derivations(alg):
     if isinstance(alg, AssocAlgebra):
         return Subspace.zero(n * n)
     return Subspace.from_vectors(n * n, [
-        {k * n + j: c for j in range(n) for k, c in alg.bracket(i, j)}
-        for i in range(n)])
+        {k * n + j: c for (k, j), c in alg.ad(i).items()} for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +413,7 @@ def lambda_candidates(alg, kind, seed=0):
             return any(all(not _det_at(proj, t, q) for proj in projections)
                        for projections in blocks)
 
-        roots, residual_degree = rational_roots([product], p, confirm,
+        roots, residual_degree = rational_roots(product, p, confirm,
                                                 random.Random(seed))
         candidates.update(roots)
     result = PencilCandidates(alg, kind, {}, degenerate,

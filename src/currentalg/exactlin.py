@@ -9,7 +9,8 @@ rows: ``rows[p]`` is the row with pivot column p, a {column: int} dict
 scaled to content (gcd) 1 with a positive pivot entry.  That form is
 unique, so two subspaces are equal iff their rows are.  The dense basis,
 Fraction tuples with pivot entries 1, is built from the rows on first
-read, for the callers that print it.  Membership, sums, intersections and
+read, for callers that want dense vectors; nothing in the package reads
+it (witnesses come from the rows).  Membership, sums, intersections and
 preimages read the integer rows and touch only the pivots a vector hits;
 a preimage takes the images of the domain's rows.
 Vectors enter as sparse {column: value} dicts or dense sequences, with int
@@ -26,10 +27,10 @@ cascades.  A zero result is dependent and dropped; otherwise its lowest
 column becomes a pivot, cleared from the stored rows a column index names.
 A kernel is eliminated with the rightmost column of each row as its pivot,
 so its free columns give the canonical basis directly (see
-kernel_from_rows).  Dense matrices are plain tuples of Fraction rows,
-indexed m[i][j], and only show up where the ambient dimension is small
-(forms of one factor algebra, inverses); their inverses and ranks come
-from the same engine.  There is no other elimination path.
+kernel_from_rows).  Dense matrices are plain tuples of rows of ints and
+Fractions, indexed m[i][j], and only show up where the ambient dimension
+is small (forms of one factor algebra, inverses); their inverses and
+ranks come from the same engine.  There is no other elimination path.
 """
 
 from fractions import Fraction
@@ -373,7 +374,7 @@ def preimage(domain, images, target):
 
 
 # ---------------------------------------------------------------------------
-# small dense matrices: tuples of Fraction rows
+# small dense matrices: tuples of rows
 
 
 def inverse(m):

@@ -245,9 +245,8 @@ def decomposable_span(curr, decomposable_types, symmetry):
             generators[label + suffix], per_type[label + suffix] = _family(
                 curr, [pair])
     _, full = _family(curr, factor_pairs)
-    sym = kernel_from_rows(curr.dim ** 2,
-                           ids.rows(curr, (ids.SYMMETRIES[symmetry],)))
-    return per_type, generators, full, subspace_intersect(full, sym)
+    return (per_type, generators, full,
+            subspace_intersect(full, condition_space(curr, "none", symmetry)))
 
 
 # ---------------------------------------------------------------------------

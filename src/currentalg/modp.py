@@ -309,25 +309,22 @@ def rational_reconstruction(u, p):
     return Fraction(r1 if s1 > 0 else -r1, abs(s1))
 
 
-def rational_roots(polys, p, confirm, rng):
-    """Rational common roots of polynomials, from their images mod p.
+def rational_roots(poly, p, confirm, rng):
+    """Rational roots of a polynomial, from its image mod p.
 
-    polys are the images mod p of polynomials over Q.  Each distinct root
-    of the square-free part of their gcd is lifted by rational
-    reconstruction, and kept only when confirm(fraction) holds; confirm is
-    meant to check the candidate against the same polynomials modulo
-    another prime.  Returns (sorted roots, residual degree), where the
-    residual degree is the degree of the square-free gcd minus the number
-    of roots kept: the total degree of the distinct irreducible factors
-    without a rational root.  If every polynomial is zero mod p there is
-    no gcd to search and the result is ([], 0).
+    poly is the image mod p of a polynomial over Q.  Each distinct root of
+    its square-free part is lifted by rational reconstruction, and kept
+    only when confirm(fraction) holds; confirm is meant to check the
+    candidate against the same polynomial modulo another prime.  Returns
+    (sorted roots, residual degree), where the residual degree is the
+    degree of the square-free part minus the number of roots kept: the
+    total degree of the distinct irreducible factors without a rational
+    root.  If poly is zero mod p there is nothing to search and the result
+    is ([], 0).
     """
-    g = []
-    for f in polys:
-        g = poly_gcd(g, f, p)
-    if not g:
+    sqf = squarefree_part(poly, p)
+    if not sqf:
         return [], 0
-    sqf = squarefree_part(g, p)
     found = []
     for r in roots(sqf, p, rng):
         x = rational_reconstruction(r, p)

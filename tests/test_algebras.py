@@ -43,6 +43,27 @@ def test_sl2_weight_basis_table():
     assert sl2.bracket(1, 0) == ((0, Fraction(-1)),)
     assert sl2.bracket(0, 0) == ()
     assert not sl2.is_abelian
+    # ad h: e- -> -e-, e+ -> e+, as {(k, j): c} for [h, x_j] = c x_k
+    assert sl2.ad(1) == {(0, 0): -1, (2, 2): 1}
+
+
+def _mirrors(alg):
+    """mul(j, i) is -mul(i, j) on a Lie table and mul(i, j) on an
+    associative one, for every ordered basis pair."""
+    sign = -1 if isinstance(alg, LieAlgebra) else 1
+    return all(alg.mul(j, i) == tuple((k, sign * c) for k, c in alg.mul(i, j))
+               for i in range(alg.dim) for j in range(alg.dim))
+
+
+def test_lie_and_associative_tables_never_compare_equal():
+    labels, table = ("x", "y", "z"), {(0, 1): ((2, 1),)}
+    lie, assoc = LieAlgebra(labels, table), AssocAlgebra(labels, table)
+    assert lie.table == assoc.table
+    assert lie.mul(1, 0) == ((2, -1),) and assoc.mul(1, 0) == ((2, 1),)
+    assert lie != assoc and assoc != lie
+    assert LieAlgebra(("a",), {}) != AssocAlgebra(("a",), {})
+    assert lie == LieAlgebra(labels, table) and assoc == AssocAlgebra(labels, table)
+    assert len({lie, assoc, LieAlgebra(labels, table), AssocAlgebra(labels, table)}) == 2
 
 
 def test_sl_n_catalog():
@@ -144,10 +165,12 @@ def test_unital_flag_requires_identity():
 
 def test_json_round_trip(tmp_path):
     for alg in (lie_sl2(), lie_sl(3), lie_heisenberg3(),
+                current(lie_sl2(), assoc_truncated_poly(3)),
                 assoc_truncated_poly(4), assoc_truncated_poly(3, unital=True)):
         back = algebra_from_dict(algebra_to_dict(alg))
         assert back.labels == alg.labels
         assert back.table == alg.table
+        assert _mirrors(alg) and _mirrors(back)
         if isinstance(alg, AssocAlgebra):
             assert back.unital == alg.unital
             assert back.degrees == alg.degrees
@@ -351,4 +374,5 @@ def test_any_json_value_gives_an_algebra_or_a_validation_error(data):
     except ValidationError:
         return
     assert isinstance(alg, (LieAlgebra, AssocAlgebra))
+    assert _mirrors(alg)
     assert algebra_from_dict(algebra_to_dict(alg)) == alg

@@ -113,6 +113,18 @@ def test_representation_axiom_is_enforced():
         LieModule(g, g.dim, action, "broken")
 
 
+def test_the_axiom_is_checked_exactly_when_some_action_entry_is_nonzero(monkeypatch):
+    checked = []
+    monkeypatch.setattr(LieModule, "_validate", lambda self: checked.append(self.name))
+    g = lie_sl2()
+    trivial_module(g, 2)
+    LieModule(g, 1, [{(0, 0): 0} for _ in range(g.dim)], "zero entries")
+    assert checked == []
+    adjoint_module(g)
+    coadjoint_module(g)
+    assert checked == ["adjoint", "coadjoint"]
+
+
 def test_trivial_module_zero_degree_is_invariants():
     # H^0 = M^L: full for abelian action, zero for a faithful simple action.
     g = lie_sl2()

@@ -233,9 +233,9 @@ def test_pencil_blocks_partition_the_columns(desc):
 def test_roots_are_searched_on_the_product_of_the_block_gcds(monkeypatch, alg, kind):
     searched = []
 
-    def recording(polys, p, confirm, rng):
-        searched.append(polys)
-        return rational_roots(polys, p, confirm, rng)
+    def recording(poly, p, confirm, rng):
+        searched.append(poly)
+        return rational_roots(poly, p, confirm, rng)
 
     monkeypatch.setattr(derivations, "_pencil_cache", {})
     monkeypatch.setattr(derivations, "rational_roots", recording)
@@ -253,7 +253,7 @@ def test_roots_are_searched_on_the_product_of_the_block_gcds(monkeypatch, alg, k
     p = PRIMES[0]
     expected = [int(sympy.numer(c)) * pow(int(sympy.denom(c)), -1, p) % p
                 for c in reversed(product.all_coeffs())]
-    assert searched == [[expected]]
+    assert searched == [expected]
     assert product.degree() >= 3
 
 

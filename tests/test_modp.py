@@ -177,6 +177,14 @@ def _confirm_mod(polys_q, q):
     return confirm
 
 
+def _gcd_mod_p(polys_q):
+    """The gcd mod P of the images mod P of polynomials over Q."""
+    g = []
+    for f in polys_q:
+        g = poly_gcd(g, reduce_q(f), P)
+    return g
+
+
 def _seed_rule(polys_q):
     """(rational roots, residual degree) the way sympy factoring gives them."""
     g = polys_q[0]
@@ -203,12 +211,9 @@ def test_repeated_rational_root_and_quadratic_count_once():
     polys_q = [half**3 * quad**2 * sympy.Poly(X + 3, X, domain="QQ"),
                half**2 * quad**3 * sympy.Poly(X - 5, X, domain="QQ"),
                half**2 * quad**2 * sympy.Poly(3 * X + 1, X, domain="QQ")]
-    polys = [reduce_q(f) for f in polys_q]
-    g = polys[0]
-    for f in polys[1:]:
-        g = poly_gcd(g, f, P)
+    g = _gcd_mod_p(polys_q)
     assert len(roots(squarefree_part(g, P), P, random.Random(0))) == 3
-    got = rational_roots(polys, P, _confirm_mod(polys_q, PRIMES[1]), random.Random(0))
+    got = rational_roots(g, P, _confirm_mod(polys_q, PRIMES[1]), random.Random(0))
     assert got == ([Fraction(1, 2)], 2) == _seed_rule(polys_q)
 
 
@@ -222,6 +227,6 @@ def test_rational_roots_follow_the_factoring_rule(linear, extras, common, seed):
     for a, b, m in linear:
         g *= sympy.Poly(b * X - a, X, domain="QQ") ** m
     polys_q = [g * sympy.Poly(e[::-1], X, domain="QQ") for e in extras]
-    got = rational_roots([reduce_q(f) for f in polys_q], P,
+    got = rational_roots(_gcd_mod_p(polys_q), P,
                          _confirm_mod(polys_q, PRIMES[1]), random.Random(seed))
     assert got == _seed_rule(polys_q)

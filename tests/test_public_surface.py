@@ -41,6 +41,8 @@ DELETED = (
     "interpolate",
     # forward elimination and back-reduction, one incremental Gauss-Jordan now
     "_echelon", "_back_reduce", "_eliminate",
+    # the per-kind axiom loops and the second adjoint builder, one of each now
+    "_validate_jacobi", "_validate_associativity", "_adjoint_action",
 )
 
 
