@@ -4,13 +4,15 @@ A Lie algebra is a table of brackets [x_i, x_j] for i < j; an associative
 commutative algebra is a table of products a_i a_j for i <= j.  One class
 stores, mirrors, validates and compares both kinds of table: they differ
 only in the sign of a mirrored pair and in their axiom.  Each table is
-validated exhaustively at construction (Jacobi, respectively
-associativity), because every theorem checked downstream silently assumes
-the axioms.  A violation raises ValidationError carrying the offending
-triple, which is the machine-readable witness the CLI reports.  A
-structure constant is stored as an int when it is integral and as a
-Fraction otherwise, so an integral table keeps the axiom checks, and
-everything read from mul(i, j), in int arithmetic.
+validated exactly at construction (Jacobi, respectively associativity),
+because every theorem checked downstream silently assumes the axioms.  The
+axiom is evaluated on the basis triples that carry a product; on every
+other triple each of its terms is an empty sum (see _check_axiom).  A
+violation raises ValidationError carrying the first offending triple in
+lexicographic order, which is the machine-readable witness the CLI
+reports.  A structure constant is stored as an int when it is integral
+and as a Fraction otherwise, so an integral table keeps the axiom checks,
+and everything read from mul(i, j), in int arithmetic.
 
 The catalog covers what the verification suites need: sl(n) on trace-zero
 matrices (with the standard weight basis (e-, h, e+) hard-coded for sl(2)),
@@ -24,13 +26,13 @@ on the flat basis x_i tensor a_p, flat index p * dim(L) + i.
 """
 
 from fractions import Fraction
-from itertools import combinations, product as cartesian
 import json
 import os
 import re
 
 from .exactlin import Subspace, _exact, kernel_from_rows
-from .identities import ASSOC_FORMS, LIE_FORMS, add_entry, first_failure, require
+from .identities import (ASSOC_FORMS, LIE_FORMS, _tuples, add_entry,
+                         first_failure, require)
 
 __all__ = [
     "ValidationError",
@@ -113,15 +115,51 @@ class _StructureConstants:
         return self._full.get((i, j), ())
 
     def _check_axiom(self):
-        """Raise ValidationError at the first basis triple t on which the
-        sum of sign * (x_a x_b) x_c over the axiom's terms (sign, a, b, c),
-        positions in t, is nonzero.  A Lie axiom vanishes identically on a
-        repeated index, so increasing triples suffice there."""
-        axiom, name, terms = self._AXIOM
-        n, mul = range(self.dim), self._full.get
-        triples = (combinations(n, 3) if self._SIGN < 0
-                   else cartesian(n, repeat=3))
-        for t in triples:
+        """Raise ValidationError at the first basis triple t, in
+        lexicographic order, on which the sum of sign * (x_a x_b) x_c over
+        the axiom's terms (sign, a, b, c), positions in t, is nonzero.  A
+        Lie axiom vanishes identically on a repeated index, so increasing
+        triples suffice there.
+
+        A term is nonzero on t only when t[c] is in the reach of
+        x_t[a] x_t[b]: some basis element m of that product has
+        x_m x_t[c] != 0.  Only the triples on which some term passes that
+        test are visited; on every other one each term is an empty sum, so
+        the check stays exact.  As bit masks, reach[i][j] is the reach of
+        x_i x_j and back[i][c] the j with c in the reach of x_i x_j; x_j x_i
+        has the support of x_i x_j on a mirrored table, so both are read
+        off each unordered pair once.  A prefix (t[0], t[1]) extends by the
+        union over the terms of reach[t[a]][t[b]] (c last),
+        back[t[a]][t[c]] (b last) or back[t[b]][t[c]] (a last)."""
+        axiom, name, order, terms = self._AXIOM
+        n = self.dim
+        row = [0] * n
+        for i, j in self._full:
+            row[i] |= 1 << j
+        reach, back = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        for (i, j), prod in self.table.items():
+            r = 0
+            for m, _ in prod:
+                r |= row[m]
+            reach[i][j] = reach[j][i] = r
+            back_i, back_j, bit_i, bit_j = back[i], back[j], 1 << i, 1 << j
+            while r:
+                low = r & -r
+                c = low.bit_length() - 1
+                back_i[c] |= bit_j
+                back_j[c] |= bit_i
+                r ^= low
+        keys = [(a, b, reach) if c == 2 else (a, c, back) if b == 2
+                else (b, c, back) for _, a, b, c in terms]
+
+        def live(t):
+            mask = 0
+            for p, q, masks in keys:
+                mask |= masks[t[p]][t[q]]
+            return mask
+
+        mul = self._full.get
+        for t in _tuples(self.dim, order, live):
             acc = {}
             for sign, a, b, c in terms:
                 for m, x in mul((t[a], t[b]), ()):
@@ -154,7 +192,7 @@ class LieAlgebra(_StructureConstants):
 
     kind, _SIGN = "lie", -1
     # [[x,y],z] + [[y,z],x] + [[z,x],y] = 0
-    _AXIOM = ("jacobi", "Jacobi identity",
+    _AXIOM = ("jacobi", "Jacobi identity", "x<y<z",
               ((1, 0, 1, 2), (1, 1, 2, 0), (1, 2, 0, 1)))
 
     def __init__(self, labels, table):
@@ -182,7 +220,8 @@ class AssocAlgebra(_StructureConstants):
 
     kind, _SIGN = "assoc", 1
     # (xy)z - (yz)x = (xy)z - x(yz) = 0, the table being commutative
-    _AXIOM = ("associativity", "associativity", ((1, 0, 1, 2), (-1, 1, 2, 0)))
+    _AXIOM = ("associativity", "associativity", "x,y,z",
+              ((1, 0, 1, 2), (-1, 1, 2, 0)))
     _TAGS = ("unital", "degrees")
 
     def __init__(self, labels, table, unital=False, degrees=None):

@@ -55,7 +55,7 @@ that are too strict (a kernel too small) do not.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 import random
 
 from . import identities as ids
@@ -78,7 +78,6 @@ from .algebras import (
 )
 from .cochain import (
     _skew_square,
-    _tuples,
     adjoint_module,
     coadjoint_module,
     cohomology,
@@ -564,7 +563,7 @@ def sequence_maps(L, form=None, lname=None):
     h1 = cohomology(L, module, 1)
     h3 = cohomology(L, trivial_module(L), 3)
     b_forms = invariant_symmetric_forms(L)
-    triples = _tuples(L, 3)
+    n_triples, brackets = comb(n, 3), sorted(L.table.items())
 
     def times(vec, rows):
         # vec, a dense or sparse n^2 vector, as an n x n matrix times the
@@ -587,10 +586,18 @@ def sequence_maps(L, form=None, lname=None):
         return [g[i * n + j] + g[j * n + i] for i in range(n) for j in range(n)]
 
     def w_map(f):
-        # phi([x_i, x_j], x_k) for a dense or sparse form vector f
+        # phi([x_i, x_j], x_k) for a dense or sparse form vector f, as a
+        # sparse {rank of (i, j, k) among the increasing triples: value}:
+        # only the pairs i < j with [x_i, x_j] != 0 give entries
         f = f if isinstance(f, dict) else dict(enumerate(f))
-        return [sum(c * f.get(m * n + k, 0) for m, c in L.bracket(i, j))
-                for i, j, k in triples]
+        out = {}
+        for (i, j), terms in brackets:
+            first = n_triples - comb(n - i, 3) + comb(n - i - 1, 2) - comb(n - j, 2)
+            for k in range(j + 1, n):
+                v = sum(c * f.get(m * n + k, 0) for m, c in terms)
+                if v:
+                    out[first + k - j - 1] = v
+        return out
 
     # u, v and w are read on the integer rows of Z^2, B^2, Z^1, B^1 and
     # B(L), and preimage takes the images of those rows: every use below is

@@ -18,13 +18,16 @@ or Fraction values only: anything else raises TypeError, so a float never
 passes as a rational.
 
 The elimination engine is one incremental Gauss-Jordan pass whose stored
-rows are in that same reduced form at every step.  A vector of ints enters
-as it is; one holding a Fraction is scaled by the lcm of its denominators.
-An incoming row is scaled once by the lcm of the leads of the pivots it
-holds, has each of those rows subtracted once, as a membership read does,
-and is normalized once: no stored row holds another pivot, so nothing
-cascades.  A zero result is dependent and dropped; otherwise its lowest
-column becomes a pivot, cleared from the stored rows a column index names.
+rows are in that same reduced form at every step.  Every vector is read
+into it in one pass over its entries (_as_int_row), which checks that each
+value is exact, keeps a vector of ints as it is, scales one holding a
+Fraction by the lcm of its denominators and, for a kernel, mirrors the
+columns.  An incoming row is scaled once by the lcm of the leads of the
+pivots it holds, has each of those rows subtracted once, as a membership
+read does, and is normalized once: no stored row holds another pivot, so
+nothing cascades.  A zero result is dependent and dropped; otherwise its
+lowest column becomes a pivot, cleared from the stored rows a column index
+names.
 A kernel is eliminated with the rightmost column of each row as its pivot,
 so its free columns give the canonical basis directly (see
 kernel_from_rows).  Dense matrices are plain tuples of rows of ints and
@@ -63,28 +66,27 @@ def _exact(v):
     return Fraction(v)
 
 
-def _nonzero(vector):
-    """The nonzero (column, value) pairs of a sparse dict or dense sequence,
-    whose values must pass _exact."""
-    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
-    out = []
-    for j, v in items:
-        if not isinstance(v, _EXACT):
-            _exact(v)   # raises
-        if v:
-            out.append((j, v))
-    return out
-
-
-def _as_int_row(vector):
+def _as_int_row(vector, last=None):
     """(row, scale): vector times scale, the lcm of its denominators, as a
-    {col: int} dict of its nonzero entries.  A vector of ints is its own
-    row at scale 1."""
-    entries = _nonzero(vector)
-    if all(type(v) is int for _, v in entries):
-        return dict(entries), 1
-    scale = lcm(1, *(v.denominator for _, v in entries))
-    return {j: v.numerator * (scale // v.denominator) for j, v in entries}, scale
+    {col: int} dict of its nonzero entries in the order vector holds them;
+    with last given, column j is stored at last - j.  A vector of ints is
+    its own row at scale 1.
+
+    vector is a sparse dict or a dense sequence, read in one pass.  Its
+    values must pass _exact: anything else, a float above all, raises
+    TypeError."""
+    row, scale, ints = {}, 1, True
+    for j, v in (vector.items() if isinstance(vector, dict) else enumerate(vector)):
+        if type(v) is not int:
+            if not isinstance(v, _EXACT):
+                _exact(v)   # raises
+            ints = False
+            scale = lcm(scale, v.denominator)
+        if v:
+            row[j if last is None else last - j] = v
+    if ints:
+        return row, 1
+    return {j: v.numerator * (scale // v.denominator) for j, v in row.items()}, scale
 
 
 def _normalize(row):
@@ -160,7 +162,8 @@ def _reduced_rows(int_rows):
 
 
 def _dedupe_sorted(int_rows):
-    """Drop zero and duplicate rows, sparsest first."""
+    """Drop zero and duplicate rows, sparsest first.  The keys are freed
+    on return, before the rows are eliminated."""
     seen = set()
     out = []
     for r in int_rows:
@@ -293,9 +296,11 @@ def kernel_from_rows(ncols, rows):
     """Kernel of the homogeneous system given by sparse/dense rows.
 
     The workhorse for every condition space in the package.  Rows may be
-    dicts {col: rational} or dense sequences; duplicates and zero rows are
-    discarded, and the rest enter the engine sparsest first.  Each is
-    reduced once against the reduced rows so far, so the many dependent
+    dicts {col: rational} or dense sequences.  Each is read once into a
+    mirrored int row; zero rows and rows equal to an earlier one (keyed by
+    their sorted entries) are discarded, and the rest enter the engine
+    sparsest first, in the order given among rows of equal length.  Each
+    is reduced once against the reduced rows so far, so the many dependent
     rows of a tall system each cost one pass and are dropped.
 
     The engine runs on mirrored columns, so every reduced row p takes its
@@ -305,8 +310,7 @@ def kernel_from_rows(ncols, rows):
     canonical basis of the kernel, with no second elimination.
     """
     last = ncols - 1
-    reduced = _reduced_rows(_dedupe_sorted(
-        [{last - j: v for j, v in _as_int_row(r)[0].items()} for r in rows]))
+    reduced = _reduced_rows(_dedupe_sorted(_as_int_row(r, last)[0] for r in rows))
     # free column f -> (p, a_pf, a_pp) over the pivot rows p holding f
     hits = {}
     for mp, row in reduced.items():
@@ -344,18 +348,21 @@ def preimage(domain, images, target):
     """{x in domain : f(x) in target} for a linear map f given on the rows.
 
     images[k] is f of the k-th row of domain.rows (in pivot order), a
-    sparse dict or dense vector of the target's ambient space.  The kernel
-    of the stacked system sum_k c_k images[k] = sum_l d_l (target row l)
-    gives the coefficients c, which are recombined over the domain rows.
+    sparse dict or dense vector of the target's ambient space, read as the
+    int row s_k * images[k].  The kernel of the stacked system
+    sum_k c_k s_k images[k] = sum_l d_l (target row l) gives the
+    coefficients c, and sum_k c_k s_k (domain row k) spans the preimage.
     """
     if len(images) != domain.dim:
         raise ValueError("one image per domain row")
     if domain.dim == 0:
         return Subspace.zero(domain.ambient_dim)
     r = domain.dim
-    system = {}
+    system, scales = {}, []
     for k, img in enumerate(images):
-        for i, x in _nonzero(img):
+        row, scale = _as_int_row(img)
+        scales.append(scale)
+        for i, x in row.items():
             system.setdefault(i, {})[k] = x
     for l, t in enumerate(target.rows.values()):
         for i, x in t.items():
@@ -367,6 +374,7 @@ def preimage(domain, images, target):
         w = {}
         for k, ck in c.items():
             if k < r:
+                ck *= scales[k]
                 for i, x in domain_rows[k].items():
                     w[i] = w.get(i, 0) + ck * x
         vectors.append({i: x for i, x in w.items() if x})

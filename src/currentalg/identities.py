@@ -27,7 +27,11 @@ Two independent evaluations are derived from each identity:
 
 * the row path (pencil_rows, rows) writes one sparse row per output
   coordinate for each basis tuple that the identity's ``order`` selects,
-  through the sparse structure constants alg.mul(i, j);
+  through the sparse structure constants alg.mul(i, j).  When every term
+  holds a product slot, only the tuples with a nonzero slot are walked
+  (_live), since the others give no entry; an identity with a bare
+  D(x)y, xD(y) or f(x, y) term walks every tuple, through the same
+  enumerator and in the same lexicographic order;
 * the recheck (recheck) evaluates the identity on seeded random dense
   integer vectors, with the structure constants of alg.mul(i, j) scaled
   to integers, directly at one seeded integer combination of the solution
@@ -44,7 +48,7 @@ Neither path solves: the callers in forms and derivations own the kernels.
 """
 
 from collections import defaultdict, namedtuple
-from itertools import product
+from functools import lru_cache
 from math import lcm
 import random
 import re
@@ -168,14 +172,82 @@ ASSOC_MAPS = {
 # the row path: basis tuples through the sparse structure constants
 
 
-def _tuples(n, order):
-    """Basis index tuples selected by order, in lexicographic order."""
-    tuples = [()]
-    for rel in [","] + re.findall(r"<=|<|,", order):
-        step = {"<": 1, "<=": 0}.get(rel)
-        tuples = [t + (j,) for t in tuples
-                  for j in range(0 if step is None else t[-1] + step, n)]
-    return tuples
+def _bits(mask):
+    """The set bits of an int mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _tuples(n, order, live=None):
+    """Basis index tuples selected by order, in lexicographic order.
+
+    With live, each prefix t (every index but the last) is extended only by
+    the last indices in the bit mask live(t), or by every index when
+    live(t) is None."""
+    steps = [None] + [{"<": 1, "<=": 0}.get(rel)
+                      for rel in re.findall(r"<=|<|,", order)]
+    prefixes = [()]
+    for step in steps[:-1]:
+        prefixes = [t + (j,) for t in prefixes
+                    for j in range(0 if step is None else t[-1] + step, n)]
+    step, every = steps[-1], (1 << n) - 1
+    for t in prefixes:
+        start = 0 if step is None else t[-1] + step
+        mask = None if live is None else live(t)
+        if mask is None or mask >> start == every >> start:
+            indices = range(start, n)
+        else:
+            indices = _bits(mask >> start << start)
+        for j in indices:
+            yield t + (j,)
+
+
+def _live(alg, ident):
+    """live for _tuples(alg.dim, ident.order, live), or None when some term
+    has no product slot (D(x)y, xD(y), f(x, y)) and every tuple can give a
+    row.
+
+    A term with a product slot (a, b) gives no entry on a tuple t unless
+    x_t[a] x_t[b] != 0.  So a prefix extends by every last index when one
+    of its own slots holds a nonzero product, and otherwise only by the j
+    that make a slot holding the last position nonzero: the mask of j
+    with x_i x_j != 0, which is the mask of j with x_j x_i != 0 too, the
+    table being mirrored."""
+    slots = []
+    for _, _, _, left, right in ident.terms:
+        slot = left if len(left) == 2 else right
+        if len(slot) != 2:
+            return None
+        slots.append(slot)
+    n, mul, last = alg.dim, alg.mul, len(re.findall(r"[xyz]", ident.order)) - 1
+    nonzero = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if mul(i, j):
+                nonzero[i] |= 1 << j
+    whole = [(a, b) for a, b in slots if last not in (a, b)]
+    reach = [a if b == last else b for a, b in slots if last in (a, b)]
+
+    def live(t):
+        for a, b in whole:
+            if mul(t[a], t[b]):
+                return None
+        mask = 0
+        for a in reach:
+            mask |= nonzero[t[a]]
+        return mask
+
+    return live
+
+
+def _slot(mul, t, args):
+    """A slot of a term on the basis tuple t as (index, coefficient)
+    pairs: x_t[a] x_t[b] for a product slot (a, b), x_t[a] for (a,)."""
+    if len(args) == 1:
+        return ((t[args[0]], 1),)
+    return mul(t[args[0]], t[args[1]])
 
 
 def _entries(alg, terms, t):
@@ -187,22 +259,21 @@ def _entries(alg, terms, t):
     """
     n = alg.dim
     mul = alg.mul
-
-    def slot(args):
-        if len(args) == 1:
-            return ((t[args[0]], 1),)
-        return mul(t[args[0]], t[args[1]])
-
-    for c, part, kind, left, right in terms:
+    swept = []
+    for term in terms:
+        c, part, kind, left, right = term
         if kind == "f":
-            for p, a in slot(left):
-                for q, b in slot(right):
+            lefts = _slot(mul, t, left)
+            rights = _slot(mul, t, right) if lefts else ()
+            for p, a in lefts:
+                for q, b in rights:
                     yield 0, p * n + q, c * a * b, part
         elif kind == "D":
-            for k, a in slot(left):
+            for k, a in _slot(mul, t, left):
                 for r in range(n):
                     yield r, r * n + k, c * a, part
-    swept = [term for term in terms if term[2] in ("Dl", "Dr")]
+        else:
+            swept.append(term)
     if swept:
         for m in range(n):
             for c, part, kind, left, right in swept:
@@ -219,10 +290,13 @@ def pencil_rows(alg, ident):
     sparse dicts: basis tuples in order, output coordinates in the order
     they are first touched, rows that vanish in both parts dropped."""
     out = []
-    for t in _tuples(alg.dim, ident.order):
+    for t in _tuples(alg.dim, ident.order, _live(alg, ident)):
         per = {}
         for r, col, val, part in _entries(alg, ident.terms, t):
-            add_entry(per.setdefault(r, ({}, {}))[part], col, val)
+            pair = per.get(r)
+            if pair is None:
+                pair = per[r] = ({}, {})
+            add_entry(pair[part], col, val)
         out.extend(pair for pair in per.values() if pair[0] or pair[1])
     return out
 
@@ -246,7 +320,7 @@ def rows_at(pairs, weights):
 def first_failure(alg, ident, vec):
     """The first basis tuple of the row path on which the unknown with
     coordinates vec breaks the identity at its weights, or None."""
-    for t in _tuples(alg.dim, ident.order):
+    for t in _tuples(alg.dim, ident.order, _live(alg, ident)):
         acc = {}
         for r, col, val, part in _entries(alg, ident.terms, t):
             add_entry(acc, r, ident.weights[part] * val * vec[col])
@@ -275,10 +349,15 @@ _RANDOM_MAPS = (74161, 10, 2)
 _COMBINATION = (52711, 1 << 30)
 
 
+@lru_cache(maxsize=16)
 def _random_tuples(n, seed, count, size):
+    """count tuples of size integer vectors of length n, entries uniform in
+    -3..3 from seed: a pure function of its arguments, so each draw is
+    made once per process and kept, immutable."""
     rng = random.Random(seed)
-    return [tuple([rng.randint(-3, 3) for _ in range(n)] for _ in range(size))
-            for _ in range(count)]
+    return tuple(tuple(tuple(rng.randint(-3, 3) for _ in range(n))
+                       for _ in range(size))
+                 for _ in range(count))
 
 
 def _combination(n, rows):

@@ -1,6 +1,7 @@
 """Structure-constant algebras: catalog, validation, serialization, forms."""
 
 from fractions import Fraction
+from itertools import combinations, product as cartesian
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from currentalg.algebras import (
     serialize_algebra,
     square_assoc,
 )
-from currentalg.algebras import BilinearForm
+from currentalg.algebras import BilinearForm, _StructureConstants
 
 
 def test_sl2_weight_basis_table():
@@ -141,6 +142,87 @@ def test_associativity_violation_carries_witness():
                                   (0, 1): ((0, Fraction(1)),)})
     assert exc.value.axiom == "associativity"
     assert exc.value.witness == (0, 0, 1)
+
+
+# tables whose first failing triple has exactly one term with a nonzero
+# product: the walk must reach it through that term alone.  The Lie ones
+# fail on that triple only.
+_ONE_LIVE_TERM = [
+    # [[a, b], d] = [c, d] = e
+    (LieAlgebra, {(0, 1): [(2, 1)], (2, 3): [(4, 1)]},
+     "Jacobi identity fails on (a, b, d)", (0, 1, 3)),
+    # [[b, c], a] = [d, a] = -e
+    (LieAlgebra, {(1, 2): [(3, 1)], (0, 3): [(4, 1)]},
+     "Jacobi identity fails on (a, b, c)", (0, 1, 2)),
+    # [[c, a], b] = [-d, b] = e
+    (LieAlgebra, {(0, 2): [(3, 1)], (1, 3): [(4, 1)]},
+     "Jacobi identity fails on (a, b, c)", (0, 1, 2)),
+    # (ab)d = cd = e
+    (AssocAlgebra, {(0, 1): [(2, 1)], (2, 3): [(4, 1)]},
+     "associativity fails on (a, b, d)", (0, 1, 3)),
+    # (bc)a = da = e
+    (AssocAlgebra, {(1, 2): [(3, 1)], (0, 3): [(4, 1)]},
+     "associativity fails on (a, b, c)", (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("cls, table, message, witness", _ONE_LIVE_TERM,
+                         ids=["jacobi-first", "jacobi-second", "jacobi-third",
+                              "assoc-first", "assoc-second"])
+def test_a_failing_triple_with_one_live_term_is_found(cls, table, message, witness):
+    with pytest.raises(ValidationError) as exc:
+        cls(("a", "b", "c", "d", "e"), table)
+    assert (str(exc.value), exc.value.witness) == (message, witness)
+
+
+def _first_axiom_failure(alg):
+    """The first failing triple of the axiom over every triple, in
+    lexicographic order: the reference the sparse walk must agree with."""
+    axiom, name, order, terms = alg._AXIOM
+    n = range(alg.dim)
+    for t in (combinations(n, 3) if order == "x<y<z" else cartesian(n, repeat=3)):
+        acc = {}
+        for sign, a, b, c in terms:
+            for m, x in alg.mul(t[a], t[b]):
+                for k, y in alg.mul(m, t[c]):
+                    acc[k] = acc.get(k, 0) + sign * x * y
+        if any(acc.values()):
+            return t
+    return None
+
+
+def _unchecked(kind, labels, table):
+    """The table stored as kind stores it, its axiom not checked."""
+    alg = object.__new__(kind)
+    _StructureConstants.__init__(alg, labels, table)
+    return alg
+
+
+@st.composite
+def sparse_tables(draw):
+    kind = draw(st.sampled_from([LieAlgebra, AssocAlgebra]))
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + (kind is LieAlgebra), n)]
+    keys = draw(st.lists(st.sampled_from(pairs), max_size=5, unique=True))
+    coefficient = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)])
+    table = {key: draw(st.lists(st.tuples(st.integers(0, n - 1), coefficient),
+                                min_size=1, max_size=3)) for key in keys}
+    return kind, tuple("x%d" % i for i in range(n)), table
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_tables())
+def test_the_axiom_walk_fails_where_the_full_walk_does(case):
+    kind, labels, table = case
+    witness = _first_axiom_failure(_unchecked(kind, labels, table))
+    if witness is None:
+        kind(labels, table)
+        return
+    with pytest.raises(ValidationError) as exc:
+        kind(labels, table)
+    assert exc.value.witness == witness
+    assert str(exc.value) == "%s fails on (%s)" % (
+        kind._AXIOM[1], ", ".join(labels[i] for i in witness))
 
 
 def test_json_degrees_must_be_a_grading():

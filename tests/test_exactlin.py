@@ -214,6 +214,13 @@ def test_the_exact_twins_of_the_float_cases():
     assert preimage(Subspace.full(2), [[1, 0], [0, 3]], Subspace.zero(2)).dim == 0
 
 
+def test_preimage_reads_images_with_different_denominators():
+    # f(e0) = 1/2 and f(e1) = 1: the kernel of f is spanned by 2 e0 - e1
+    half = Fraction(1, 2)
+    assert preimage(Subspace.full(2), [[half], [1]], Subspace.zero(1)).rows == {0: {0: 2, 1: -1}}
+    assert preimage(Subspace.full(2), [{0: 1}, {0: half}], Subspace.zero(1)).rows == {0: {0: 1, 1: -2}}
+
+
 # --- preimage against sympy ---------------------------------------------------
 
 

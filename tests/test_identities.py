@@ -1,16 +1,20 @@
 """The identity engine: pencil rows pinned by golden fields, and the recheck
 catching defects planted in the row path."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import currentalg
-from currentalg import cochain, derivations, identities
+from currentalg import algebras, cochain, derivations, identities
 from currentalg.algebras import LieAlgebra, algebra_from_dict, build_assoc, build_lie, current
 from currentalg.derivations import derivation_space, lambda_candidates, map_condition_space
 from currentalg.exactlin import Subspace
@@ -49,12 +53,12 @@ _tuples = identities._tuples
 _entries = identities._entries
 
 
-def _nondecreasing_as_increasing(n, order):
-    return _tuples(n, "x<y<z" if order == "x<=y<=z" else order)
+def _nondecreasing_as_increasing(n, order, live=None):
+    return _tuples(n, "x<y<z" if order == "x<=y<=z" else order, live)
 
 
-def _no_repeats_in_free_pairs(n, order):
-    return [t for t in _tuples(n, order) if order != "x,y" or t[0] != t[1]]
+def _no_repeats_in_free_pairs(n, order, live=None):
+    return [t for t in _tuples(n, order, live) if order != "x,y" or t[0] != t[1]]
 
 
 def _last_term_flipped(alg, terms, t):
@@ -90,7 +94,8 @@ def test_mutation_caught_under_optimize():
         "from currentalg.algebras import build_assoc\n"
         "from currentalg.forms import condition_space\n"
         "t = identities._tuples\n"
-        "identities._tuples = lambda n, o: t(n, 'x<y<z' if o == 'x<=y<=z' else o)\n"
+        "identities._tuples = lambda n, o, live=None: "
+        "t(n, 'x<y<z' if o == 'x<=y<=z' else o, live)\n"
         "try:\n"
         "    condition_space(build_assoc('tpoly:3'), 'jacobi_sum_zero', 'skew')\n"
         "except identities.InvariantError:\n"
@@ -239,3 +244,139 @@ def test_a_rational_table_keeps_its_fractions():
     assert type(alg.product(0, 0)[0][1]) is Fraction
     rows = identities.rows(alg, [identities.ASSOC_FORMS["invariant"]])
     assert any(type(v) is Fraction for row in rows for v in row.values())
+
+
+# --- the sparse walk against the full walk ------------------------------------
+
+
+def _full_walk(n, order):
+    """Every tuple that order selects, in lexicographic order."""
+    rels = re.findall(r"<=|<|,", order)
+    holds = {",": lambda a, b: True, "<": lambda a, b: a < b, "<=": lambda a, b: a <= b}
+    return [t for t in itertools.product(range(n), repeat=len(rels) + 1)
+            if all(holds[rel](t[i], t[i + 1]) for i, rel in enumerate(rels))]
+
+
+def _full_pencil_rows(alg, ident):
+    out = []
+    for t in _full_walk(alg.dim, ident.order):
+        per = {}
+        for r, col, val, part in _entries(alg, ident.terms, t):
+            identities.add_entry(per.setdefault(r, ({}, {}))[part], col, val)
+        out.extend(pair for pair in per.values() if pair[0] or pair[1])
+    return out
+
+
+def _full_first_failure(alg, ident, vec):
+    for t in _full_walk(alg.dim, ident.order):
+        acc = {}
+        for r, col, val, part in _entries(alg, ident.terms, t):
+            identities.add_entry(acc, r, ident.weights[part] * val * vec[col])
+        if acc:
+            return t
+    return None
+
+
+class _Table:
+    """dim and mul(i, j), the interface the identity engine reads, on a
+    mirrored table (sign -1 or +1) whose axiom is never checked."""
+
+    def __init__(self, n, table, sign):
+        self.dim = n
+        self._full = {}
+        for (i, j), terms in table.items():
+            self._full[(i, j)] = terms
+            self._full[(j, i)] = tuple((k, sign * c) for k, c in terms)
+
+    def mul(self, i, j):
+        return self._full.get((i, j), ())
+
+
+@st.composite
+def walk_cases(draw):
+    """(algebra, identities) on a random sparse Lie or associative table or
+    a current algebra, and a sparse unknown of length n^2."""
+    kind = draw(st.sampled_from(["lie", "assoc", "current"]))
+    if kind == "current":
+        alg = current(build_lie(draw(st.sampled_from(["sl2", "heis3"]))),
+                      build_assoc(draw(st.sampled_from(["tpoly:3", "tpoly1:2", "zero:2"]))))
+    else:
+        n = draw(st.integers(1, 6))
+        pairs = [(i, j) for i in range(n) for j in range(i + (kind == "lie"), n)]
+        keys = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)) if pairs else []
+        alg = _Table(n, {key: tuple(draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from([-2, -1, 1, 3])),
+            min_size=1, max_size=2, unique_by=lambda e: e[0]))) for key in keys},
+            -1 if kind == "lie" else 1)
+    forms = identities.ASSOC_FORMS if kind == "assoc" else identities.LIE_FORMS
+    pencils = [p for name, p in identities.PENCILS.items()
+               if name.startswith("assoc" if kind == "assoc" else "lie")]
+    maps = identities.ASSOC_MAPS if kind == "assoc" else identities.LIE_MAPS
+    idents = (list(forms.values()) + pencils + list(maps.values())
+              + list(identities.SYMMETRIES.values()))
+    n2 = alg.dim ** 2
+    vec = [0] * n2
+    for col, x in draw(st.lists(st.tuples(st.integers(0, n2 - 1), st.integers(-2, 2)),
+                                max_size=4)):
+        vec[col] = x
+    return alg, idents, vec
+
+
+@settings(max_examples=120, deadline=None)
+@given(walk_cases())
+def test_the_sparse_walk_gives_the_rows_of_the_full_walk_in_order(case):
+    alg, idents, vec = case
+    for ident in idents:
+        got = identities.pencil_rows(alg, ident)
+        want = _full_pencil_rows(alg, ident)
+        assert ([(list(a.items()), list(b.items())) for a, b in got]
+                == [(list(a.items()), list(b.items())) for a, b in want])
+        assert (identities.first_failure(alg, ident, vec)
+                == _full_first_failure(alg, ident, vec))
+
+
+# --- how many tuples each walker visits ----------------------------------------
+#
+# Pinned counts on two truncations of sl4 tensor tK[t], next to the number
+# of tuples that the order selects: a walker that falls back to every tuple
+# shows up here without timing anything.  A form identity visits the tuples
+# with a nonzero product slot, the axiom check the triples on which some
+# term has its last index in reach (counted apart, over every triple).
+
+_VISITS = {
+    "tpoly:4": {"axiom": (197, 14190), "jacobi_sum_zero": (5759, 14190),
+                "cyclic": (27510, 91125), "radical": (8100, 44550),
+                "invariant": (27510, 91125)},
+    "tpoly:5": {"axiom": (830, 34220), "jacobi_sum_zero": (15175, 34220),
+                "cyclic": (72708, 216000), "radical": (21600, 106200),
+                "invariant": (72708, 216000)},
+}
+
+
+@pytest.mark.parametrize("A", sorted(_VISITS))
+def test_each_walker_visits_only_the_tuples_that_carry_a_product(monkeypatch, A):
+    walk, visits, walker = identities._tuples, {}, [None]
+
+    def counted(n, order, live=None):
+        for t in walk(n, order, live):
+            visits[walker[0]] = visits.get(walker[0], 0) + 1
+            yield t
+
+    monkeypatch.setattr(algebras, "_tuples", counted)
+    monkeypatch.setattr(identities, "_tuples", counted)
+    L, Aalg = build_lie("sl4"), build_assoc(A)
+    walker[0] = "axiom"
+    curr = current(L, Aalg)
+    n = curr.dim
+    selected = {"x<y<z": math.comb(n, 3), "x,y,z": n ** 3, "x<y,z": math.comb(n, 2) * n}
+    counts = {"axiom": (visits["axiom"], selected["x<y<z"])}
+    for name in ("jacobi_sum_zero", "cyclic", "radical", "invariant"):
+        ident = identities.LIE_FORMS[name]
+        walker[0] = name
+        assert identities.first_failure(curr, ident, [0] * n * n) is None
+        counts[name] = (visits[name], selected[ident.order])
+        if name in ("jacobi_sum_zero", "radical"):
+            walker[0] = "rows"
+            assert identities.pencil_rows(curr, ident)
+            assert visits.pop("rows") == visits[name]
+    assert counts == _VISITS[A]

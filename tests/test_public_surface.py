@@ -43,6 +43,8 @@ DELETED = (
     "_echelon", "_back_reduce", "_eliminate",
     # the per-kind axiom loops and the second adjoint builder, one of each now
     "_validate_jacobi", "_validate_associativity", "_adjoint_action",
+    # the second reader of a vector's entries, folded into _as_int_row
+    "_nonzero",
 )
 
 
