@@ -22,7 +22,10 @@ algebras.  current(L, A) builds L tensor A with
 
     [x tensor a, y tensor b] = [x, y] tensor ab
 
-on the flat basis x_i tensor a_p, flat index p * dim(L) + i.
+on the flat basis x_i tensor a_p, flat index p * dim(L) + i, read off the
+stored nonzero products of the factors.  CurrentAlgebra owns that index:
+flat, unflat and tensor, the Kronecker product of factor vectors that the
+product form and the tensor families of forms and maps are built from.
 """
 
 from fractions import Fraction
@@ -31,7 +34,7 @@ import os
 import re
 
 from .exactlin import Subspace, _exact, kernel_from_rows
-from .identities import (ASSOC_FORMS, LIE_FORMS, _tuples, add_entry,
+from .identities import (ASSOC_FORMS, LIE_FORMS, _bits, _tuples, add_entry,
                          first_failure, require)
 
 __all__ = [
@@ -89,7 +92,9 @@ class _StructureConstants:
     table and i <= j on an associative one.  A mirrored dict holds both
     orders, the mirror of a Lie entry negated ([x_j, x_i] = -[x_i, x_j])
     and that of an associative entry equal to it, so mul(i, j) is one dict
-    read.  mul(i, j) and dim are the interface the identity engine reads.
+    read.  support[i] is the bit mask of the j with x_i x_j != 0, the
+    same as that of the j with x_j x_i != 0 on a mirrored table.  dim,
+    mul(i, j) and support are the interface the identity engine reads.
     """
 
     _TAGS = ()   # attributes that equality compares besides labels and table
@@ -109,6 +114,9 @@ class _StructureConstants:
                 self.table[(i, j)] = self._full[(i, j)] = t
                 self._full[(j, i)] = (t if self._SIGN > 0
                                       else tuple((k, -c) for k, c in t))
+        self.support = [0] * self.dim
+        for i, j in self._full:
+            self.support[i] |= 1 << j
 
     def mul(self, i, j):
         """x_i x_j as a tuple of (index, coefficient)."""
@@ -126,29 +134,24 @@ class _StructureConstants:
         x_m x_t[c] != 0.  Only the triples on which some term passes that
         test are visited; on every other one each term is an empty sum, so
         the check stays exact.  As bit masks, reach[i][j] is the reach of
-        x_i x_j and back[i][c] the j with c in the reach of x_i x_j; x_j x_i
-        has the support of x_i x_j on a mirrored table, so both are read
-        off each unordered pair once.  A prefix (t[0], t[1]) extends by the
-        union over the terms of reach[t[a]][t[b]] (c last),
-        back[t[a]][t[c]] (b last) or back[t[b]][t[c]] (a last)."""
+        x_i x_j (the union of support[m]) and back[i][c] the j with c in the
+        reach of x_i x_j; x_j x_i has the support of x_i x_j on a mirrored
+        table, so both are read off each unordered pair once.  A prefix
+        (t[0], t[1]) extends by the union over the terms of
+        reach[t[a]][t[b]] (c last), back[t[a]][t[c]] (b last) or
+        back[t[b]][t[c]] (a last)."""
         axiom, name, order, terms = self._AXIOM
-        n = self.dim
-        row = [0] * n
-        for i, j in self._full:
-            row[i] |= 1 << j
+        n, support = self.dim, self.support
         reach, back = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
         for (i, j), prod in self.table.items():
             r = 0
             for m, _ in prod:
-                r |= row[m]
+                r |= support[m]
             reach[i][j] = reach[j][i] = r
             back_i, back_j, bit_i, bit_j = back[i], back[j], 1 << i, 1 << j
-            while r:
-                low = r & -r
-                c = low.bit_length() - 1
+            for c in _bits(r):
                 back_i[c] |= bit_j
                 back_j[c] |= bit_i
-                r ^= low
         keys = [(a, b, reach) if c == 2 else (a, c, back) if b == 2
                 else (b, c, back) for _, a, b, c in terms]
 
@@ -489,7 +492,13 @@ def build_assoc(spec):
 
 
 class CurrentAlgebra(LieAlgebra):
-    """L tensor A on the flat basis x_i tensor a_p, flat = p * dim(L) + i."""
+    """L tensor A on the flat basis x_i tensor a_p, flat = p * dim(L) + i.
+
+    The table is read off the stored nonzero products of the factors:
+    [x_i a_p, x_j a_q] = [x_i, x_j] a_p a_q, and each unordered flat pair
+    u < v comes from exactly one of its two orders in the factors' mirrored
+    tables.  The keys go to the base class sorted, as a loop over every
+    flat pair u < v would give them."""
 
     def __init__(self, factor_lie, factor_assoc):
         self.factorL = factor_lie
@@ -501,20 +510,14 @@ class CurrentAlgebra(LieAlgebra):
             for i in range(nl)
         )
         table = {}
-        dim = nl * na
-        for u in range(dim):
-            i, p = u % nl, u // nl
-            for v in range(u + 1, dim):
-                j, q = v % nl, v // nl
-                acc = {}
-                for k, c in factor_lie.bracket(i, j):
-                    for r, d in factor_assoc.product(p, q):
-                        w = r * nl + k
-                        acc[w] = acc.get(w, 0) + c * d
-                terms = tuple(sorted((w, c) for w, c in acc.items() if c))
-                if terms:
-                    table[(u, v)] = terms
-        super().__init__(labels, table)
+        for (i, j), brackets in factor_lie._full.items():
+            for (p, q), products in factor_assoc._full.items():
+                u, v = p * nl + i, q * nl + j
+                if u < v:
+                    table[(u, v)] = tuple(sorted(
+                        (r * nl + k, c * d)
+                        for k, c in brackets for r, d in products))
+        super().__init__(labels, dict(sorted(table.items())))
         if factor_assoc.degrees is not None:
             self.degrees = tuple(
                 factor_assoc.degrees[p] for p in range(na) for _ in range(nl)
@@ -527,6 +530,21 @@ class CurrentAlgebra(LieAlgebra):
 
     def unflat(self, k):
         return k % self.factorL.dim, k // self.factorL.dim
+
+    def tensor(self, l, a):
+        """l tensor a in dim^2 coordinates, from sparse {coordinate: value}
+        vectors in dim(L)^2 and dim(A)^2 coordinates: (x_i a_p, x_j a_q)
+        holds l[i, j] a[p, q].  Forms and maps share the layout, so this is
+        phi tensor alpha as a form and d tensor b as a map alike."""
+        nl, na, n = self.factorL.dim, self.factorA.dim, self.dim
+        lnz = [((c // nl) * n + c % nl, x) for c, x in l.items()]
+        out = {}
+        for c, y in a.items():
+            p, q = divmod(c, na)
+            base = (p * n + q) * nl   # flat(0, p) * n + flat(0, q)
+            for ij, x in lnz:
+                out[base + ij] = x * y
+        return out
 
 
 def current(factor_lie, factor_assoc):
@@ -664,24 +682,13 @@ def residue_form(alg):
 
 def product_form(form_lie, form_assoc, curr):
     """<x tensor a, y tensor b> = <x,y><a,b> on a current algebra."""
-    nl = curr.factorL.dim
-    na = curr.factorA.dim
-    if form_lie.dim != nl or form_assoc.dim != na:
+    if form_lie.dim != curr.factorL.dim or form_assoc.dim != curr.factorA.dim:
         raise ValueError("factor form dimensions do not match")
-    dim = nl * na
-    rows = [[0] * dim for _ in range(dim)]
-    for p in range(na):
-        for i in range(nl):
-            u = curr.flat(i, p)
-            for q in range(na):
-                aval = form_assoc(p, q)
-                if not aval:
-                    continue
-                for j in range(nl):
-                    lval = form_lie(i, j)
-                    if lval:
-                        rows[u][curr.flat(j, q)] = lval * aval
-    return BilinearForm(rows)
+    lvec, avec = ({c: x for c, x in enumerate(form.as_vector()) if x}
+                  for form in (form_lie, form_assoc))
+    vec, n = curr.tensor(lvec, avec), curr.dim
+    return BilinearForm([[vec.get(u * n + v, 0) for v in range(n)]
+                         for u in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -187,37 +187,25 @@ def cmd_sequence(args):
     return 0 if report["verdict"] else 1
 
 
-def _verify_lines(report, ok):
-    lines = ["%s: %s tensor %s" % (report["theorem"], report["L"], report["A"])]
-    if "dims" in report:
-        lines.append("  target dim %d, span dim %d"
-                     % (report["dims"]["Z2"], report["dims"]["span"]))
-        lines.append("  types: " + " ".join(
-            "%s=%d" % (k, v) for k, v in sorted(report["dims"]["types"].items())))
-    lines.append("verdict: %s" % ("OK" if ok else "FAIL"))
-    if "witness" in report:
-        lines.append("witness: %s" % json.dumps(report["witness"], sort_keys=True))
-    return lines
-
-
-def cmd_verify_span(args):
-    """verify h2 and verify forms: both inclusions with the type span."""
-    if args.target == "h2":
-        report = verify_h2_decomposition(args.L, args.A)
+def cmd_verify(args):
+    """verify h2|forms|der: a decomposition verdict on L tensor A."""
+    if args.target == "der":
+        report = verify_der_decomposition(args.L, args.A, seed=args.seed)
+        ok = report["equal"]
+        word, target, span, types = ("der", report["der_dim"],
+                                     report["span_dim"], report["types"])
     else:
-        report = verify_forms_decomposition(args.L, args.A)
-    ok = report["span_in_Z"] and report["Z_in_span"]
-    _emit(args, report, _verify_lines(report, ok))
-    return 0 if ok else 1
-
-
-def cmd_verify_der(args):
-    report = verify_der_decomposition(args.L, args.A, seed=args.seed)
-    ok = report["equal"]
-    lines = ["der: %s tensor %s" % (report["L"], report["A"]),
-             "  der dim %d, span dim %d" % (report["der_dim"], report["span_dim"]),
+        verify = (verify_h2_decomposition if args.target == "h2"
+                  else verify_forms_decomposition)
+        report = verify(args.L, args.A)
+        ok = report["span_in_Z"] and report["Z_in_span"]
+        dims = report["dims"]
+        word, target, span, types = ("target", dims["Z2"], dims["span"],
+                                     dims["types"])
+    lines = ["%s: %s tensor %s" % (report["theorem"], report["L"], report["A"]),
+             "  %s dim %d, span dim %d" % (word, target, span),
              "  types: " + " ".join("%s=%d" % (k, v)
-                                    for k, v in sorted(report["types"].items())),
+                                    for k, v in sorted(types.items())),
              "verdict: %s" % ("OK" if ok else "FAIL")]
     if "witness" in report:
         lines.append("witness: %s" % json.dumps(report["witness"], sort_keys=True))
@@ -302,12 +290,11 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="decomposition verdicts")
     verify_sub = p_verify.add_subparsers(dest="target", required=True)
-    for target, fn in (("h2", cmd_verify_span), ("forms", cmd_verify_span),
-                       ("der", cmd_verify_der)):
+    for target in ("h2", "forms", "der"):
         p = verify_sub.add_parser(target, parents=[common])
         p.add_argument("--L", required=True)
         p.add_argument("--A", required=True)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_verify)
         if target == "der":
             p.add_argument("--seed", type=int, default=0,
                            help="seed for the pencil projections")

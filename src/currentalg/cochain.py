@@ -11,7 +11,8 @@ of basis indices in lexicographic rank order, m a module coordinate, flat
 index rank(S) * dim(M) + m.
 
 This module owns that layout: the other modules take their cochain
-tuples, differentials and the pair-to-n^2 skew transport from here.  With
+tuples (the domain of a CochainSpaceResult), differentials and the
+pair-to-n^2 skew transport from here.  With
 trivial coefficients on a graded algebra whose bracket adds degrees, the
 complex splits by the total weight of the tuples; one weight slice (the
 graded H^2 of currentalg.graded) is computed from the tuples of that
@@ -19,7 +20,6 @@ weight alone.
 """
 
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import combinations
 
 from .exactlin import Subspace, kernel_from_rows
@@ -113,23 +113,16 @@ def _tuples(algebra, size, weight=None):
     return sorted(tuple(sorted(t)) for t in picks(sorted(classes), size, weight))
 
 
-def _skew_square(n, vec):
+def _skew_square(pairs, n, vec):
     """A 2-cochain with one-dimensional coefficients, given in alternating
-    pair coordinates as a sparse {rank: value} dict, as a sparse skew n^2
-    vector: (i, j) at i * n + j."""
-    pairs = _pairs(n)
+    pair coordinates as a sparse {rank: value} dict over the domain pairs
+    of C^2, as a sparse skew n^2 vector: (i, j) at i * n + j."""
     out = {}
     for r, c in vec.items():
         i, j = pairs[r]
         out[i * n + j] = c
         out[j * n + i] = -c
     return out
-
-
-@lru_cache(maxsize=16)
-def _pairs(n):
-    """The increasing index pairs of range(n), by rank."""
-    return tuple(combinations(range(n), 2))
 
 
 def _ce_rows(algebra, module, degree, weight=None):
@@ -176,19 +169,22 @@ def _ce_rows(algebra, module, degree, weight=None):
 
 
 class CochainSpaceResult:
-    """Cocycles, coboundaries and the quotient dimension in one degree."""
+    """Cocycles, coboundaries and the quotient dimension in one degree;
+    domain lists the degree-tuples that index the coordinates, by rank."""
 
-    __slots__ = ("degree", "z_space", "b_space", "h_dim")
+    __slots__ = ("degree", "domain", "z_space", "b_space", "h_dim")
 
-    def __init__(self, degree, z_space, b_space):
+    def __init__(self, degree, domain, z_space, b_space):
         self.degree = degree
+        self.domain = domain
         self.z_space = z_space
         self.b_space = b_space
         self.h_dim = z_space.dim - b_space.dim
 
     def __repr__(self):
-        return ("CochainSpaceResult(degree=%d, Z=%d, B=%d, H=%d)"
-                % (self.degree, self.z_space.dim, self.b_space.dim, self.h_dim))
+        return ("%s(degree=%d, Z=%d, B=%d, H=%d)"
+                % (type(self).__name__, self.degree, self.z_space.dim,
+                   self.b_space.dim, self.h_dim))
 
 
 def _cochain_spaces(algebra, module, degree, weight=None):
@@ -214,5 +210,4 @@ def _cochain_spaces(algebra, module, degree, weight=None):
 
 def cohomology(algebra, module, degree):
     """H^degree(L, M) via exact kernels; checks B subset of Z."""
-    _, z_space, b_space = _cochain_spaces(algebra, module, degree)
-    return CochainSpaceResult(degree, z_space, b_space)
+    return CochainSpaceResult(degree, *_cochain_spaces(algebra, module, degree))

@@ -55,7 +55,7 @@ that are too strict (a kernel too small) do not.
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 import random
 
 from . import identities as ids
@@ -89,6 +89,7 @@ from .forms import (
     _generator_witness,
     _resolve_pair,
     _residual_witness,
+    _solve,
     invariant_symmetric_forms,
 )
 from .identities import require
@@ -137,20 +138,7 @@ DER_TYPE_TABLE = (
 def map_condition_space(alg, conditions):
     """Linear maps satisfying every named condition simultaneously, as the
     canonical Subspace of n^2 coordinates."""
-    conditions = tuple(conditions)
-    if isinstance(alg, LieAlgebra):
-        table = ids.LIE_MAPS
-    elif isinstance(alg, AssocAlgebra):
-        table = ids.ASSOC_MAPS
-    else:
-        raise TypeError("not an algebra: %r" % (alg,))
-    for cond in conditions:
-        if cond not in table:
-            raise ValueError("unknown map condition %r" % cond)
-    idents = [table[cond] for cond in conditions]
-    space = kernel_from_rows(alg.dim ** 2, ids.rows(alg, idents))
-    ids.recheck(alg, idents, space)
-    return space
+    return _solve(alg, ids.conditions(alg, "map", tuple(conditions)))
 
 
 def derivation_space(alg):
@@ -563,7 +551,8 @@ def sequence_maps(L, form=None, lname=None):
     h1 = cohomology(L, module, 1)
     h3 = cohomology(L, trivial_module(L), 3)
     b_forms = invariant_symmetric_forms(L)
-    n_triples, brackets = comb(n, 3), sorted(L.table.items())
+    brackets = sorted(L.table.items())
+    triple_rank = {t: r for r, t in enumerate(h3.domain)}
 
     def times(vec, rows):
         # vec, a dense or sparse n^2 vector, as an n x n matrix times the
@@ -578,7 +567,7 @@ def sequence_maps(L, form=None, lname=None):
 
     def u_map(vec):
         # D(x_j) = sum over m, t of kappa^-1(m, t) phi(x_j, x_t) x_m
-        return times(_skew_square(n, vec), copairing)
+        return times(_skew_square(h2.domain, n, vec), copairing)
 
     def v_map(c1):
         # g(x_i, x_j) = kappa(D(x_i), x_j), and v(D) = g + g^T
@@ -587,16 +576,15 @@ def sequence_maps(L, form=None, lname=None):
 
     def w_map(f):
         # phi([x_i, x_j], x_k) for a dense or sparse form vector f, as a
-        # sparse {rank of (i, j, k) among the increasing triples: value}:
-        # only the pairs i < j with [x_i, x_j] != 0 give entries
+        # sparse {rank of (i, j, k) in the domain of C^3: value}: only the
+        # pairs i < j with [x_i, x_j] != 0 give entries
         f = f if isinstance(f, dict) else dict(enumerate(f))
         out = {}
         for (i, j), terms in brackets:
-            first = n_triples - comb(n - i, 3) + comb(n - i - 1, 2) - comb(n - j, 2)
             for k in range(j + 1, n):
                 v = sum(c * f.get(m * n + k, 0) for m, c in terms)
                 if v:
-                    out[first + k - j - 1] = v
+                    out[triple_rank[(i, j, k)]] = v
         return out
 
     # u, v and w are read on the integer rows of Z^2, B^2, Z^1, B^1 and

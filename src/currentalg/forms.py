@@ -53,7 +53,7 @@ from fractions import Fraction
 from . import identities as ids
 from .exactlin import Subspace, kernel_from_rows, subspace_intersect
 from .identities import require
-from .algebras import AssocAlgebra, LieAlgebra, build_assoc, build_lie, current
+from .algebras import build_assoc, build_lie, current
 from .cochain import _skew_square, cohomology, trivial_module
 
 __all__ = [
@@ -96,17 +96,16 @@ def condition_space(alg, condition, symmetry="any"):
     as the canonical Subspace of n^2 coordinates."""
     if symmetry not in ids.SYMMETRIES:
         raise ValueError("unknown symmetry %r" % symmetry)
-    if isinstance(alg, LieAlgebra):
-        table = ids.LIE_FORMS
-    elif isinstance(alg, AssocAlgebra):
-        table = ids.ASSOC_FORMS
-    else:
-        raise TypeError("not an algebra: %r" % (alg,))
-    if condition not in table:
-        raise ValueError("unknown form condition %r" % condition)
-    conds = (table[condition], ids.SYMMETRIES[symmetry])
-    space = kernel_from_rows(alg.dim ** 2, ids.rows(alg, conds))
-    ids.recheck(alg, conds, space)
+    return _solve(alg, ids.conditions(alg, "form", (condition,))
+                  + [ids.SYMMETRIES[symmetry]])
+
+
+def _solve(alg, idents):
+    """The unknowns of n^2 coordinates (forms or maps) on which every
+    identity holds at its weights: the exact kernel of their rows,
+    rechecked against the identities."""
+    space = kernel_from_rows(alg.dim ** 2, ids.rows(alg, idents))
+    ids.recheck(alg, idents, space)
     return space
 
 
@@ -130,26 +129,6 @@ def _basis_vector(p, row):
     return {c: Fraction(v, row[p]) for c, v in row.items()}
 
 
-def _tensor_vec(curr, lvec, avec):
-    """l tensor a in n^2 coordinates, all three sparse {coordinate: value}
-    dicts: (x_i a_p, x_j a_q) holds l[i, j] a[p, q].
-
-    Forms and maps share the layout, so this is phi tensor alpha as a form
-    and d tensor b as a map alike."""
-    nl, na, n = curr.factorL.dim, curr.factorA.dim, curr.dim
-    lnz = []
-    for c, lv in lvec.items():
-        i, j = divmod(c, nl)
-        lnz.append((i * n + j, lv))
-    out = {}
-    for c, a in avec.items():
-        p, q = divmod(c, na)
-        base = p * nl * n + q * nl
-        for ij, lv in lnz:
-            out[base + ij] = lv * a
-    return out
-
-
 def _family(curr, factor_pairs):
     """Generators s_L tensor s_A over the basis vectors of each factor-space
     pair (S_L, S_A), and their span."""
@@ -158,7 +137,7 @@ def _family(curr, factor_pairs):
         avecs = [_basis_vector(p, row) for p, row in sa.rows.items()]
         for p, row in sl.rows.items():
             lv = _basis_vector(p, row)
-            gens.extend(_tensor_vec(curr, lv, av) for av in avecs)
+            gens.extend(curr.tensor(lv, av) for av in avecs)
     return gens, Subspace.from_vectors(curr.dim ** 2, gens)
 
 
@@ -259,7 +238,7 @@ def _h2_via_cochain(curr):
     res = cohomology(curr, trivial_module(curr, 1), 2)
     n = curr.dim
     return tuple(Subspace.from_vectors(
-        n * n, [_skew_square(n, row) for row in space.rows.values()])
+        n * n, [_skew_square(res.domain, n, row) for row in space.rows.values()])
         for space in (res.z_space, res.b_space))
 
 

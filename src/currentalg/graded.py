@@ -28,7 +28,8 @@ from math import comb
 
 from .exactlin import Subspace, subspace_intersect, subspace_sum
 from .algebras import assoc_truncated_poly, build_lie, current
-from .cochain import _cochain_spaces, cohomology, trivial_module
+from .cochain import (CochainSpaceResult, _cochain_spaces, cohomology,
+                      trivial_module)
 from .forms import condition_space
 
 __all__ = [
@@ -40,41 +41,38 @@ __all__ = [
 ]
 
 
-class GradedComponent:
-    """Degree-d cocycles and coboundaries in pair coordinates."""
+class GradedComponent(CochainSpaceResult):
+    """Degree-d cocycles and coboundaries in pair coordinates: the domain,
+    also named pairs, lists the increasing flat basis pairs of weight d."""
 
-    __slots__ = ("degree", "order", "curr", "pairs", "pair_index",
-                 "z_space", "b_space", "h_dim")
+    __slots__ = ("order", "curr", "pair_index")
 
-    def __init__(self, degree, order, curr, pairs, z_space, b_space):
-        self.degree = degree
-        self.order = order
+    def __init__(self, degree, curr, pairs, z_space, b_space):
+        super().__init__(degree, pairs, z_space, b_space)
+        self.order = curr.factorA.tpoly_order
         self.curr = curr
-        self.pairs = pairs
         self.pair_index = {p: r for r, p in enumerate(pairs)}
-        self.z_space = z_space
-        self.b_space = b_space
-        self.h_dim = z_space.dim - b_space.dim
 
-    def __repr__(self):
-        return ("GradedComponent(degree=%d, Z=%d, B=%d, H=%d)"
-                % (self.degree, self.z_space.dim, self.b_space.dim,
-                   self.h_dim))
+    @property
+    def pairs(self):
+        return self.domain
 
 
-def _truncation(g, order):
-    """g tensor tK[t]/(t^order), the window of every degree below order."""
+def _truncation(g, order, degree=2):
+    """g tensor tK[t]/(t^order), the window of every degree below order;
+    a slice of degree d is exact only for order >= d + 1."""
     if order < 3:
         raise ValueError("order must be at least 3")
+    if order <= degree:
+        raise ValueError("a degree-%d slice needs order at least %d, not %d"
+                         % (degree, degree + 1, order))
     return current(g, assoc_truncated_poly(order))
 
 
 def _component(curr, degree):
     """The degree-d slice of H^2 of a truncation built by _truncation."""
-    pairs, z_space, b_space = _cochain_spaces(curr, trivial_module(curr), 2,
-                                              weight=degree)
-    return GradedComponent(degree, curr.factorA.tpoly_order, curr, pairs,
-                           z_space, b_space)
+    return GradedComponent(degree, curr, *_cochain_spaces(
+        curr, trivial_module(curr), 2, weight=degree))
 
 
 def graded_h2(g, degree, order=None):
@@ -85,7 +83,7 @@ def graded_h2(g, degree, order=None):
         raise ValueError("pair degrees start at 2")
     if order is None:
         order = degree + 1
-    return _component(_truncation(g, order), degree)
+    return _component(_truncation(g, order, degree), degree)
 
 
 def _dims(res):
@@ -106,8 +104,7 @@ def _sl2_offsets(g):
 
 def _degree3_block_index(comp, i, j):
     """z(x_i tensor t, x_j tensor t^2) for a degree-3 component."""
-    ng = comp.curr.factorL.dim
-    return comp.pair_index[(i, ng + j)]
+    return comp.pair_index[(comp.curr.flat(i, 0), comp.curr.flat(j, 1))]
 
 
 def _quadratic_presentation(g, comp):
@@ -161,7 +158,7 @@ def larsson_report(g, max_degree, order=None, gname=None):
     # one truncation serves every degree: the slices are stable in the order
     if order is None:
         order = max_degree + 1
-    curr = _truncation(g, order)
+    curr = _truncation(g, order, max_degree)
     degrees = {}
     quadratic = True
     verdict = True

@@ -29,9 +29,10 @@ Two independent evaluations are derived from each identity:
   coordinate for each basis tuple that the identity's ``order`` selects,
   through the sparse structure constants alg.mul(i, j).  When every term
   holds a product slot, only the tuples with a nonzero slot are walked
-  (_live), since the others give no entry; an identity with a bare
-  D(x)y, xD(y) or f(x, y) term walks every tuple, through the same
-  enumerator and in the same lexicographic order;
+  (_live, which reads the table's masks alg.support), since the others
+  give no entry; an identity with a bare D(x)y, xD(y) or f(x, y) term
+  walks every tuple, through the same enumerator and in the same
+  lexicographic order;
 * the recheck (recheck) evaluates the identity on seeded random dense
   integer vectors, with the structure constants of alg.mul(i, j) scaled
   to integers, directly at one seeded integer combination of the solution
@@ -40,8 +41,9 @@ Two independent evaluations are derived from each identity:
   exactly on every basis vector and basis pair.
 
 The two share only the identity's terms and the coordinate convention
-above, not the tuple enumeration, the expansion of terms into sparse
-entries or the signs as the row path applies them.  A defect there that
+above, not the tuple enumeration, the support masks (the recheck reads
+mul(i, j) alone), the expansion of terms into sparse entries or the
+signs as the row path applies them.  A defect there that
 lets a wrong vector into a solution space makes the recheck raise
 InvariantError; one that only makes the rows too strict is beyond it.
 Neither path solves: the callers in forms and derivations own the kernels.
@@ -167,6 +169,24 @@ ASSOC_MAPS = {
     "into_annihilator": PENCILS["assoc_left"].at(0, 1),
 }
 
+# the form and map conditions of each kind of algebra, keyed by alg.kind
+_CONDITIONS = {"lie": {"form": LIE_FORMS, "map": LIE_MAPS},
+               "assoc": {"form": ASSOC_FORMS, "map": ASSOC_MAPS}}
+
+
+def conditions(alg, what, names):
+    """The identities named names among the what ("form" or "map")
+    conditions of alg's kind; TypeError when alg is not an algebra,
+    ValueError on an unknown name."""
+    tables = _CONDITIONS.get(getattr(alg, "kind", None))
+    if tables is None:
+        raise TypeError("not an algebra: %r" % (alg,))
+    table = tables[what]
+    for name in names:
+        if name not in table:
+            raise ValueError("unknown %s condition %r" % (what, name))
+    return [table[name] for name in names]
+
 
 # ---------------------------------------------------------------------------
 # the row path: basis tuples through the sparse structure constants
@@ -212,21 +232,17 @@ def _live(alg, ident):
     A term with a product slot (a, b) gives no entry on a tuple t unless
     x_t[a] x_t[b] != 0.  So a prefix extends by every last index when one
     of its own slots holds a nonzero product, and otherwise only by the j
-    that make a slot holding the last position nonzero: the mask of j
-    with x_i x_j != 0, which is the mask of j with x_j x_i != 0 too, the
-    table being mirrored."""
+    that make a slot holding the last position nonzero: alg.support[i],
+    the mask of j with x_i x_j != 0, which is the mask of j with
+    x_j x_i != 0 too, the table being mirrored."""
     slots = []
     for _, _, _, left, right in ident.terms:
         slot = left if len(left) == 2 else right
         if len(slot) != 2:
             return None
         slots.append(slot)
-    n, mul, last = alg.dim, alg.mul, len(re.findall(r"[xyz]", ident.order)) - 1
-    nonzero = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if mul(i, j):
-                nonzero[i] |= 1 << j
+    mul, support = alg.mul, alg.support
+    last = len(re.findall(r"[xyz]", ident.order)) - 1
     whole = [(a, b) for a, b in slots if last not in (a, b)]
     reach = [a if b == last else b for a, b in slots if last in (a, b)]
 
@@ -236,7 +252,7 @@ def _live(alg, ident):
                 return None
         mask = 0
         for a in reach:
-            mask |= nonzero[t[a]]
+            mask |= support[t[a]]
         return mask
 
     return live

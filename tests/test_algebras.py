@@ -1,6 +1,7 @@
 """Structure-constant algebras: catalog, validation, serialization, forms."""
 
 from fractions import Fraction
+import json
 from itertools import combinations, product as cartesian
 
 import pytest
@@ -362,6 +363,33 @@ def test_product_form():
     assert pf(c.flat(1, 0), c.flat(1, 0)) == 0
 
 
+def _looped_product_form(form_lie, form_assoc, curr):
+    """<x_i a_p, x_j a_q> = <x_i, x_j><a_p, a_q> by a loop over every
+    quadruple (p, i, q, j), the construction that curr.tensor replaces."""
+    nl, na = curr.factorL.dim, curr.factorA.dim
+    rows = [[0] * curr.dim for _ in range(curr.dim)]
+    for p in range(na):
+        for i in range(nl):
+            for q in range(na):
+                aval = form_assoc(p, q)
+                for j in range(nl):
+                    lval = form_lie(i, j)
+                    if aval and lval:
+                        rows[curr.flat(i, p)][curr.flat(j, q)] = lval * aval
+    return BilinearForm(rows)
+
+
+@pytest.mark.parametrize("lie", ["sl2", "sl3"])
+@pytest.mark.parametrize("assoc", ["tpoly:3", "tpoly:4"])
+def test_product_form_equals_the_quadruple_loop(lie, assoc):
+    L, A = build_lie(lie), build_assoc(assoc)
+    curr = current(L, A)
+    forms = killing_form(L), residue_form(A), curr
+    got, want = product_form(*forms), _looped_product_form(*forms)
+    assert got.matrix == want.matrix and got.symmetry == want.symmetry
+    assert [type(x) for x in got.as_vector()] == [type(x) for x in want.as_vector()]
+
+
 def test_bilinear_form_symmetry_autodetect():
     assert BilinearForm([[0, 1], [-1, 0]]).symmetry == "skew"
     assert BilinearForm([[1, 0], [0, 0]]).symmetry == "symmetric"
@@ -458,3 +486,66 @@ def test_any_json_value_gives_an_algebra_or_a_validation_error(data):
     assert isinstance(alg, (LieAlgebra, AssocAlgebra))
     assert _mirrors(alg)
     assert algebra_from_dict(algebra_to_dict(alg)) == alg
+
+
+# --- one owner per layout: the flat basis of L tensor A, the support masks ----
+
+
+def _probed_current_table(L, A):
+    """The table of L tensor A from the product of every flat pair u < v,
+    the construction that reading the factors' stored products replaces."""
+    nl, n = L.dim, L.dim * A.dim
+    table = {}
+    for u in range(n):
+        i, p = u % nl, u // nl
+        for v in range(u + 1, n):
+            j, q = v % nl, v // nl
+            acc = {}
+            for k, c in L.bracket(i, j):
+                for r, d in A.product(p, q):
+                    acc[r * nl + k] = acc.get(r * nl + k, 0) + c * d
+            terms = tuple(sorted((w, c) for w, c in acc.items() if c))
+            if terms:
+                table[(u, v)] = terms
+    return table
+
+
+def _factor_pairs():
+    from test_forms import RATIONAL_SL2, RATIONAL_TPOLY4
+    catalog = [(build_lie(lie), build_assoc(assoc))
+               for lie in ("sl2", "sl3", "heis3", "abelian:3", "sum:sl2+sl2")
+               for assoc in ["tpoly:%d" % k for k in range(2, 6)]
+               + ["tpoly1:%d" % k for k in range(2, 5)] + ["zero:2"]]
+    twin_l, twin_a = algebra_from_dict(RATIONAL_SL2), algebra_from_dict(RATIONAL_TPOLY4)
+    return catalog + [(twin_l, twin_a), (twin_l, build_assoc("tpoly:4")),
+                      (build_lie("sl2"), twin_a)]
+
+
+def test_the_current_table_is_the_table_of_every_flat_pair():
+    for L, A in _factor_pairs():
+        curr = current(L, A)
+        want = _probed_current_table(L, A)
+        assert list(curr.table.items()) == list(want.items()), (L, A)
+        assert _mirrors(curr)
+
+
+def _probed_support(alg):
+    return [sum(1 << j for j in range(alg.dim) if alg.mul(i, j))
+            for i in range(alg.dim)]
+
+
+def test_support_masks_are_the_nonzero_products(tmp_path):
+    algs = [build_lie(s) for s in ("sl2", "sl3", "sl4", "heis3", "abelian:3",
+                                   "sum:sl2+sl3")]
+    algs += [build_assoc(s) for s in ("tpoly:2", "tpoly:5", "tpoly1:4", "zero:2")]
+    algs.append(current(lie_sl2(), assoc_truncated_poly(4)))
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps({
+        "kind": "assoc", "dim": 3, "basis": ["a", "b", "c"], "unital": False,
+        "table": [{"i": 0, "j": 0, "terms": [{"k": 1, "c": "1/2"}]},
+                  {"i": 0, "j": 1, "terms": [{"k": 2, "c": "-3"}]},
+                  {"i": 1, "j": 0, "terms": [{"k": 2, "c": "-3"}]}]}))
+    algs.append(parse_algebra_file(str(path)))
+    for alg in algs:
+        assert alg.support == _probed_support(alg), alg
+    assert algs[-1].support == [0b011, 0b001, 0]

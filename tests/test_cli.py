@@ -282,3 +282,40 @@ def test_arithmetic_defect_in_the_pencil_search_exits_3(monkeypatch, capsys, err
     assert out == ""
     assert err == "internal invariant failed: %s: planted in the pencil search\n" % (
         error.__name__)
+
+
+def _readme_examples(verb):
+    """(argv, expected stdout) of every README example of the verb."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    out = []
+    for k, line in enumerate(lines):
+        if line.startswith("$ currentalg " + verb + " ") and "--json" not in line:
+            end = lines.index("", k)
+            out.append((line.split()[2:], "\n".join(lines[k + 1:end]) + "\n"))
+    return out
+
+
+def test_verify_text_is_the_readme_text(capsys):
+    examples = _readme_examples("verify")
+    assert sorted(argv[1] for argv, _ in examples) == ["der", "forms", "h2"]
+    for argv, text in examples:
+        assert run(capsys, *argv) == (0, text, "")
+
+
+def test_a_failed_verdict_prints_its_dims_and_witness(monkeypatch, capsys):
+    report = {"theorem": "der", "L": "sl2", "A": "tpoly:2", "der_dim": 10,
+              "span_dim": 9, "types": {"x": 2, "i": 1}, "equal": False,
+              "witness": {"direction": "derivation_outside_span", "map": {}}}
+    monkeypatch.setattr(currentalg.cli, "verify_der_decomposition",
+                        lambda L, A, seed: dict(report))
+    assert run(capsys, "verify", "der", "--L", "sl2", "--A", "tpoly:2") == (
+        1, "der: sl2 tensor tpoly:2\n  der dim 10, span dim 9\n  types: i=1 x=2\n"
+        "verdict: FAIL\nwitness: {\"direction\": \"derivation_outside_span\", "
+        "\"map\": {}}\n", "")
+    report = {"theorem": "h2", "L": "sl2", "A": "tpoly:2", "span_in_Z": True,
+              "Z_in_span": False, "dims": {"Z2": 7, "span": 6, "types": {"ia": 6}}}
+    monkeypatch.setattr(currentalg.cli, "verify_h2_decomposition",
+                        lambda L, A: dict(report))
+    assert run(capsys, "verify", "h2", "--L", "sl2", "--A", "tpoly:2") == (
+        1, "h2: sl2 tensor tpoly:2\n  target dim 7, span dim 6\n  types: ia=6\n"
+        "verdict: FAIL\n", "")

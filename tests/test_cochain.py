@@ -161,3 +161,14 @@ def test_weight_slices_add_up_to_the_whole_complex():
             assert (z_dim, b_dim) == (whole.z_space.dim, whole.b_space.dim)
     with pytest.raises(ValueError):
         _cochain_spaces(curr, adjoint_module(curr), 2, 3)
+
+
+def test_a_cohomology_result_carries_its_cochain_domain():
+    for g in (lie_sl2(), lie_heisenberg3(), current(lie_sl2(), assoc_truncated_poly(3))):
+        for module in (trivial_module(g), adjoint_module(g)):
+            for degree in range(4):
+                res = cohomology(g, module, degree)
+                assert res.domain == _tuples(g, degree)
+                assert len(res.domain) * module.dim == res.z_space.ambient_dim
+    res = cohomology(lie_sl2(), adjoint_module(lie_sl2()), 1)
+    assert repr(res) == "CochainSpaceResult(degree=1, Z=3, B=3, H=0)"

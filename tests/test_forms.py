@@ -114,6 +114,32 @@ def test_condition_space_rejects_unknown_tags():
         condition_space(lie_sl2(), "cyclic", "hermitian")
 
 
+def test_condition_lookups_keep_their_messages():
+    from currentalg.derivations import map_condition_space
+    sl2, tpoly = lie_sl2(), assoc_truncated_poly(3)
+    cases = [
+        (lambda: condition_space(sl2, "cyclic", "hermitian"), ValueError,
+         "unknown symmetry 'hermitian'"),
+        (lambda: condition_space(sl2, "bogus"), ValueError,
+         "unknown form condition 'bogus'"),
+        (lambda: condition_space("sl2", "cyclic"), TypeError,
+         "not an algebra: 'sl2'"),
+        (lambda: map_condition_space(tpoly, ("derivation", "centroid")), ValueError,
+         "unknown map condition 'centroid'"),
+        (lambda: map_condition_space(None, ("derivation",)), TypeError,
+         "not an algebra: None"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
+    # the symmetry is checked before the algebra, the algebra before the name
+    with pytest.raises(ValueError, match="unknown symmetry"):
+        condition_space(None, "bogus", "hermitian")
+    with pytest.raises(TypeError):
+        condition_space(None, "bogus")
+
+
 def test_cocycle_routes_agree():
     # Z^2 via the form condition system and via the cochain complex.
     for L, A in ((lie_sl2(), assoc_truncated_poly(3)),

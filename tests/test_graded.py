@@ -9,6 +9,7 @@ from currentalg.algebras import (
     lie_sl,
     lie_sl2,
 )
+from currentalg.cochain import CochainSpaceResult
 from currentalg.graded import (
     graded_form_dims,
     graded_h2,
@@ -57,6 +58,27 @@ def test_larsson_profile_direct_sum():
     assert r["degrees"]["2"]["H"] == 44
     assert r["degrees"]["3"]["H"] == 5
     assert r["verdict"] and r["quadratic_presentation"]
+
+
+def test_a_component_is_a_cochain_result_on_its_pairs():
+    comp = graded_h2(lie_sl2(), 3)
+    assert isinstance(comp, CochainSpaceResult)
+    assert comp.pairs is comp.domain and comp.order == 4
+    assert all(comp.pair_index[p] == r for r, p in enumerate(comp.pairs))
+    assert repr(comp) == "GradedComponent(degree=3, Z=8, B=3, H=5)"
+
+
+def test_a_truncation_below_the_exact_window_is_refused():
+    # order 3 gives Z=8, B=0, H=8 for the degree-3 slice of sl2, which is
+    # H=5 at every order from 4 on
+    assert graded_h2(lie_sl2(), 3, order=4).h_dim == 5
+    with pytest.raises(ValueError, match="degree-3 slice needs order at least 4"):
+        graded_h2(lie_sl2(), 3, order=3)
+    with pytest.raises(ValueError, match="order must be at least 3"):
+        graded_h2(lie_sl2(), 2, order=2)
+    assert larsson_report(lie_sl2(), 4, order=5)["verdict"]
+    with pytest.raises(ValueError, match="degree-4 slice needs order at least 5"):
+        larsson_report(lie_sl2(), 4, order=3)
 
 
 def test_larsson_is_gated_to_sl_sums():

@@ -278,8 +278,8 @@ def _full_first_failure(alg, ident, vec):
 
 
 class _Table:
-    """dim and mul(i, j), the interface the identity engine reads, on a
-    mirrored table (sign -1 or +1) whose axiom is never checked."""
+    """dim, mul(i, j) and support, the interface the identity engine reads,
+    on a mirrored table (sign -1 or +1) whose axiom is never checked."""
 
     def __init__(self, n, table, sign):
         self.dim = n
@@ -287,6 +287,8 @@ class _Table:
         for (i, j), terms in table.items():
             self._full[(i, j)] = terms
             self._full[(j, i)] = tuple((k, sign * c) for k, c in terms)
+        self.support = [sum(1 << j for j in range(n) if (i, j) in self._full)
+                        for i in range(n)]
 
     def mul(self, i, j):
         return self._full.get((i, j), ())

@@ -45,6 +45,9 @@ DELETED = (
     "_validate_jacobi", "_validate_associativity", "_adjoint_action",
     # the second reader of a vector's entries, folded into _as_int_row
     "_nonzero",
+    # second owners of the flat L tensor A index, the cochain pairs and the
+    # verify text: CurrentAlgebra.tensor, a result's domain, cmd_verify now
+    "_tensor_vec", "_pairs", "_verify_lines", "cmd_verify_span", "cmd_verify_der",
 )
 
 
