@@ -44,7 +44,8 @@ from .algebras import (
     residue_form,
 )
 from .cochain import adjoint_module, coadjoint_module, cohomology, trivial_module
-from .forms import condition_space, hc1_space, verify_forms_decomposition, verify_h2_decomposition
+from .forms import (SYMMETRY_SIGNS, condition_space, hc1_space,
+                    verify_forms_decomposition, verify_h2_decomposition)
 from .derivations import (
     antiderivation_space,
     derivation_space,
@@ -53,7 +54,7 @@ from .derivations import (
     verify_der_decomposition,
 )
 from .graded import larsson_report
-from .identities import LIE_FORMS, SYMMETRIES, InvariantError
+from .identities import LIE_FORMS, InvariantError
 
 __all__ = ["main", "build_parser"]
 
@@ -270,7 +271,7 @@ def build_parser():
                        help="bilinear form condition space dimension")
     _add_lie_assoc(p)
     p.add_argument("--condition", default="invariant", choices=tuple(LIE_FORMS))
-    p.add_argument("--symmetry", default="symmetric", choices=tuple(SYMMETRIES))
+    p.add_argument("--symmetry", default="symmetric", choices=tuple(SYMMETRY_SIGNS))
     p.set_defaults(func=cmd_forms)
 
     p = sub.add_parser("derivations", parents=[common])

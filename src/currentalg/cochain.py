@@ -10,13 +10,13 @@ degree-n cochain is coordinatized by pairs (S, m): S an increasing n-tuple
 of basis indices in lexicographic rank order, m a module coordinate, flat
 index rank(S) * dim(M) + m.
 
-This module owns that layout: the other modules take their cochain
-tuples (the domain of a CochainSpaceResult), differentials and the
-pair-to-n^2 skew transport from here.  With
-trivial coefficients on a graded algebra whose bracket adds degrees, the
-complex splits by the total weight of the tuples; one weight slice (the
-graded H^2 of currentalg.graded) is computed from the tuples of that
-weight alone.
+This module owns that layout and the pair layout of the forms of one
+symmetry (_fold, _square): the other modules take their cochain tuples
+(the domain of a CochainSpaceResult), differentials and form pairs from
+here.  With trivial coefficients on a graded algebra whose bracket adds
+degrees, the complex splits by the total weight of the tuples; one weight
+slice (the graded H^2 of currentalg.graded) is computed from the tuples
+of that weight alone.
 """
 
 from bisect import bisect_left
@@ -113,15 +113,32 @@ def _tuples(algebra, size, weight=None):
     return sorted(tuple(sorted(t)) for t in picks(sorted(classes), size, weight))
 
 
-def _skew_square(pairs, n, vec):
-    """A 2-cochain with one-dimensional coefficients, given in alternating
-    pair coordinates as a sparse {rank: value} dict over the domain pairs
-    of C^2, as a sparse skew n^2 vector: (i, j) at i * n + j."""
+def _fold(rows, n, sign):
+    """(domain, folded): the pairs (i, j) of the forms with
+    phi(x_j, x_i) = sign * phi(x_i, x_j), i < j for skew ones (sign -1, the
+    domain of C^2) and i <= j for symmetric ones, and sparse n^2 rows read
+    on those forms as rows over the pair ranks: (j, i) adds sign times its
+    entry to (i, j), and the skew diagonal, off the domain, weighs 0."""
+    domain = [(i, j) for i in range(n) for j in range(i + (sign < 0), n)]
+    slot = {col: (r, s) for r in range(len(domain))
+            for col, s in _square(domain, n, {r: 1}, sign).items()}
+    folded = [{} for _ in rows]
+    for row, out in zip(rows, folded):
+        for col, v in row.items():
+            r, s = slot.get(col, (0, 0))
+            add_entry(out, r, s * v)
+    return domain, folded
+
+
+def _square(domain, n, vec, sign):
+    """A form given as a sparse {rank: value} dict over the pair domain of
+    its sign (_fold), as a sparse n^2 vector: the one writer of both
+    (i, j) and (j, i)."""
     out = {}
     for r, c in vec.items():
-        i, j = pairs[r]
+        i, j = domain[r]
         out[i * n + j] = c
-        out[j * n + i] = -c
+        out[j * n + i] = sign * c
     return out
 
 

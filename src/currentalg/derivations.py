@@ -77,7 +77,7 @@ from .algebras import (
     assoc_truncated_poly,
 )
 from .cochain import (
-    _skew_square,
+    _square,
     adjoint_module,
     coadjoint_module,
     cohomology,
@@ -567,7 +567,7 @@ def sequence_maps(L, form=None, lname=None):
 
     def u_map(vec):
         # D(x_j) = sum over m, t of kappa^-1(m, t) phi(x_j, x_t) x_m
-        return times(_skew_square(h2.domain, n, vec), copairing)
+        return times(_square(h2.domain, n, vec, -1), copairing)
 
     def v_map(c1):
         # g(x_i, x_j) = kappa(D(x_i), x_j), and v(D) = g + g^T

@@ -2,18 +2,18 @@ r"""Bilinear form spaces cut out by structure-constant conditions.
 
 A bilinear form phi on an n-dimensional algebra is a vector of length n^2,
 coordinate i*n + j holding phi(x_i, x_j).  condition_space solves the exact
-linear system for a named condition plus a symmetry constraint and returns
-the canonical subspace.  The conditions and symmetries are identities of
-currentalg.identities, whose rows come from basis tuples through the sparse
-structure constants.  The solution space is then rechecked: the
-condition at one seeded combination of its basis on 12 seeded random
-triples of dense vectors, which lets a space holding a bad vector pass
-with chance at most 2^-30 + (3/7)^10, and the symmetry exactly on every
-basis vector and pair of coordinates.  The recheck shares only the
-written identity and the coordinate convention with the rows; a wrong
-tuple enumeration, coordinate or sign in the row path makes it raise
-InvariantError, while a row system that is too strict (a kernel too
-small) is beyond its reach.
+linear system for a named condition, an identity of currentalg.identities
+whose rows come from basis tuples through the sparse structure constants,
+and returns the canonical subspace.  A symmetric or skew space is solved
+over the pairs that currentalg.cochain lays out, its kernel squared back
+to n^2 coordinates, so every basis vector has its symmetry by
+construction.  The space is then rechecked: the condition at one seeded
+combination of its basis on 12 seeded random triples of dense vectors,
+which lets a space holding a bad vector pass with chance at most
+2^-30 + (3/7)^10.  The recheck shares only the written identity and the
+coordinate convention with the rows; a wrong tuple enumeration,
+coordinate or sign in the row path makes it raise InvariantError, while
+a row system that is too strict (a kernel too small) is beyond its reach.
 
 Conditions on a Lie algebra L (phi: L x L -> K):
 
@@ -54,9 +54,10 @@ from . import identities as ids
 from .exactlin import Subspace, kernel_from_rows, subspace_intersect
 from .identities import require
 from .algebras import build_assoc, build_lie, current
-from .cochain import _skew_square, cohomology, trivial_module
+from .cochain import _fold, _square, cohomology, trivial_module
 
 __all__ = [
+    "SYMMETRY_SIGNS",
     "condition_space",
     "invariant_symmetric_forms",
     "verify_h2_decomposition",
@@ -91,20 +92,32 @@ FORMS_DECOMPOSABLE_TYPES = (
 )
 
 
+# phi(x_j, x_i) = sign * phi(x_i, x_j) in the forms of a symmetry but "any"
+SYMMETRY_SIGNS = {"symmetric": 1, "skew": -1, "any": None}
+
+
 def condition_space(alg, condition, symmetry="any"):
     """Forms on alg satisfying the named condition and symmetry constraint,
     as the canonical Subspace of n^2 coordinates."""
-    if symmetry not in ids.SYMMETRIES:
+    if symmetry not in SYMMETRY_SIGNS:
         raise ValueError("unknown symmetry %r" % symmetry)
-    return _solve(alg, ids.conditions(alg, "form", (condition,))
-                  + [ids.SYMMETRIES[symmetry]])
+    return _solve(alg, ids.conditions(alg, "form", (condition,)),
+                  SYMMETRY_SIGNS[symmetry])
 
 
-def _solve(alg, idents):
+def _solve(alg, idents, sign=None):
     """The unknowns of n^2 coordinates (forms or maps) on which every
     identity holds at its weights: the exact kernel of their rows,
-    rechecked against the identities."""
-    space = kernel_from_rows(alg.dim ** 2, ids.rows(alg, idents))
+    rechecked against the identities.  With a sign, the forms of that
+    symmetry, solved over their pairs and squared back (cochain._fold)."""
+    n, rows = alg.dim, ids.rows(alg, idents)
+    if sign is None:
+        space = kernel_from_rows(n * n, rows)
+    else:
+        domain, rows = _fold(rows, n, sign)
+        space = Subspace.from_vectors(n * n, [
+            _square(domain, n, row, sign)
+            for row in kernel_from_rows(len(domain), rows).rows.values()])
     ids.recheck(alg, idents, space)
     return space
 
@@ -183,10 +196,11 @@ def _symmetry_layer(space, sym_space):
     """space meet sym_space: the forms of a condition space that have one
     symmetry.
 
-    space passed the recheck of its condition and sym_space the exact
-    symmetry check, so a layer inside both is covered by the two checks; a
-    layer outside either raises InvariantError.  Like the recheck, this
-    cannot catch a space that is too small."""
+    space passed the recheck of its condition and sym_space has its
+    symmetry by construction, as the square of a pair kernel, so a layer
+    inside both is covered by the two; a layer outside either raises
+    InvariantError.  Like the recheck, this cannot catch a space that is
+    too small."""
     layer = subspace_intersect(space, sym_space)
     require(space.contains(layer) and sym_space.contains(layer),
             "symmetry layer escapes its condition or symmetry space")
@@ -238,7 +252,7 @@ def _h2_via_cochain(curr):
     res = cohomology(curr, trivial_module(curr, 1), 2)
     n = curr.dim
     return tuple(Subspace.from_vectors(
-        n * n, [_skew_square(res.domain, n, row) for row in space.rows.values()])
+        n * n, [_square(res.domain, n, row, -1) for row in space.rows.values()])
         for space in (res.z_space, res.b_space))
 
 

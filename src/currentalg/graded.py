@@ -180,11 +180,15 @@ def larsson_report(g, max_degree, order=None, gname=None):
 
 def graded_form_dims(condition, symmetry, degree, order=None):
     """Dimension of the degree-d forms on tK[t] cut out by a cyclic or
-    cyclic-sum-zero condition, computed in the same truncation window."""
+    cyclic-sum-zero condition, computed in the same truncation window; a
+    degree-d form pairs exponents below d, so it is exact for order >= d."""
     if condition not in ("cyclic", "jacobi_sum_zero"):
         raise ValueError("unknown graded form condition %r" % condition)
     if order is None:
         order = degree + 1
+    if order < degree:
+        raise ValueError("a degree-%d form needs order at least %d, not %d"
+                         % (degree, degree, order))
     A = assoc_truncated_poly(order)
     n = A.dim
     # both conditions and the symmetries respect the degree, so every

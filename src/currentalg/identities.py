@@ -30,15 +30,13 @@ Two independent evaluations are derived from each identity:
   through the sparse structure constants alg.mul(i, j).  When every term
   holds a product slot, only the tuples with a nonzero slot are walked
   (_live, which reads the table's masks alg.support), since the others
-  give no entry; an identity with a bare D(x)y, xD(y) or f(x, y) term
-  walks every tuple, through the same enumerator and in the same
-  lexicographic order;
+  give no entry; an identity with a bare D(x)y or xD(y) term walks every
+  tuple, through the same enumerator and in the same lexicographic order;
 * the recheck (recheck) evaluates the identity on seeded random dense
   integer vectors, with the structure constants of alg.mul(i, j) scaled
   to integers, directly at one seeded integer combination of the solution
   basis; a space holding a vector that fails passes with chance at most
-  2^-30 + (3/7)^10.  The symmetries, which have no products, it checks
-  exactly on every basis vector and basis pair.
+  2^-30 + (3/7)^10.
 
 The two share only the identity's terms and the coordinate convention
 above, not the tuple enumeration, the support masks (the recheck reads
@@ -47,6 +45,7 @@ signs as the row path applies them.  A defect there that
 lets a wrong vector into a solution space makes the recheck raise
 InvariantError; one that only makes the rows too strict is beyond it.
 Neither path solves: the callers in forms and derivations own the kernels.
+No identity pins a symmetry; forms of one symmetry are solved over pairs.
 """
 
 from collections import defaultdict, namedtuple
@@ -138,12 +137,6 @@ ASSOC_FORMS = {
     "none": _NONE,
 }
 
-SYMMETRIES = {
-    "symmetric": _identity("x<y", "f(x,y) - f(y,x)"),
-    "skew": _identity("x<=y", "f(x,y) + f(y,x)"),
-    "any": _NONE,
-}
-
 PENCILS = {
     "lie_both": _identity("x<y", "D(xy) - lam D(x)y - lam xD(y)"),
     "lie_left": _identity("x,y", "D(xy) - lam D(x)y"),
@@ -226,8 +219,7 @@ def _tuples(n, order, live=None):
 
 def _live(alg, ident):
     """live for _tuples(alg.dim, ident.order, live), or None when some term
-    has no product slot (D(x)y, xD(y), f(x, y)) and every tuple can give a
-    row.
+    has no product slot (D(x)y, xD(y)) and every tuple can give a row.
 
     A term with a product slot (a, b) gives no entry on a tuple t unless
     x_t[a] x_t[b] != 0.  So a prefix extends by every last index when one
@@ -461,39 +453,17 @@ def _evaluate(table, terms, w, vecs):
     return acc
 
 
-def _is_symmetry(ident):
-    """Whether every term is phi(x, y) or phi(y, x): no products."""
-    return all(kind == "f" and left + right in ((0, 1), (1, 0))
-               for _, _, kind, left, right in ident.terms)
-
-
-def _fails_on_a_pair(ident, n, value):
-    """For a symmetry: whether the sparse {coordinate: value} vector breaks
-    it on some ordered basis pair.  Each term reads phi at (p, q) or
-    (q, p), so a pair that fails is a nonzero coordinate or its transpose."""
-    terms = [(c * ident.weights[part], l[0], r[0])
-             for c, part, _, l, r in ident.terms]
-    for col in value:
-        pair = divmod(col, n)
-        for t in (pair, pair[::-1]):
-            if sum(c * value.get(t[a] * n + t[b], 0) for c, a, b in terms):
-                return True
-    return False
-
-
 def recheck(alg, idents, space):
     """Raise InvariantError unless every basis vector of space satisfies
     every identity at its weights.
 
-    A symmetry involves no structure constants and is checked exactly, on
-    every basis vector and every ordered basis pair.  Every other identity
-    is evaluated at one seeded combination w = sum_i r_i * v_i of the
-    integer rows v_i of space, each a nonzero multiple of a basis vector
-    (r_i uniform in 1..2^30), on each seeded random tuple, in integers: the
-    structure constants and the weighted term coefficients are scaled by
-    their common denominators.  Each term holds exactly one product, so the
-    scaling multiplies the identity by one nonzero constant and cannot
-    change which outputs vanish.
+    Each identity is evaluated at one seeded combination
+    w = sum_i r_i * v_i of the integer rows v_i of space, each a nonzero
+    multiple of a basis vector (r_i uniform in 1..2^30), on each seeded
+    random tuple, in integers: the structure constants and the weighted
+    term coefficients are scaled by their common denominators.  Each term
+    holds exactly one product, so the scaling multiplies the identity by
+    one nonzero constant and cannot change which outputs vanish.
 
     A vector v_j that fails the identity passes one tuple with chance at
     most (degree of the identity in the random entries) / 7, so it passes
@@ -506,17 +476,11 @@ def recheck(alg, idents, space):
     if not (idents and space.dim):
         return
     n = alg.dim
-    rows = list(space.rows.values())
-    table = w = None
+    table, w = _int_table(alg), _combination(n, space.rows.values())
     for ident in idents:
-        if _is_symmetry(ident):
-            failed = any(_fails_on_a_pair(ident, n, row) for row in rows)
-        else:
-            if w is None:
-                table, w = _int_table(alg), _combination(n, rows)
-            spec = _RANDOM_FORMS if ident.terms[0][2] == "f" else _RANDOM_MAPS
-            terms = _int_terms(ident)
-            failed = any(any(_evaluate(table, terms, w, vecs))
-                         for vecs in _random_tuples(n, *spec))
+        spec = _RANDOM_FORMS if ident.terms[0][2] == "f" else _RANDOM_MAPS
+        terms = _int_terms(ident)
+        failed = any(any(_evaluate(table, terms, w, vecs))
+                     for vecs in _random_tuples(n, *spec))
         require(not failed, "a solution fails its identity %s = 0 at weights %s"
                 % (ident.text, tuple(str(v) for v in ident.weights)))

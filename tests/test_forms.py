@@ -10,6 +10,7 @@ import pytest
 
 import currentalg
 
+from currentalg import identities
 from currentalg.algebras import (
     algebra_from_dict,
     assoc_truncated_poly,
@@ -22,7 +23,7 @@ from currentalg.algebras import (
     lie_sl2,
 )
 from currentalg.derivations import verify_der_decomposition
-from currentalg.exactlin import Subspace
+from currentalg.exactlin import Subspace, kernel_from_rows
 from currentalg.forms import (
     condition_space,
     decomposable_span,
@@ -295,6 +296,7 @@ LAYER_ALGEBRAS = {
     # heis3 in a basis with rational change-of-basis entries
     "heis3 rebased": lambda: rebased(lie_heisenberg3(), [
         [1, Fraction(1, 2), 0], [Fraction(-2, 3), 1, 1], [0, Fraction(3, 4), 2]]),
+    "sl2*tpoly:3": lambda: current(lie_sl2(), assoc_truncated_poly(3)),
 }
 
 
@@ -306,6 +308,30 @@ def test_symmetry_layers_are_the_symmetric_solves(name):
         for cond in ("cyclic", "jacobi_sum_zero", "radical", "none"):
             layer = _symmetry_layer(condition_space(alg, cond), sym_space)
             assert layer == condition_space(alg, cond, sym), (cond, sym)
+
+
+# each symmetry as rows over all n^2 unknowns, f(x, y) - f(y, x) = 0 or
+# f(x, y) + f(y, x) = 0, and the sign of phi(x_j, x_i) against phi(x_i, x_j)
+SQUARE_SYMMETRIES = {
+    "symmetric": (identities._identity("x<y", "f(x,y) - f(y,x)"), 1),
+    "skew": (identities._identity("x<=y", "f(x,y) + f(y,x)"), -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_ALGEBRAS))
+def test_pair_solves_equal_the_square_solves(name):
+    # a symmetric or skew space solved over its pairs must be the kernel of
+    # the condition plus symmetry rows over n^2 unknowns, and every basis
+    # row must be sign times its own transpose, entry for entry
+    alg = LAYER_ALGEBRAS[name]()
+    n = alg.dim
+    for sym, (symmetry, sign) in SQUARE_SYMMETRIES.items():
+        for cond in ("jacobi_sum_zero", "cyclic", "radical", "invariant", "none"):
+            idents = identities.conditions(alg, "form", (cond,)) + [symmetry]
+            space = condition_space(alg, cond, sym)
+            assert space == kernel_from_rows(n * n, identities.rows(alg, idents)), (cond, sym)
+            for row in space.rows.values():
+                assert row == {c % n * n + c // n: sign * v for c, v in row.items()}
 
 
 def test_planted_wrong_layer_raises_under_optimize():

@@ -79,6 +79,14 @@ def test_a_truncation_below_the_exact_window_is_refused():
     assert larsson_report(lie_sl2(), 4, order=5)["verdict"]
     with pytest.raises(ValueError, match="degree-4 slice needs order at least 5"):
         larsson_report(lie_sl2(), 4, order=3)
+    # a degree-d form pairs exponents below d, so order d is exact; below it
+    # the dims came out 0 (2 and 1 from order d on)
+    assert [graded_form_dims("cyclic", "any", 4, order=k) for k in (4, 5, 6)] == [2] * 3
+    assert graded_form_dims("jacobi_sum_zero", "any", 3, order=3) == 1
+    for args in (("cyclic", "any", 4, 3), ("jacobi_sum_zero", "any", 3, 2)):
+        with pytest.raises(ValueError, match="degree-%d form needs order at least %d, not %d"
+                           % (args[2], args[2], args[3])):
+            graded_form_dims(*args)
 
 
 def test_larsson_is_gated_to_sl_sums():

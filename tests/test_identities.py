@@ -134,13 +134,12 @@ def _scaled(space, factors):
 
 
 def _space(case):
-    """(algebra, identities, solution space) of a map or a form condition;
-    the identity with products comes first."""
+    """(algebra, identities, solution space) of a map or a form condition."""
     if case == "der heis3":
         alg = build_lie("heis3")
         return alg, (identities.LIE_MAPS["derivation"],), derivation_space(alg)
     alg = current(build_lie("sl2"), build_assoc("tpoly:3"))
-    idents = (identities.LIE_FORMS["invariant"], identities.SYMMETRIES["symmetric"])
+    idents = (identities.LIE_FORMS["invariant"],)
     return alg, idents, condition_space(alg, "invariant", "symmetric")
 
 
@@ -314,8 +313,7 @@ def walk_cases(draw):
     pencils = [p for name, p in identities.PENCILS.items()
                if name.startswith("assoc" if kind == "assoc" else "lie")]
     maps = identities.ASSOC_MAPS if kind == "assoc" else identities.LIE_MAPS
-    idents = (list(forms.values()) + pencils + list(maps.values())
-              + list(identities.SYMMETRIES.values()))
+    idents = list(forms.values()) + pencils + list(maps.values())
     n2 = alg.dim ** 2
     vec = [0] * n2
     for col, x in draw(st.lists(st.tuples(st.integers(0, n2 - 1), st.integers(-2, 2)),

@@ -48,6 +48,9 @@ DELETED = (
     # second owners of the flat L tensor A index, the cochain pairs and the
     # verify text: CurrentAlgebra.tensor, a result's domain, cmd_verify now
     "_tensor_vec", "_pairs", "_verify_lines", "cmd_verify_span", "cmd_verify_der",
+    # the symmetry identities and their exact recheck branch, and the skew-only
+    # square: forms of one symmetry are solved over cochain's pair domain now
+    "_is_symmetry", "_fails_on_a_pair", "_skew_square",
 )
 
 
