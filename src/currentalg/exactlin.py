@@ -7,12 +7,15 @@ homogeneous systems, spans of vector families, and the subspace lattice
 A subspace is stored by its reduced row-echelon form as sparse integer
 rows: ``rows[p]`` is the row with pivot column p, a {column: int} dict
 scaled to content (gcd) 1 with a positive pivot entry.  That form is
-unique, so two subspaces are equal iff their rows are.  The dense basis,
-Fraction tuples with pivot entries 1, is built from the rows on first
-read, for callers that want dense vectors; nothing in the package reads
-it (witnesses come from the rows).  Membership, sums, intersections and
-preimages read the integer rows and touch only the pivots a vector hits;
-a preimage takes the images of the domain's rows.
+unique, so two subspaces are equal iff their rows are, and the one
+constructor, Subspace(ambient_dim, rows), takes exactly these rows.  The
+dense basis, Fraction tuples with pivot entries 1, is a view built from
+the rows on each read, for callers that want dense vectors; nothing in the
+package reads it (witnesses come from the rows).  Membership, sums,
+intersections and preimages read the integer rows and touch only the
+pivots a vector hits; a preimage takes the images of the domain's rows
+(the symmetry layers of currentalg.forms are preimages of zero under
+cochain's fold).
 Vectors enter as sparse {column: value} dicts or dense sequences, with int
 or Fraction values only: anything else raises TypeError, so a float never
 passes as a rational.
@@ -185,34 +188,20 @@ def _dedupe_sorted(int_rows):
 class Subspace:
     """A subspace of Q^ambient_dim, stored by its reduced row-echelon form.
 
-    rows maps each pivot column, in increasing order, to its RREF row as a
-    {col: int} dict of content 1 with a positive pivot entry; pivots lists
-    the pivot columns.  The form is canonical, so == is structural
-    equality.  basis holds the same rows as dense Fraction tuples with
-    pivot entries 1; it is built on first read.
-
-    Subspace(ambient_dim, basis, pivots) takes a basis in that dense form,
-    one vector per pivot.
+    Subspace(ambient_dim, rows) takes rows, which maps each pivot column to
+    its RREF row as a {col: int} dict of content 1 with a positive pivot
+    entry, and keeps them in increasing pivot order; pivots lists the pivot
+    columns.  The form is canonical, so == is structural equality.  basis
+    is a view of the same rows as dense Fraction tuples with pivot entries
+    1, built on each read.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim, basis, pivots):
+    def __init__(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
-        self.pivots = tuple(pivots)
-        self.rows = {p: _normalize(_as_int_row(v)[0])
-                     for p, v in zip(self.pivots, basis)}
-        self._basis = tuple(basis)
-
-    @classmethod
-    def _from_pivots(cls, ambient_dim, pivots):
-        """The subspace whose canonical rows are {pivot: row}."""
-        space = cls.__new__(cls)
-        space.ambient_dim = ambient_dim
-        space.pivots = tuple(sorted(pivots))
-        space.rows = {p: pivots[p] for p in space.pivots}
-        space._basis = None
-        return space
+        self.pivots = tuple(sorted(rows))
+        self.rows = {p: rows[p] for p in self.pivots}
 
     @property
     def dim(self):
@@ -220,24 +209,21 @@ class Subspace:
 
     @property
     def basis(self):
-        if self._basis is None:
-            basis = []
-            for p, row in self.rows.items():
-                lead = row[p]
-                dense = [_ZERO] * self.ambient_dim
-                for c, v in row.items():
-                    dense[c] = Fraction(v, lead)
-                basis.append(tuple(dense))
-            self._basis = tuple(basis)
-        return self._basis
+        basis = []
+        for p, row in self.rows.items():
+            dense = [_ZERO] * self.ambient_dim
+            for c, v in row.items():
+                dense[c] = Fraction(v, row[p])
+            basis.append(tuple(dense))
+        return tuple(basis)
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls._from_pivots(ambient_dim, {})
+        return cls(ambient_dim, {})
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls._from_pivots(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
+        return cls(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
@@ -289,7 +275,7 @@ class Subspace:
 
 def _span(ambient_dim, int_rows):
     """The span of nonzero-valued {col: int} rows."""
-    return Subspace._from_pivots(ambient_dim, _reduced_rows(int_rows))
+    return Subspace(ambient_dim, _reduced_rows(int_rows))
 
 
 def kernel_from_rows(ncols, rows):
@@ -328,7 +314,7 @@ def kernel_from_rows(ncols, rows):
         for p, v, a in entries:
             vec[p] = -v * (m // a)
         kernel[f] = _normalize(vec)
-    return Subspace._from_pivots(ncols, kernel)
+    return Subspace(ncols, kernel)
 
 
 def subspace_sum(u, v):

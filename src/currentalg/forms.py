@@ -41,17 +41,19 @@ families, witnesses and spans with the same helpers.  Each decomposable
 type (label, L condition, A condition) is solved once on each factor, with
 free symmetry.  The spanning direction runs over these symmetry-free factor
 spaces (see the note at H2_DECOMPOSABLE_TYPES); the sub-typed families
-reported per type are built from their symmetric and skew layers, the
-meets with the symmetric and the skew forms of the factor.  The cocycle
-space is computed by two routes, which must agree.  A failed inclusion is
-reported with a witness: the first generator outside the target, or the
-first basis vector of one space outside the other, with its residual.
+reported per type are built from their symmetric and skew layers, each the
+kernel on a factor space of cochain's fold with the opposite sign, and the
+target is compared with the layer of the span of its overall symmetry,
+read off the fold the same way.  The cocycle space is computed by two
+routes, which must agree.  A failed inclusion is reported with a witness:
+the first generator outside the target, or the first basis vector of one
+space outside the other, with its residual.
 """
 
 from fractions import Fraction
 
 from . import identities as ids
-from .exactlin import Subspace, kernel_from_rows, subspace_intersect
+from .exactlin import Subspace, kernel_from_rows, preimage
 from .identities import require
 from .algebras import build_assoc, build_lie, current
 from .cochain import _fold, _square, cohomology, trivial_module
@@ -192,17 +194,21 @@ def _residual_witness(space, span, labels, kind, direction):
     return None
 
 
-def _symmetry_layer(space, sym_space):
-    """space meet sym_space: the forms of a condition space that have one
-    symmetry.
+def _symmetry_layer(space, n, sign):
+    """The forms of space, a subspace of n^2 coordinates, with
+    phi(x_j, x_i) = sign * phi(x_i, x_j): the kernel on space of the fold
+    with the opposite sign (cochain._fold), which reads
+    phi(x_i, x_j) - sign * phi(x_j, x_i) on every pair.
 
-    space passed the recheck of its condition and sym_space has its
-    symmetry by construction, as the square of a pair kernel, so a layer
-    inside both is covered by the two; a layer outside either raises
-    InvariantError.  Like the recheck, this cannot catch a space that is
-    too small."""
-    layer = subspace_intersect(space, sym_space)
-    require(space.contains(layer) and sym_space.contains(layer),
+    space passed the recheck of its condition, so a layer inside space
+    whose every row folds to zero is covered by that recheck and by the
+    fold; a layer outside space, or with a row of the wrong symmetry,
+    raises InvariantError.  Like the recheck, this cannot catch a space
+    that is too small."""
+    domain, folded = _fold(list(space.rows.values()), n, -sign)
+    layer = preimage(space, folded, Subspace.zero(len(domain)))
+    require(space.contains(layer)
+            and not any(_fold(list(layer.rows.values()), n, -sign)[1]),
             "symmetry layer escapes its condition or symmetry space")
     return layer
 
@@ -211,35 +217,31 @@ def decomposable_span(curr, decomposable_types, symmetry):
     """The decomposition families of curr for one overall symmetry.
 
     Each type (label, L condition, A condition) is solved once on each
-    factor, with free symmetry.  phi tensor alpha is skew exactly when the
-    factor symmetries differ, so each type splits into sub-type label + "a",
-    the L layer of the given symmetry times the symmetric A layer, and
-    label + "b", the other L layer times the skew A layer.
+    factor, with free symmetry.  phi tensor alpha has the sign s_L * s_A of
+    its factor symmetries, so each type splits into sub-type label + "a",
+    the L layer of the given symmetry's sign times the symmetric A layer,
+    and label + "b", the L layer of the opposite sign times the skew A
+    layer; every layer is read off the fold (_symmetry_layer).
 
     Returns (per_type, generators, full, layer): per_type maps each
     sub-type label to the span of its generators, generators maps it to the
     raw tensor vectors (for generator-level membership checks), full is the
     span of phi tensor alpha over the symmetry-free factor spaces of every
-    type, and layer = full meet {symmetry} is the part comparable with the
-    target space.
+    type, and layer, the forms of full with the given symmetry, is the part
+    comparable with the target space.
     """
-    L, A = curr.factorL, curr.factorA
-    other = {"symmetric": "skew", "skew": "symmetric"}[symmetry]
-    sym_l, sym_a = ({sym: condition_space(alg, "none", sym)
-                     for sym in ("symmetric", "skew")} for alg in (L, A))
+    L, A, sign = curr.factorL, curr.factorA, SYMMETRY_SIGNS[symmetry]
     per_type, generators, factor_pairs = {}, {}, []
     for label, cond_l, cond_a in decomposable_types:
         s_l, s_a = condition_space(L, cond_l), condition_space(A, cond_a)
         factor_pairs.append((s_l, s_a))
-        for suffix, l_sym, a_sym in (("a", symmetry, "symmetric"),
-                                     ("b", other, "skew")):
-            pair = (_symmetry_layer(s_l, sym_l[l_sym]),
-                    _symmetry_layer(s_a, sym_a[a_sym]))
+        for suffix, a_sign in (("a", 1), ("b", -1)):
+            pair = (_symmetry_layer(s_l, L.dim, sign * a_sign),
+                    _symmetry_layer(s_a, A.dim, a_sign))
             generators[label + suffix], per_type[label + suffix] = _family(
                 curr, [pair])
     _, full = _family(curr, factor_pairs)
-    return (per_type, generators, full,
-            subspace_intersect(full, condition_space(curr, "none", symmetry)))
+    return per_type, generators, full, _symmetry_layer(full, curr.dim, sign)
 
 
 # ---------------------------------------------------------------------------

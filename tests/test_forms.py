@@ -23,7 +23,7 @@ from currentalg.algebras import (
     lie_sl2,
 )
 from currentalg.derivations import verify_der_decomposition
-from currentalg.exactlin import Subspace, kernel_from_rows
+from currentalg.exactlin import Subspace, kernel_from_rows, subspace_intersect
 from currentalg.forms import (
     condition_space,
     decomposable_span,
@@ -300,14 +300,41 @@ LAYER_ALGEBRAS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LAYER_ALGEBRAS))
+# current algebras whose full span of decomposable_span, for the h2 and the
+# forms types, is layered too
+FULL_SPAN_PAIRS = {"sl2*tpoly:3 full": ("sl2", "tpoly:3"),
+                   "heis3*tpoly:3 full": ("heis3", "tpoly:3"),
+                   "abelian:4*zero:2 full": ("abelian:4", "zero:2")}
+
+
+def _layer_inputs(name):
+    """(algebra, {key: (space, its symmetric and skew solves or None)})."""
+    if name in LAYER_ALGEBRAS:
+        alg = LAYER_ALGEBRAS[name]()
+        return alg, {cond: (condition_space(alg, cond), {
+            sym: condition_space(alg, cond, sym) for sym in ("symmetric", "skew")})
+            for cond in ("cyclic", "jacobi_sum_zero", "radical", "none")}
+    lie, assoc = FULL_SPAN_PAIRS[name]
+    alg = current(build_lie(lie), build_assoc(assoc))
+    return alg, {kind: (decomposable_span(alg, types, sym)[2], None)
+                 for kind, types, sym in (("h2", H2_DECOMPOSABLE_TYPES, "skew"),
+                                          ("forms", FORMS_DECOMPOSABLE_TYPES,
+                                           "symmetric"))}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_ALGEBRAS) + sorted(FULL_SPAN_PAIRS))
 def test_symmetry_layers_are_the_symmetric_solves(name):
-    alg = LAYER_ALGEBRAS[name]()
-    for sym in ("symmetric", "skew"):
+    # the layer of each sign, the kernel of the fold on the space, is the
+    # meet with the forms of that symmetry and, on a condition space, the
+    # condition solved with that symmetry
+    alg, inputs = _layer_inputs(name)
+    for sym, sign in (("symmetric", 1), ("skew", -1)):
         sym_space = condition_space(alg, "none", sym)
-        for cond in ("cyclic", "jacobi_sum_zero", "radical", "none"):
-            layer = _symmetry_layer(condition_space(alg, cond), sym_space)
-            assert layer == condition_space(alg, cond, sym), (cond, sym)
+        for key, (space, solves) in inputs.items():
+            layer = _symmetry_layer(space, alg.dim, sign)
+            assert layer == subspace_intersect(space, sym_space), (key, sym)
+            if solves is not None:
+                assert layer == solves[sym], (key, sym)
 
 
 # each symmetry as rows over all n^2 unknowns, f(x, y) - f(y, x) = 0 or
@@ -335,18 +362,30 @@ def test_pair_solves_equal_the_square_solves(name):
 
 
 def test_planted_wrong_layer_raises_under_optimize():
-    # a layer that skips the meet (the whole condition space) or that
-    # ignores the condition (the whole symmetry space) must not pass
+    # a layer that skips the fold (the whole condition space) or that
+    # ignores the condition (the layer of the whole ambient space, the
+    # forms of one symmetry) must not pass
     code = (
+        "from math import isqrt\n"
         "from currentalg import forms\n"
+        "from currentalg.exactlin import Subspace\n"
         "from currentalg.identities import InvariantError\n"
-        "for wrong in (lambda u, v: u, lambda u, v: v):\n"
-        "    forms.subspace_intersect = wrong\n"
+        "real = forms.preimage\n"
+        "def ignores_condition(space, images, target):\n"
+        "    n = isqrt(space.ambient_dim)\n"
+        "    # a symmetric layer folds with sign -1, onto the pairs i < j\n"
+        "    sign = -1 if target.ambient_dim == n * (n - 1) // 2 else 1\n"
+        "    units = [{c: 1} for c in range(n * n)]\n"
+        "    return real(Subspace.full(n * n), forms._fold(units, n, sign)[1],\n"
+        "                target)\n"
+        "for wrong in (lambda space, images, target: space, ignores_condition):\n"
+        "    forms.preimage = wrong\n"
         "    try:\n"
         "        forms.verify_h2_decomposition('sl2', 'tpoly:2')\n"
         "    except InvariantError as exc:\n"
-        "        assert str(exc) == ('symmetry layer escapes its condition '\n"
-        "                            'or symmetry space')\n"
+        "        if str(exc) != ('symmetry layer escapes its condition '\n"
+        "                        'or symmetry space'):\n"
+        "            raise SystemExit(3)\n"
         "    else:\n"
         "        raise SystemExit(1)\n"
         "raise SystemExit(7)\n"

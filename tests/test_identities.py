@@ -17,7 +17,7 @@ import currentalg
 from currentalg import algebras, cochain, derivations, identities
 from currentalg.algebras import LieAlgebra, algebra_from_dict, build_assoc, build_lie, current
 from currentalg.derivations import derivation_space, lambda_candidates, map_condition_space
-from currentalg.exactlin import Subspace
+from currentalg.exactlin import Subspace, _as_int_row, _normalize
 from currentalg.forms import condition_space
 from currentalg.identities import InvariantError
 
@@ -113,6 +113,14 @@ def test_mutation_caught_under_optimize():
 # of the basis, so a single bad basis vector must still make it raise.
 
 
+def _planted(space, basis):
+    """A Subspace holding one row per pivot of space: the dense vectors of
+    basis as the engine reads them, int rows of content 1 with a positive
+    leading entry, which need not be the reduced form of their span."""
+    return Subspace(space.ambient_dim, {p: _normalize(_as_int_row(v)[0])
+                                        for p, v in zip(space.pivots, basis)})
+
+
 def _one_bad_vector(alg, ident, space):
     """space with its last basis vector moved off the solutions: plus the
     first unit vector that breaks the identity on the row path."""
@@ -121,7 +129,7 @@ def _one_bad_vector(alg, ident, space):
                            for col in range(alg.dim ** 2))
                if identities.first_failure(alg, ident, v) is not None)
     assert all(identities.first_failure(alg, ident, v) is None for v in good)
-    return Subspace(space.ambient_dim, tuple(good) + (bad,), space.pivots)
+    return _planted(space, tuple(good) + (bad,))
 
 
 def _scaled(space, factors):
@@ -130,7 +138,7 @@ def _scaled(space, factors):
     basis = [tuple(f * x for x in v) for v, f in zip(space.basis, factors)]
     basis = [tuple(x + y / 3 for x, y in zip(v, w))
              for v, w in zip(basis, basis[1:])] + basis[-1:]
-    return Subspace(space.ambient_dim, tuple(basis), space.pivots)
+    return _planted(space, basis)
 
 
 def _space(case):
@@ -157,7 +165,7 @@ def test_single_bad_vector_caught_under_optimize():
         "from currentalg import identities as ids\n"
         "from currentalg.algebras import build_lie\n"
         "from currentalg.derivations import derivation_space\n"
-        "from currentalg.exactlin import Subspace\n"
+        "from currentalg.exactlin import Subspace, _as_int_row\n"
         "alg = build_lie('heis3')\n"
         "ident = ids.LIE_MAPS['derivation']\n"
         "space = derivation_space(alg)\n"
@@ -165,7 +173,7 @@ def test_single_bad_vector_caught_under_optimize():
         "last[0] += 1\n"
         "if ids.first_failure(alg, ident, last) is None:\n"
         "    raise SystemExit(5)\n"
-        "bad = Subspace(9, space.basis[:-1] + (tuple(last),), space.pivots)\n"
+        "bad = Subspace(9, {**space.rows, space.pivots[-1]: _as_int_row(last)[0]})\n"
         "try:\n"
         "    ids.recheck(alg, (ident,), bad)\n"
         "except ids.InvariantError:\n"

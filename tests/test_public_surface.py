@@ -51,6 +51,8 @@ DELETED = (
     # the symmetry identities and their exact recheck branch, and the skew-only
     # square: forms of one symmetry are solved over cochain's pair domain now
     "_is_symmetry", "_fails_on_a_pair", "_skew_square",
+    # the second Subspace constructor: Subspace(ambient_dim, rows) is the one
+    "_from_pivots",
 )
 
 
