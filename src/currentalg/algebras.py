@@ -262,15 +262,11 @@ class AssocAlgebra(_StructureConstants):
         # s at column n the homogenised rows sum_i u_i m[i][j][k] = s delta_jk
         # have a kernel vector with s != 0 iff a unit exists
         n = self.dim
-        rows = []
+        rows = _right_rows(self)
         for j in range(n):
-            per_k = {j: {n: -1}}
-            for i in range(n):
-                for k, c in self.product(i, j):
-                    per_k.setdefault(k, {})[i] = c
-            rows.extend(per_k.values())
-        row = next((r for r in kernel_from_rows(n + 1, rows).rows.values()
-                    if n in r), None)
+            rows.setdefault((j, j), {})[n] = -1
+        kernel = kernel_from_rows(n + 1, rows.values())
+        row = next((r for r in kernel.rows.values() if n in r), None)
         if row is None:
             return None
         u = tuple(Fraction(row.get(i, 0), row[n]) for i in range(n))
@@ -565,15 +561,19 @@ def _products_span(alg):
     return Subspace.from_vectors(alg.dim, vectors)
 
 
-def _annihilator(alg):
-    rows = []
+def _right_rows(alg):
+    """The rows of right multiplication: row (j, k) is {i: c} with c the
+    x_k coefficient of x_i x_j, for the pairs (j, k) that have one."""
+    rows = {}
     for j in range(alg.dim):
-        per_k = {}
         for i in range(alg.dim):
             for k, c in alg.mul(i, j):
-                per_k.setdefault(k, {})[i] = c
-        rows.extend(per_k.values())
-    return kernel_from_rows(alg.dim, rows)
+                rows.setdefault((j, k), {})[i] = c
+    return rows
+
+
+def _annihilator(alg):
+    return kernel_from_rows(alg.dim, _right_rows(alg).values())
 
 
 def derived_subalgebra(alg):

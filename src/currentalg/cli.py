@@ -22,10 +22,11 @@ one canonical JSON line (sorted keys, no spaces) so identical commands give
 byte-identical output.  Exit status: 0 all verdicts hold, 1 a verification
 failed (the report carries a witness), 2 unusable input (a descriptor or
 table failed to parse or validate, a verb got an algebra or flag it does
-not read, or a table's denominators left the pencil search fewer than two
-primes), 3 an internal invariant failed or another arithmetic error
-surfaced, such as a division by zero (a defect in currentalg, not in the
-input).
+not read, or the input lies beyond a limit, such as a table whose denominators
+leave the pencil search fewer than two primes), 3 a defect in currentalg,
+not in the input (an internal invariant failed, or any arithmetic error
+surfaced, such as a division by zero).  So a ValueError, ValidationError
+included, exits 2, and an InvariantError or any ArithmeticError exits 3.
 """
 
 import argparse
@@ -190,15 +191,15 @@ def cmd_sequence(args):
 
 def cmd_verify(args):
     """verify h2|forms|der: a decomposition verdict on L tensor A."""
+    verify = {"h2": verify_h2_decomposition,
+              "forms": verify_forms_decomposition,
+              "der": verify_der_decomposition}[args.target]
+    report = verify(args.L, args.A)
     if args.target == "der":
-        report = verify_der_decomposition(args.L, args.A, seed=args.seed)
         ok = report["equal"]
         word, target, span, types = ("der", report["der_dim"],
                                      report["span_dim"], report["types"])
     else:
-        verify = (verify_h2_decomposition if args.target == "h2"
-                  else verify_forms_decomposition)
-        report = verify(args.L, args.A)
         ok = report["span_in_Z"] and report["Z_in_span"]
         dims = report["dims"]
         word, target, span, types = ("target", dims["Z2"], dims["span"],
@@ -296,9 +297,6 @@ def build_parser():
         p.add_argument("--L", required=True)
         p.add_argument("--A", required=True)
         p.set_defaults(func=cmd_verify)
-        if target == "der":
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for the pencil projections")
 
     p = sub.add_parser("larsson", parents=[common],
                        help="graded H^2 profile of g tensor tK[t]")
@@ -331,12 +329,6 @@ def main(argv=None):
         print("internal invariant failed: %s" % exc, file=sys.stderr)
         return 3
     except ArithmeticError as exc:
-        # the pencil search's "fewer than two usable primes" is a bare
-        # ArithmeticError, a limit of the input; any other arithmetic error
-        # (ZeroDivisionError, OverflowError) is a defect of the program
-        if type(exc) is ArithmeticError:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
         print("internal invariant failed: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 3

@@ -34,7 +34,7 @@ against b(xy) = mu b(x)y on A, and d[x,y] = lam[dx,y] against
 b(xy) = mu(b(x)y + x b(y)), matched by lam * mu = 1.  Rational pencil
 values are discovered block by block: the affine-in-lam row system falls
 apart into blocks of columns that no row joins, each block is projected
-to square matrices with three independent random integer maps, the
+to square matrices with three random integer maps from fixed seeds, the
 determinant polynomial of each projection comes from one characteristic
 polynomial modulo a word-size prime, and the roots of the product of the
 blocks' gcds are lifted to rationals; every candidate is confirmed modulo
@@ -176,22 +176,24 @@ class PencilCandidates:
     extensions that exact rational solves cannot reach.
 
     The roots are searched block by block modulo primes: each block of
-    columns that no row joins to another gets three seeded square
-    projections of its own rows, the determinant polynomial of each is read
-    off one characteristic polynomial modulo primes[0], the roots of the
-    square-free part of the product of the blocks' gcds are lifted to
-    fractions by rational reconstruction, and a fraction is kept when the
-    three determinants of some block also vanish at it modulo primes[1].
-    primes is empty for a degenerate pencil.  The search can miss a root or
-    miscount residual_degree when the probe value 7919 is a root, when the
-    projections or the prime make all three determinants of one block
-    vanish, when the prime is unlucky for a gcd, when a rational root has
-    numerator or denominator above isqrt(p // 2), or (about once in 10**9
-    roots) when a nonrational root passes the second prime;
-    lambda_candidates spells these out.  It cannot report a wrong
-    value: every entry of lambdas has a nonzero exact kernel over Q, and
-    solution_at rechecks every kernel against the pencil identity at its
-    value.
+    columns that no row joins to another gets three square projections of
+    its own rows, drawn from fixed seeds, the determinant polynomial of
+    each is read off one characteristic polynomial modulo primes[0], the
+    roots of the square-free part of the product of the blocks' gcds are
+    lifted to fractions by rational reconstruction, and a fraction is kept
+    when the three determinants of some block also vanish at it modulo
+    primes[1].  primes is empty for a degenerate pencil.  The search can
+    miss a root or miscount residual_degree when the probe value 7919 is a
+    root, when the projections or the prime make all three determinants of
+    one block vanish, when the prime is unlucky for a gcd, when a rational
+    root has numerator or denominator above isqrt(p // 2), or (about once
+    in 10**9 roots) when a nonrational root passes the second prime; it
+    raises ValueError when fewer than two primes divide no row denominator.
+    lambda_candidates spells these out.  The seeds are fixed, so each of
+    these happens to a given pencil on every run or on none.  The search
+    cannot report a wrong value: every entry of lambdas has a nonzero exact
+    kernel over Q, and solution_at rechecks every kernel against the pencil
+    identity at its value.
     """
 
     __slots__ = ("algebra", "kind", "lambdas", "degenerate",
@@ -227,6 +229,10 @@ class PencilCandidates:
 
 _FORCED_VALUES = (_ONE, _HALF)
 _GENERIC_PROBE = Fraction(7919)
+# the three projections of every block draw their multipliers, uniform in
+# -4..4, from seeds 3, 10 and 17; the roots mod p are split from seed 0
+_PROJECTION_SEEDS = (3, 10, 17)
+_ROOT_SEED = 0
 _pencil_cache = {}
 
 
@@ -262,17 +268,20 @@ def _blocks(rows, n2):
     return list(blocks.values())
 
 
-def _projections(rows, n2, seed):
-    """Three seeded random square projections of each block of the rows.
+def _projections(rows, n2):
+    """Three random square projections of each block of the rows.
 
     A block of k columns gets three pairs (C, L) of dense k x k integer
-    matrices, each with C + lam L a seeded combination of the block's rows
-    in its own columns, times the lcm of every row denominator, which is
-    returned alongside: scaling leaves the roots of det(C + lam L) alone.
+    matrices, each with C + lam L a combination of the block's rows in its
+    own columns, times the lcm of every row denominator, which is returned
+    alongside: scaling leaves the roots of det(C + lam L) alone.  The
+    multipliers of the i-th projection of every block are drawn in -4..4
+    from seed _PROJECTION_SEEDS[i], so the same rows give the same
+    projections on every run.
     """
     scale = lcm(*(c.denominator for row in rows for part in row
                   for c in part.values()))
-    rngs = [random.Random(seed * 1009 + 7 * s + 3) for s in range(3)]
+    rngs = [random.Random(s) for s in _PROJECTION_SEEDS]
     out = []
     for cols, block_rows in _blocks(rows, n2):
         local = {col: i for i, col in enumerate(cols)}
@@ -315,23 +324,24 @@ def _value(poly, t, p):
     return out
 
 
-def lambda_candidates(alg, kind, seed=0):
+def lambda_candidates(alg, kind):
     """Find rational parameter values where the pencil kernel jumps.
 
     The pencil is degenerate when its kernel is nonzero at the probe value
     7919; then only 1 and 1/2 are solved.  Otherwise the columns are split
     into blocks, the connected components of the graph that joins two
     columns when a row (either part) holds both, so that the pencil is
-    block diagonal.  Each block of k columns is projected to three seeded
-    k x k pencils C + lam L of its own rows, and the determinant polynomial
-    of each comes from one characteristic polynomial (modp.pencil_det)
-    modulo the first prime p of modp.PRIMES that divides no row
-    denominator; each polynomial must agree with a direct determinant at
-    the probe, or InvariantError is raised.  The gcds of the blocks'
-    three polynomials are multiplied mod p, the distinct roots mod p of
-    the square-free part of the product are lifted to fractions by
-    rational reconstruction, and a fraction is kept only if all three
-    determinants of some block vanish at it modulo the next such prime q.
+    block diagonal.  Each block of k columns is projected to three k x k
+    pencils C + lam L of its own rows, with multipliers drawn from the
+    fixed seeds _PROJECTION_SEEDS, and the determinant polynomial of each
+    comes from one characteristic polynomial (modp.pencil_det) modulo the
+    first prime p of modp.PRIMES that divides no row denominator; each
+    polynomial must agree with a direct determinant at the probe, or
+    InvariantError is raised.  The gcds of the blocks' three polynomials
+    are multiplied mod p, the distinct roots mod p of the square-free part
+    of the product are lifted to fractions by rational reconstruction, and
+    a fraction is kept only if all three determinants of some block vanish
+    at it modulo the next such prime q.
     The kept roots, 1 and 1/2 are then solved exactly over Q, and lambdas
     holds those with a nonzero kernel.  residual_degree is the degree of
     the square-free product mod p minus the number of kept roots; the gcd
@@ -339,7 +349,9 @@ def lambda_candidates(alg, kind, seed=0):
     blocks' gcds, so this is the quantity a search of the whole pencil
     would give.
 
-    The ways the search can fail:
+    The draws are fixed (the roots mod p are split from _ROOT_SEED too), so
+    the result depends on the pencil alone, and a pencil the search fails
+    on fails the same way on every run.  The ways the search can fail:
 
     * the probe 7919 is itself a root of a non-degenerate pencil, which is
       then taken as degenerate;
@@ -357,12 +369,12 @@ def lambda_candidates(alg, kind, seed=0):
       counted as rational and residual_degree is too small (a chance of
       about 1 in 10**9 per root and block);
     * fewer than two primes of modp.PRIMES divide no row denominator, and
-      ArithmeticError is raised.
+      ValueError is raised: a limit of the input, like every ValueError.
 
     None of these can add a wrong value to lambdas: every reported value
     has a nonzero exact kernel over Q.
     """
-    key = (alg, kind, seed)
+    key = (alg, kind)
     if key in _pencil_cache:
         return _pencil_cache[key]
     if kind not in ids.PENCILS:
@@ -375,11 +387,11 @@ def lambda_candidates(alg, kind, seed=0):
     primes = ()
     candidates = set(_FORCED_VALUES)
     if not degenerate:
-        blocks, scale = _projections(rows, n2, seed)
+        blocks, scale = _projections(rows, n2)
         primes = tuple(q for q in PRIMES if scale % q)[:2]
         if len(primes) < 2:
-            raise ArithmeticError("only %d of the search primes divide no "
-                                  "pencil row denominator" % len(primes))
+            raise ValueError("only %d of the search primes divide no "
+                             "pencil row denominator" % len(primes))
         p, q = primes
         probe = int(_GENERIC_PROBE)
         product = [1]
@@ -401,7 +413,7 @@ def lambda_candidates(alg, kind, seed=0):
                        for projections in blocks)
 
         roots, residual_degree = rational_roots(product, p, confirm,
-                                                random.Random(seed))
+                                                random.Random(_ROOT_SEED))
         candidates.update(roots)
     result = PencilCandidates(alg, kind, {}, degenerate,
                               residual_degree, rows, primes)
@@ -434,7 +446,7 @@ def _pencil_pairs(pencil_l, pencil_a):
     return out
 
 
-def theorem_der_span(L, A, seed=0):
+def theorem_der_span(L, A):
     """Assemble the candidate span of Der(L tensor A) and compare.
 
     Returns (der_space, span, details) where details carries per-family
@@ -446,10 +458,10 @@ def theorem_der_span(L, A, seed=0):
     inner = inner_derivations(curr)
     require(der.contains(inner), "adjoint maps must be derivations")
 
-    pencils = {"i": (lambda_candidates(L, "lie_both", seed),
-                     lambda_candidates(A, "assoc_left", seed)),
-               "ii": (lambda_candidates(L, "lie_left", seed),
-                      lambda_candidates(A, "assoc_both", seed))}
+    pencils = {"i": (lambda_candidates(L, "lie_both"),
+                     lambda_candidates(A, "assoc_left")),
+               "ii": (lambda_candidates(L, "lie_left"),
+                      lambda_candidates(A, "assoc_both"))}
     admissible = {label: _pencil_pairs(*pair) for label, pair in pencils.items()}
     pairs = {label: [(dl, da) for _, dl, da in found]
              for label, found in admissible.items()}
@@ -478,10 +490,10 @@ def theorem_der_span(L, A, seed=0):
     return der, span, details
 
 
-def verify_der_decomposition(L, A, lname=None, aname=None, seed=0):
+def verify_der_decomposition(L, A, lname=None, aname=None):
     """Verdict report: Der(L tensor A) equals the assembled span."""
     L, A, auto_l, auto_a = _resolve_pair(L, A)
-    der, span, details = theorem_der_span(L, A, seed=seed)
+    der, span, details = theorem_der_span(L, A)
     equal = der == span
     report = {
         "theorem": "der",

@@ -2,13 +2,8 @@
 
 from fractions import Fraction
 import json
-from pathlib import Path
-import subprocess
-import sys
 
 import pytest
-
-import currentalg
 
 from currentalg import identities
 from currentalg.algebras import (
@@ -361,7 +356,7 @@ def test_pair_solves_equal_the_square_solves(name):
                 assert row == {c % n * n + c // n: sign * v for c, v in row.items()}
 
 
-def test_planted_wrong_layer_raises_under_optimize():
+def test_planted_wrong_layer_raises_under_optimize(run_optimized):
     # a layer that skips the fold (the whole condition space) or that
     # ignores the condition (the layer of the whole ambient space, the
     # forms of one symmetry) must not pass
@@ -390,10 +385,7 @@ def test_planted_wrong_layer_raises_under_optimize():
         "        raise SystemExit(1)\n"
         "raise SystemExit(7)\n"
     )
-    src = str(Path(currentalg.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={"PYTHONPATH": src}, capture_output=True, text=True)
-    assert proc.returncode == 7, proc.stderr
+    run_optimized(code)
 
 
 def test_witness_reporting_helpers():
@@ -458,7 +450,7 @@ def test_every_subtyped_generator_is_a_cocycle():
             assert z.contains_vector(g), label
 
 
-def test_cocycle_route_mismatch_raises_under_optimize():
+def test_cocycle_route_mismatch_raises_under_optimize(run_optimized):
     code = (
         "from currentalg import forms\n"
         "from currentalg.identities import InvariantError\n"
@@ -470,10 +462,8 @@ def test_cocycle_route_mismatch_raises_under_optimize():
         "try:\n"
         "    forms.verify_h2_decomposition('sl2', 'tpoly:2')\n"
         "except InvariantError as exc:\n"
-        "    assert str(exc) == 'cocycle routes disagree'\n"
+        "    if str(exc) != 'cocycle routes disagree':\n"
+        "        raise SystemExit(3)\n"
         "    raise SystemExit(7)\n"
     )
-    src = str(Path(currentalg.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={"PYTHONPATH": src}, capture_output=True, text=True)
-    assert proc.returncode == 7, proc.stderr
+    run_optimized(code)

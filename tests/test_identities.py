@@ -6,8 +6,6 @@ import json
 import math
 from fractions import Fraction
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,8 +20,10 @@ from currentalg.forms import condition_space
 from currentalg.identities import InvariantError
 
 # PencilCandidates fields for every applicable kind, captured before the
-# engine replaced the hand-written pencil rows: the seeded projections
-# combine the rows in order, so these pin the row order and values too
+# engine replaced the hand-written pencil rows.  They pin the answers, not
+# the row order (the rows reversed give the same fields): the row order is
+# pinned by test_projections_are_the_recorded_draws (test_derivations.py)
+# and by the walk tests below
 PENCILS = json.loads((Path(__file__).parent / "golden" / "pencils.json").read_text())
 
 
@@ -31,7 +31,7 @@ PENCILS = json.loads((Path(__file__).parent / "golden" / "pencils.json").read_te
 def test_pencil_fields_match_golden(case):
     desc, kind = case.split()
     alg = build_assoc(desc) if kind.startswith("assoc") else build_lie(desc)
-    pc = lambda_candidates(alg, kind, 0)
+    pc = lambda_candidates(alg, kind)
     fields = {"lambdas": {str(k): v for k, v in pc.lambdas.items()},
               "degenerate": pc.degenerate, "residual_degree": pc.residual_degree,
               "primes": list(pc.primes)}
@@ -79,7 +79,7 @@ def test_mutation_lie_left_without_repeated_pairs(monkeypatch):
     with pytest.raises(InvariantError):
         map_condition_space(heis3, ("centroid",))
     with pytest.raises(InvariantError):
-        lambda_candidates(heis3, "lie_left", 0)
+        lambda_candidates(heis3, "lie_left")
 
 
 def test_mutation_flipped_term_sign(monkeypatch):
@@ -88,7 +88,7 @@ def test_mutation_flipped_term_sign(monkeypatch):
         derivation_space(build_lie("sl2"))
 
 
-def test_mutation_caught_under_optimize():
+def test_mutation_caught_under_optimize(run_optimized):
     code = (
         "from currentalg import identities\n"
         "from currentalg.algebras import build_assoc\n"
@@ -101,10 +101,15 @@ def test_mutation_caught_under_optimize():
         "except identities.InvariantError:\n"
         "    raise SystemExit(7)\n"
     )
-    src = str(Path(currentalg.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={"PYTHONPATH": src}, capture_output=True, text=True)
-    assert proc.returncode == 7, proc.stderr
+    run_optimized(code)
+
+
+def test_optimized_snippets_refuse_asserts_and_keep_the_environment(
+        run_optimized, monkeypatch):
+    with pytest.raises(ValueError, match="assert"):
+        run_optimized("assert False\nraise SystemExit(7)\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    run_optimized("import sys\nraise SystemExit(7 if sys.dont_write_bytecode else 1)\n")
 
 
 # --- the recheck on spaces planted directly ---------------------------------
@@ -160,7 +165,7 @@ def test_recheck_catches_a_single_bad_basis_vector(case):
         identities.recheck(alg, idents[:1], _one_bad_vector(alg, idents[0], space))
 
 
-def test_single_bad_vector_caught_under_optimize():
+def test_single_bad_vector_caught_under_optimize(run_optimized):
     code = (
         "from currentalg import identities as ids\n"
         "from currentalg.algebras import build_lie\n"
@@ -179,10 +184,7 @@ def test_single_bad_vector_caught_under_optimize():
         "except ids.InvariantError:\n"
         "    raise SystemExit(7)\n"
     )
-    src = str(Path(currentalg.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={"PYTHONPATH": src}, capture_output=True, text=True)
-    assert proc.returncode == 7, proc.stderr
+    run_optimized(code)
 
 
 @pytest.mark.parametrize("case", ["der heis3", "invariant sl2*tpoly:3"])
