@@ -66,7 +66,6 @@ from .derivations import (
 )
 from .identities import InvariantError
 from .graded import (
-    GradedComponent,
     graded_form_dims,
     graded_h2,
     graded_vs_whole,

@@ -24,7 +24,7 @@ algebras.  current(L, A) builds L tensor A with
 
 on the flat basis x_i tensor a_p, flat index p * dim(L) + i, read off the
 stored nonzero products of the factors.  CurrentAlgebra owns that index:
-flat, unflat and tensor, the Kronecker product of factor vectors that the
+flat and tensor, the Kronecker product of factor vectors that the
 product form and the tensor families of forms and maps are built from.
 """
 
@@ -208,10 +208,6 @@ class LieAlgebra(_StructureConstants):
     def ad(self, i):
         """ad x_i as {(k, j): c} for [x_i, x_j] = sum_k c x_k."""
         return {(k, j): c for j in range(self.dim) for k, c in self.mul(i, j)}
-
-    @property
-    def is_abelian(self):
-        return not self.table
 
 
 class AssocAlgebra(_StructureConstants):
@@ -523,9 +519,6 @@ class CurrentAlgebra(LieAlgebra):
 
     def flat(self, i, p):
         return p * self.factorL.dim + i
-
-    def unflat(self, k):
-        return k % self.factorL.dim, k // self.factorL.dim
 
     def tensor(self, l, a):
         """l tensor a in dim^2 coordinates, from sparse {coordinate: value}

@@ -115,7 +115,7 @@ def cmd_algebra_validate(args):
 
 
 _MODULES = {
-    "trivial": lambda alg: trivial_module(alg),
+    "trivial": trivial_module,
     "adjoint": adjoint_module,
     "coadjoint": coadjoint_module,
 }

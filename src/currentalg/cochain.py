@@ -15,8 +15,9 @@ symmetry (_fold, _square): the other modules take their cochain tuples
 (the domain of a CochainSpaceResult), differentials and form pairs from
 here.  With trivial coefficients on a graded algebra whose bracket adds
 degrees, the complex splits by the total weight of the tuples; one weight
-slice (the graded H^2 of currentalg.graded) is computed from the tuples
-of that weight alone.
+slice is computed from the tuples of that weight alone.  A graded H^2
+slice of currentalg.graded is such a slice in degree 2: a plain
+CochainSpaceResult whose domain lists the flat pairs of one weight.
 """
 
 from bisect import bisect_left
@@ -44,11 +45,10 @@ class LieModule:
     zero action satisfies it trivially.
     """
 
-    def __init__(self, algebra, dim, action, name):
+    def __init__(self, algebra, dim, action):
         self.algebra = algebra
         self.dim = dim
         self.action = action
-        self.name = name
         if any(v for matrix in action for v in matrix.values()):
             self._validate()
 
@@ -68,16 +68,15 @@ class LieModule:
                     "bracket pair (%d, %d)" % _tuples(self.algebra, 2)[r // self.dim])
 
 
-def trivial_module(algebra, dim=1):
-    """K^dim with the zero action."""
-    return LieModule(algebra, dim, [dict() for _ in range(algebra.dim)],
-                     "trivial:%d" % dim)
+def trivial_module(algebra):
+    """K with the zero action."""
+    return LieModule(algebra, 1, [dict() for _ in range(algebra.dim)])
 
 
 def adjoint_module(algebra):
     """L acting on itself by x . y = [x, y]."""
     return LieModule(algebra, algebra.dim,
-                     [algebra.ad(i) for i in range(algebra.dim)], "adjoint")
+                     [algebra.ad(i) for i in range(algebra.dim)])
 
 
 def coadjoint_module(algebra):
@@ -85,7 +84,7 @@ def coadjoint_module(algebra):
     of the adjoint action."""
     action = [{(j, k): -c for (k, j), c in algebra.ad(i).items()}
               for i in range(algebra.dim)]
-    return LieModule(algebra, algebra.dim, action, "coadjoint")
+    return LieModule(algebra, algebra.dim, action)
 
 
 def _tuples(algebra, size, weight=None):

@@ -31,15 +31,9 @@ Conditions on a commutative associative algebra A:
 
 The one-parameter families are pencils: d[x,y] = lam([dx,y] + [x,dy]) on L
 against b(xy) = mu b(x)y on A, and d[x,y] = lam[dx,y] against
-b(xy) = mu(b(x)y + x b(y)), matched by lam * mu = 1.  Rational pencil
-values are discovered block by block: the affine-in-lam row system falls
-apart into blocks of columns that no row joins, each block is projected
-to square matrices with three random integer maps from fixed seeds, the
-determinant polynomial of each projection comes from one characteristic
-polynomial modulo a word-size prime, and the roots of the product of the
-blocks' gcds are lifted to rationals; every candidate is confirmed modulo
-a second prime on some block and then by an exact kernel over Q, and 1 and
-1/2 are always checked whether or not they show up as roots.
+b(xy) = mu(b(x)y + x b(y)), matched by lam * mu = 1.  Their rational
+values come from a block-by-block search modulo primes, confirmed by exact
+kernels over Q; lambda_candidates states its method and how it can fail.
 
 Apart from module_map and self_bracket_zero, every condition above is a
 pencil of currentalg.identities at fixed weights: derivation is d[x,y] =
@@ -175,25 +169,12 @@ class PencilCandidates:
     the determinant gcd; a nonzero value flags solutions living in algebraic
     extensions that exact rational solves cannot reach.
 
-    The roots are searched block by block modulo primes: each block of
-    columns that no row joins to another gets three square projections of
-    its own rows, drawn from fixed seeds, the determinant polynomial of
-    each is read off one characteristic polynomial modulo primes[0], the
-    roots of the square-free part of the product of the blocks' gcds are
-    lifted to fractions by rational reconstruction, and a fraction is kept
-    when the three determinants of some block also vanish at it modulo
-    primes[1].  primes is empty for a degenerate pencil.  The search can
-    miss a root or miscount residual_degree when the probe value 7919 is a
-    root, when the projections or the prime make all three determinants of
-    one block vanish, when the prime is unlucky for a gcd, when a rational
-    root has numerator or denominator above isqrt(p // 2), or (about once
-    in 10**9 roots) when a nonrational root passes the second prime; it
-    raises ValueError when fewer than two primes divide no row denominator.
-    lambda_candidates spells these out.  The seeds are fixed, so each of
-    these happens to a given pencil on every run or on none.  The search
-    cannot report a wrong value: every entry of lambdas has a nonzero exact
-    kernel over Q, and solution_at rechecks every kernel against the pencil
-    identity at its value.
+    lambda_candidates finds the values by a block-by-block search modulo
+    the two primes in primes (empty for a degenerate pencil), and states
+    its method and how it can miss a value or miscount residual_degree.
+    It cannot report a wrong value: every entry of lambdas has a nonzero
+    exact kernel over Q, and solution_at rechecks every kernel against the
+    pencil identity at its value.
     """
 
     __slots__ = ("algebra", "kind", "lambdas", "degenerate",
@@ -490,15 +471,16 @@ def theorem_der_span(L, A):
     return der, span, details
 
 
-def verify_der_decomposition(L, A, lname=None, aname=None):
-    """Verdict report: Der(L tensor A) equals the assembled span."""
-    L, A, auto_l, auto_a = _resolve_pair(L, A)
+def verify_der_decomposition(L, A):
+    """Verdict report: Der(L tensor A) equals the assembled span; L and A
+    are named as forms._resolve_pair does."""
+    L, A, names = _resolve_pair(L, A)
     der, span, details = theorem_der_span(L, A)
     equal = der == span
     report = {
         "theorem": "der",
-        "L": lname or auto_l,
-        "A": aname or auto_a,
+        "L": names[0],
+        "A": names[1],
         "types": details["types"],
         "lambda": details["lambda"],
         "der_dim": der.dim,
@@ -522,7 +504,7 @@ def verify_der_decomposition(L, A, lname=None, aname=None):
 # the four-term sequence H^2(L,K) -> H^1(L,L*) -> B(L) -> H^3(L,K)
 
 
-def sequence_maps(L, form=None, lname=None):
+def sequence_maps(L, form="dual", lname=None):
     """Representative-level check of the sequence u, v, w.
 
     u(phi)(x) = phi(x, -) as a 1-cochain with dual (or form-transported
@@ -530,13 +512,15 @@ def sequence_maps(L, form=None, lname=None):
     symmetric invariant form phi to the alternating 3-cochain
     phi([x, y], z).  The report carries the four corner dimensions, the
     vanishing of both composites, exactness in the two middle spots, and
-    injectivity of the induced map on H^2.
+    injectivity of the induced map on H^2.  form is "dual", "killing" or a
+    BilinearForm.  The report names L by lname, else by its descriptor, else
+    "lie(dim n)".
     """
     if isinstance(L, str):
         lname = lname or L
         L = build_lie(L)
     n = L.dim
-    if form is None or form == "dual":
+    if form == "dual":
         # the dual mode is the form mode for the identity pairing of L* with L
         mode = "dual"
         module = coadjoint_module(L)
@@ -548,7 +532,7 @@ def sequence_maps(L, form=None, lname=None):
         elif isinstance(form, BilinearForm):
             kappa = form
         else:
-            raise ValueError("form must be None, 'dual', 'killing', or a BilinearForm")
+            raise ValueError("form must be 'dual', 'killing', or a BilinearForm")
         if kappa.symmetry != "symmetric":
             raise ValueError("transport needs a symmetric form")
         if not kappa.is_nondegenerate():
@@ -660,12 +644,11 @@ class LoopDerivation:
     matrix is a tuple of Fraction rows: matrix[m][i] is the coefficient of
     x_m in D(x_i)."""
 
-    __slots__ = ("algebra", "matrix", "order")
+    __slots__ = ("algebra", "matrix")
 
-    def __init__(self, algebra, matrix, order):
+    def __init__(self, algebra, matrix):
         self.algebra = algebra
         self.matrix = matrix
-        self.order = order
 
     def derivation_defect(self):
         """First basis pair where the derivation identity fails, or None."""
@@ -717,4 +700,4 @@ def sl2_loop_derivation(N):
             data[col][col] += exp
             if weight and exp + 1 <= N - 1:
                 data[curr.flat(i, p + 1)][col] += weight
-    return LoopDerivation(curr, tuple(map(tuple, data)), N)
+    return LoopDerivation(curr, tuple(map(tuple, data)))

@@ -222,10 +222,6 @@ class Subspace:
         return cls(ambient_dim, {})
 
     @classmethod
-    def full(cls, ambient_dim):
-        return cls(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
-
-    @classmethod
     def from_vectors(cls, ambient_dim, vectors):
         """The span of vectors (sparse dicts or dense sequences)."""
         return _span(ambient_dim, (_as_int_row(v)[0] for v in vectors))
@@ -252,11 +248,10 @@ class Subspace:
         return not self._residual(vector)[0]
 
     def contains(self, other):
-        if isinstance(other, Subspace):
-            if other.ambient_dim != self.ambient_dim:
-                raise ValueError("ambient mismatch")
-            return all(not self._residual(row)[0] for row in other.rows.values())
-        return self.contains_vector(other)
+        """other, a Subspace, lies in this one."""
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient mismatch")
+        return all(not self._residual(row)[0] for row in other.rows.values())
 
     def __eq__(self, other):
         return (

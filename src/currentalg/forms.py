@@ -251,7 +251,7 @@ def decomposable_span(curr, decomposable_types, symmetry):
 def _h2_via_cochain(curr):
     """Z^2 and B^2 of the current algebra with trivial coefficients,
     transported from alternating pair coordinates into n^2 coordinates."""
-    res = cohomology(curr, trivial_module(curr, 1), 2)
+    res = cohomology(curr, trivial_module(curr), 2)
     n = curr.dim
     return tuple(Subspace.from_vectors(
         n * n, [_square(res.domain, n, row, -1) for row in space.rows.values()])
@@ -259,10 +259,11 @@ def _h2_via_cochain(curr):
 
 
 def _resolve_pair(L, A):
-    """(L, A, L name, A name); a descriptor is built and names itself."""
+    """(L, A, (L name, A name)): a descriptor is built and names itself,
+    an algebra object is named "lie(dim n)" or "assoc(dim n)"."""
     lie, assoc = build_lie(L), build_assoc(A)
-    return (lie, assoc, L if isinstance(L, str) else "lie(dim %d)" % lie.dim,
-            A if isinstance(A, str) else "assoc(dim %d)" % assoc.dim)
+    return lie, assoc, (L if isinstance(L, str) else "lie(dim %d)" % lie.dim,
+                        A if isinstance(A, str) else "assoc(dim %d)" % assoc.dim)
 
 
 def _decomposition_report(theorem, curr, target, decomposable_types,
@@ -294,16 +295,17 @@ def _decomposition_report(theorem, curr, target, decomposable_types,
     return report
 
 
-def verify_h2_decomposition(L, A, lname=None, aname=None):
+def verify_h2_decomposition(L, A):
     """Compare the 2-cocycle space of L tensor A with the eight-type span.
 
     The cocycle space is computed twice, once as a form condition system and
     once through the cochain complex, and the two must agree exactly.  The
     coboundary space must land in the span of skew-on-L times symmetric-on-A
     products.  Either failure raises InvariantError.  The returned report
-    carries both inclusion verdicts.
+    carries both inclusion verdicts, and names L and A as _resolve_pair
+    does.
     """
-    L, A, auto_l, auto_a = _resolve_pair(L, A)
+    L, A, names = _resolve_pair(L, A)
     curr = current(L, A)
     z_form = condition_space(curr, "jacobi_sum_zero", "skew")
     z_cochain, b_cochain = _h2_via_cochain(curr)
@@ -314,14 +316,14 @@ def verify_h2_decomposition(L, A, lname=None, aname=None):
             "coboundaries escape the skew/symmetric envelope")
     return _decomposition_report(
         "h2", curr, z_form, H2_DECOMPOSABLE_TYPES, "skew",
-        "span_element_not_cocycle", (lname or auto_l, aname or auto_a))
+        "span_element_not_cocycle", names)
 
 
-def verify_forms_decomposition(L, A, lname=None, aname=None):
+def verify_forms_decomposition(L, A):
     """Compare symmetric invariant forms on L tensor A with the type span."""
-    L, A, auto_l, auto_a = _resolve_pair(L, A)
+    L, A, names = _resolve_pair(L, A)
     curr = current(L, A)
     return _decomposition_report(
         "forms", curr, invariant_symmetric_forms(curr),
         FORMS_DECOMPOSABLE_TYPES, "symmetric", "span_element_not_invariant",
-        (lname or auto_l, aname or auto_a))
+        names)

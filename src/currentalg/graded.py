@@ -9,10 +9,12 @@ window is the default; callers can widen it to confirm stability.
 The component is the weight-d slice of the Chevalley-Eilenberg complex
 of the truncation with trivial coefficients, computed by currentalg.cochain
 on the tuples of weight d alone: the bracket adds degrees, so the
-differential maps each weight slice to itself.  Coordinates are
-alternating pair coordinates, one unknown per increasing flat basis pair
-(u, v) with deg(u) + deg(v) = d; cocycle rows come from the increasing
-triples of weight d, coboundaries from the functionals on g tensor t^d.
+differential maps each weight slice to itself.  It is a plain
+CochainSpaceResult of cochain degree 2 whose domain lists the increasing
+flat basis pairs (u, v) with deg(u) + deg(v) = d, one alternating unknown
+each; cocycle rows come from the increasing triples of weight d,
+coboundaries from the functionals on g tensor t^d.  The weight d is the
+caller's argument, not a field of the result.
 
 larsson_report compares the computed dimensions for a direct sum of sl(n)
 summands against the closed-form profile: at degree 2 the quotient of all
@@ -21,7 +23,8 @@ summand, nothing from degree 4 on.  The degree-3 classes of an sl(2)
 summand are pinned down further: symmetrized values on the (t, t^2) block
 satisfy psi(e-, e+) = psi(h, h) / 2, and the symmetric cyclic-sum-zero
 forms on g inject onto a complement of the coboundaries.  That is the
-quadratic_presentation verdict.
+quadratic_presentation verdict.  A report names g by its descriptor, or
+"lie(dim n)" for an algebra object.
 """
 
 from math import comb
@@ -33,29 +36,11 @@ from .cochain import (CochainSpaceResult, _cochain_spaces, cohomology,
 from .forms import condition_space
 
 __all__ = [
-    "GradedComponent",
     "graded_h2",
     "larsson_report",
     "graded_form_dims",
     "graded_vs_whole",
 ]
-
-
-class GradedComponent(CochainSpaceResult):
-    """Degree-d cocycles and coboundaries in pair coordinates: the domain,
-    also named pairs, lists the increasing flat basis pairs of weight d."""
-
-    __slots__ = ("order", "curr", "pair_index")
-
-    def __init__(self, degree, curr, pairs, z_space, b_space):
-        super().__init__(degree, pairs, z_space, b_space)
-        self.order = curr.factorA.tpoly_order
-        self.curr = curr
-        self.pair_index = {p: r for r, p in enumerate(pairs)}
-
-    @property
-    def pairs(self):
-        return self.domain
 
 
 def _truncation(g, order, degree=2):
@@ -71,14 +56,13 @@ def _truncation(g, order, degree=2):
 
 def _component(curr, degree):
     """The degree-d slice of H^2 of a truncation built by _truncation."""
-    return GradedComponent(degree, curr, *_cochain_spaces(
+    return CochainSpaceResult(2, *_cochain_spaces(
         curr, trivial_module(curr), 2, weight=degree))
 
 
 def graded_h2(g, degree, order=None):
     """The degree-d slice of H^2(g tensor tK[t], K), exact for order >= d+1."""
-    if isinstance(g, str):
-        g = build_lie(g)
+    g = build_lie(g)
     if degree < 2:
         raise ValueError("pair degrees start at 2")
     if order is None:
@@ -87,7 +71,7 @@ def graded_h2(g, degree, order=None):
 
 
 def _dims(res):
-    """Z, B and H dimensions of a cohomology result or a graded component."""
+    """Z, B and H dimensions of a cohomology result or a graded slice."""
     return {"Z": res.z_space.dim, "B": res.b_space.dim, "H": res.h_dim}
 
 
@@ -102,20 +86,21 @@ def _sl2_offsets(g):
     return offsets
 
 
-def _degree3_block_index(comp, i, j):
-    """z(x_i tensor t, x_j tensor t^2) for a degree-3 component."""
-    return comp.pair_index[(comp.curr.flat(i, 0), comp.curr.flat(j, 1))]
-
-
-def _quadratic_presentation(g, comp):
-    """Degree-3 structure: the symmetric cyclic-sum-zero forms on g span a
-    complement of the coboundaries, and every cocycle's symmetrized
-    (t, t^2) block obeys psi(e-, e+) = psi(h, h) / 2 per sl(2) summand."""
+def _quadratic_presentation(g, curr, comp):
+    """Degree-3 structure of the degree-3 slice comp of the truncation
+    curr: the symmetric cyclic-sum-zero forms on g span a complement of the
+    coboundaries, and every cocycle's symmetrized (t, t^2) block obeys
+    psi(e-, e+) = psi(h, h) / 2 per sl(2) summand."""
     ng = g.dim
+    pair_rank = {pair: r for r, pair in enumerate(comp.domain)}
+
+    def rank(i, j):
+        # the pair (x_i tensor t, x_j tensor t^2)
+        return pair_rank[(curr.flat(i, 0), curr.flat(j, 1))]
+
     sym_space = condition_space(g, "jacobi_sum_zero", "symmetric")
-    s_space = Subspace.from_vectors(len(comp.pairs), [
-        {_degree3_block_index(comp, *divmod(col, ng)): x
-         for col, x in psi.items()}
+    s_space = Subspace.from_vectors(len(comp.domain), [
+        {rank(*divmod(col, ng)): x for col, x in psi.items()}
         for psi in sym_space.rows.values()])
     ok = comp.z_space.contains(s_space)
     ok = ok and subspace_intersect(s_space, comp.b_space).dim == 0
@@ -124,7 +109,7 @@ def _quadratic_presentation(g, comp):
     # the check is linear, so the integer rows of Z serve as its basis
     for z in comp.z_space.rows.values():
         def block(i, j):
-            return z.get(_degree3_block_index(comp, i, j), 0)
+            return z.get(rank(i, j), 0)
 
         for off in _sl2_offsets(g):
             em, h, ep = off, off + 1, off + 2
@@ -134,15 +119,15 @@ def _quadratic_presentation(g, comp):
     return ok
 
 
-def larsson_report(g, max_degree, order=None, gname=None):
+def larsson_report(g, max_degree, order=None):
     """Dimensions of the graded H^2 slices against the closed-form profile.
 
     Only direct sums of sl(n) summands carry a stated profile; anything
-    else is rejected rather than guessed at.
+    else is rejected rather than guessed at.  A descriptor g names itself
+    in the report, an algebra object is "lie(dim n)".
     """
-    if isinstance(g, str):
-        gname = gname or g
-        g = build_lie(g)
+    name = g if isinstance(g, str) else "lie(dim %d)" % g.dim
+    g = build_lie(g)
     if g.sl_summands is None:
         raise ValueError("the graded profile is stated for sl(n) direct sums only")
     if max_degree < 2:
@@ -168,9 +153,9 @@ def larsson_report(g, max_degree, order=None, gname=None):
         if comp.h_dim != expected[str(d)]:
             verdict = False
         if d == 3:
-            quadratic = _quadratic_presentation(g, comp)
+            quadratic = _quadratic_presentation(g, curr, comp)
     return {
-        "g": gname or "lie(dim %d)" % g.dim,
+        "g": name,
         "degrees": degrees,
         "expected": expected,
         "verdict": verdict,
@@ -201,8 +186,7 @@ def graded_form_dims(condition, symmetry, degree, order=None):
 def graded_vs_whole(g, order):
     """Cross-check: the degree slices must add up to the cohomology of the
     whole truncated current algebra."""
-    if isinstance(g, str):
-        g = build_lie(g)
+    g = build_lie(g)
     curr = _truncation(g, order)
     whole = _dims(cohomology(curr, trivial_module(curr), 2))
     slices = [_dims(_component(curr, d))

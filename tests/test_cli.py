@@ -136,7 +136,8 @@ def test_sequence_product_form(capsys):
     code, out, _ = run(capsys, "sequence", "--L", "sl2", "--A", "tpoly:3",
                        "--form", "product", "--json")
     assert code == 0
-    assert json.loads(out)["verdict"]
+    r = json.loads(out)
+    assert r["verdict"] and r["L"] == "sl2*tpoly:3" and r["mode"] == "form"
 
 
 def test_derivations_and_antiderivations(capsys):

@@ -30,7 +30,8 @@ def algebras():
 
 
 def modules(g):
-    return [trivial_module(g), adjoint_module(g), coadjoint_module(g)]
+    return {"trivial": trivial_module(g), "adjoint": adjoint_module(g),
+            "coadjoint": coadjoint_module(g)}
 
 
 def _composite(outer, inner):
@@ -47,7 +48,7 @@ def _composite(outer, inner):
 
 def test_differential_squares_to_zero():
     for _, g in algebras():
-        for mod in modules(g):
+        for mod in modules(g).values():
             for n in (0, 1, 2):
                 _, d_n = _ce_rows(g, mod, n)
                 domain, d_next = _ce_rows(g, mod, n + 1)
@@ -68,13 +69,13 @@ def test_cochain_dims_are_binomial():
 # follow the Whitehead lemmas; heis3 rows were cross-checked against an
 # independent nullspace/rank computation.
 FROZEN = {
-    ("sl2", "trivial:1"): [(1, 0, 1), (0, 0, 0), (3, 3, 0), (1, 0, 1)],
+    ("sl2", "trivial"): [(1, 0, 1), (0, 0, 0), (3, 3, 0), (1, 0, 1)],
     ("sl2", "adjoint"): [(0, 0, 0), (3, 3, 0), (6, 6, 0), (3, 3, 0)],
     ("sl2", "coadjoint"): [(0, 0, 0), (3, 3, 0), (6, 6, 0), (3, 3, 0)],
-    ("sl3", "trivial:1"): [(1, 0, 1), (0, 0, 0), (8, 8, 0), (21, 20, 1)],
+    ("sl3", "trivial"): [(1, 0, 1), (0, 0, 0), (8, 8, 0), (21, 20, 1)],
     ("sl3", "adjoint"): [(0, 0, 0), (8, 8, 0), (56, 56, 0), (168, 168, 0)],
     ("sl3", "coadjoint"): [(0, 0, 0), (8, 8, 0), (56, 56, 0), (168, 168, 0)],
-    ("heis3", "trivial:1"): [(1, 0, 1), (2, 0, 2), (3, 1, 2), (1, 0, 1)],
+    ("heis3", "trivial"): [(1, 0, 1), (2, 0, 2), (3, 1, 2), (1, 0, 1)],
     ("heis3", "adjoint"): [(1, 0, 1), (6, 2, 4), (8, 3, 5), (3, 1, 2)],
     ("heis3", "coadjoint"): [(2, 0, 2), (6, 1, 5), (7, 3, 4), (3, 2, 1)],
 }
@@ -82,12 +83,12 @@ FROZEN = {
 
 def test_frozen_cohomology_dimensions():
     for name, g in algebras():
-        for mod in modules(g):
-            expected = FROZEN[(name, mod.name)]
+        for mod_name, mod in modules(g).items():
+            expected = FROZEN[(name, mod_name)]
             for degree in (0, 1, 2, 3):
                 r = cohomology(g, mod, degree)
                 got = (r.z_space.dim, r.b_space.dim, r.h_dim)
-                assert got == tuple(expected[degree]), (name, mod.name, degree)
+                assert got == tuple(expected[degree]), (name, mod_name, degree)
                 assert r.z_space.contains(r.b_space)
 
 
@@ -110,25 +111,27 @@ def test_representation_axiom_is_enforced():
     key = next(iter(action[0]))
     action[0][key] = -action[0][key]
     with pytest.raises(ValueError):
-        LieModule(g, g.dim, action, "broken")
+        LieModule(g, g.dim, action)
 
 
 def test_the_axiom_is_checked_exactly_when_some_action_entry_is_nonzero(monkeypatch):
     checked = []
-    monkeypatch.setattr(LieModule, "_validate", lambda self: checked.append(self.name))
+    monkeypatch.setattr(LieModule, "_validate", lambda self: checked.append(self))
     g = lie_sl2()
-    trivial_module(g, 2)
-    LieModule(g, 1, [{(0, 0): 0} for _ in range(g.dim)], "zero entries")
+    trivial_module(g)
+    LieModule(g, 2, [dict() for _ in range(g.dim)])
+    LieModule(g, 1, [{(0, 0): 0} for _ in range(g.dim)])
     assert checked == []
-    adjoint_module(g)
-    coadjoint_module(g)
-    assert checked == ["adjoint", "coadjoint"]
+    validated = [adjoint_module(g), coadjoint_module(g)]
+    assert len(checked) == 2
+    assert all(got is module for got, module in zip(checked, validated))
 
 
 def test_trivial_module_zero_degree_is_invariants():
-    # H^0 = M^L: full for abelian action, zero for a faithful simple action.
+    # H^0 = M^L: all of K for the zero action, zero for a faithful simple
+    # action.
     g = lie_sl2()
-    assert cohomology(g, trivial_module(g, dim=3), 0).h_dim == 3
+    assert cohomology(g, trivial_module(g), 0).h_dim == 1
     assert cohomology(g, adjoint_module(g), 0).h_dim == 0
     h = lie_heisenberg3()
     assert cohomology(h, adjoint_module(h), 0).h_dim == 1

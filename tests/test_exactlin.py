@@ -152,7 +152,7 @@ def test_canonical_basis_is_spanning_set_invariant(data, rng):
 
 def test_subspace_trivial_cases():
     z = Subspace.zero(3)
-    f = Subspace.full(3)
+    f = kernel_from_rows(3, [])
     assert z.dim == 0 and f.dim == 3
     assert f.contains(z) and not z.contains(f)
     assert subspace_sum(z, f) == f
@@ -186,14 +186,14 @@ def test_inverse_frozen_values():
     lambda: Subspace.from_vectors(2, [[0, 1]]).reduce([1.5, 1]),
     lambda: Subspace.from_vectors(2, [[0, 1]]).contains_vector({0: 1.5}),
     lambda: Subspace.from_vectors(2, [[1, 0.0]]),
-    lambda: preimage(Subspace.full(2), [[1, 0], [0, 0.5]], Subspace.zero(2)),
+    lambda: preimage(kernel_from_rows(2, []), [[1, 0], [0, 0.5]], Subspace.zero(2)),
     # was the inverse of 3602879701896397/36028797018963968
     lambda: inverse(((0.1, 0), (0, 1))),
     # a float after int entries: the all-int shortcut checks every entry
     lambda: kernel_from_rows(2, [{0: 1, 1: 0.5}]),
     lambda: Subspace.from_vectors(2, [[1, 2.0]]),
     lambda: Subspace.from_vectors(2, [[0, 1]]).reduce({0: 1, 1: 1.0}),
-    lambda: preimage(Subspace.full(2), [[1, 0], [0, 3.0]], Subspace.zero(2)),
+    lambda: preimage(kernel_from_rows(2, []), [[1, 0], [0, 3.0]], Subspace.zero(2)),
 ])
 def test_floats_raise_type_error(call):
     with pytest.raises(TypeError):
@@ -211,14 +211,14 @@ def test_the_exact_twins_of_the_float_cases():
     assert kernel_from_rows(2, [{0: 1, 1: half}]).basis == ((1, -2),)
     assert Subspace.from_vectors(2, [[1, 2]]).rows == {0: {0: 1, 1: 2}}
     assert space.reduce({0: 1, 1: 1}) == {0: 1}
-    assert preimage(Subspace.full(2), [[1, 0], [0, 3]], Subspace.zero(2)).dim == 0
+    assert preimage(kernel_from_rows(2, []), [[1, 0], [0, 3]], Subspace.zero(2)).dim == 0
 
 
 def test_preimage_reads_images_with_different_denominators():
     # f(e0) = 1/2 and f(e1) = 1: the kernel of f is spanned by 2 e0 - e1
     half = Fraction(1, 2)
-    assert preimage(Subspace.full(2), [[half], [1]], Subspace.zero(1)).rows == {0: {0: 2, 1: -1}}
-    assert preimage(Subspace.full(2), [{0: 1}, {0: half}], Subspace.zero(1)).rows == {0: {0: 1, 1: -2}}
+    assert preimage(kernel_from_rows(2, []), [[half], [1]], Subspace.zero(1)).rows == {0: {0: 2, 1: -1}}
+    assert preimage(kernel_from_rows(2, []), [{0: 1}, {0: half}], Subspace.zero(1)).rows == {0: {0: 1, 1: -2}}
 
 
 # --- preimage against sympy ---------------------------------------------------

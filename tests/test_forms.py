@@ -207,6 +207,16 @@ def test_rational_twins_give_the_catalog_verdicts(verify):
     assert twin == catalog
 
 
+@pytest.mark.parametrize("verify", [verify_h2_decomposition, verify_forms_decomposition,
+                                    verify_der_decomposition])
+def test_a_report_names_a_descriptor_by_itself_and_an_object_by_its_dim(verify):
+    names = {(r["L"], r["A"]) for r in (
+        verify("sl2", "tpoly:3"), verify(lie_sl2(), assoc_truncated_poly(3)),
+        verify(lie_sl2(), "tpoly:3"), verify("sl2", assoc_truncated_poly(3)))}
+    assert names == {("sl2", "tpoly:3"), ("lie(dim 3)", "assoc(dim 2)"),
+                     ("lie(dim 3)", "tpoly:3"), ("sl2", "assoc(dim 2)")}
+
+
 FORMS_FROZEN = {
     ("sl2", "tpoly:3"): 7,
     ("sl2", "tpoly1:3"): 3,
@@ -363,7 +373,7 @@ def test_planted_wrong_layer_raises_under_optimize(run_optimized):
     code = (
         "from math import isqrt\n"
         "from currentalg import forms\n"
-        "from currentalg.exactlin import Subspace\n"
+        "from currentalg.exactlin import kernel_from_rows\n"
         "from currentalg.identities import InvariantError\n"
         "real = forms.preimage\n"
         "def ignores_condition(space, images, target):\n"
@@ -371,7 +381,7 @@ def test_planted_wrong_layer_raises_under_optimize(run_optimized):
         "    # a symmetric layer folds with sign -1, onto the pairs i < j\n"
         "    sign = -1 if target.ambient_dim == n * (n - 1) // 2 else 1\n"
         "    units = [{c: 1} for c in range(n * n)]\n"
-        "    return real(Subspace.full(n * n), forms._fold(units, n, sign)[1],\n"
+        "    return real(kernel_from_rows(n * n, []), forms._fold(units, n, sign)[1],\n"
         "                target)\n"
         "for wrong in (lambda space, images, target: space, ignores_condition):\n"
         "    forms.preimage = wrong\n"

@@ -37,7 +37,7 @@ def test_component_dims_stable_under_deeper_truncation():
 
 
 def test_larsson_profile_sl2():
-    r = larsson_report(lie_sl2(), 6, gname="sl2")
+    r = larsson_report("sl2", 6)
     assert r["g"] == "sl2"
     hs = [r["degrees"][str(d)]["H"] for d in range(2, 7)]
     assert hs == [0, 5, 0, 0, 0]
@@ -61,11 +61,20 @@ def test_larsson_profile_direct_sum():
 
 
 def test_a_component_is_a_cochain_result_on_its_pairs():
+    # the increasing flat pairs of weight 3 in sl2 tensor tK[t]/(t^4), whose
+    # flat indices 0-2 carry t and 3-5 carry t^2
     comp = graded_h2(lie_sl2(), 3)
-    assert isinstance(comp, CochainSpaceResult)
-    assert comp.pairs is comp.domain and comp.order == 4
-    assert all(comp.pair_index[p] == r for r, p in enumerate(comp.pairs))
-    assert repr(comp) == "GradedComponent(degree=3, Z=8, B=3, H=5)"
+    assert type(comp) is CochainSpaceResult
+    assert comp.domain == [(u, v) for u in range(3) for v in range(3, 6)]
+    assert comp.degree == 2
+    assert repr(comp) == "CochainSpaceResult(degree=2, Z=8, B=3, H=5)"
+
+
+def test_a_report_names_a_descriptor_by_itself_and_an_object_by_its_dim():
+    assert larsson_report("sum:sl2+sl3", 3)["g"] == "sum:sl2+sl3"
+    assert larsson_report(lie_sl2(), 3)["g"] == "lie(dim 3)"
+    assert (larsson_report(lie_direct_sum([lie_sl2(), lie_sl(3)]), 3)["g"]
+            == "lie(dim 11)")
 
 
 def test_a_truncation_below_the_exact_window_is_refused():

@@ -4,10 +4,16 @@ A public name, one in the currentalg namespace or in a module's __all__,
 must be read somewhere in src/ besides its own definition and __init__, or
 be listed below with the reason it is exported anyway.  Assigning a name
 does not read it.  A dead export then fails here instead of lingering.
+
+The same holds for options: every defaulted parameter of a public function
+or class must be passed, by keyword or by position, by some call in src/
+outside its own definition, or be listed below with the reason it is
+public anyway.  An option nobody sets then fails here too.
 """
 
 import ast
 import importlib
+import inspect
 import types
 from functools import lru_cache
 from pathlib import Path
@@ -28,6 +34,19 @@ NO_USER_IN_SRC = {
     "graded_vs_whole": "Larsson graded slices against the whole complex",
     "serialize_algebra": "JSON writer documented in the README",
     "sl2_loop_derivation": "the outer derivation of acceptance criterion 8",
+}
+
+# "function.parameter" -> why the option is public although no call in src/
+# passes it
+UNSET_OPTIONS = {
+    "main.argv": "the entry point's argument list, which the tests drive",
+    "serialize_algebra.path": "the file the JSON writer also writes to",
+    "graded_h2.order": "the truncation window, widened to d + 3 by "
+                       "acceptance criterion 9 to show the slices are stable",
+    "larsson_report.order": "the truncation window of every slice, widened "
+                            "like graded_h2's",
+    "graded_form_dims.order": "the truncation window, widened to d + 3 by "
+                              "acceptance criterion 9",
 }
 
 # names deleted from src/ that must not come back
@@ -53,43 +72,122 @@ DELETED = (
     "_is_symmetry", "_fails_on_a_pair", "_skew_square",
     # the second Subspace constructor: Subspace(ambient_dim, rows) is the one
     "_from_pivots",
+    # the graded slice subclass, its second name for the domain's ranks and
+    # their reader: a graded slice is a plain CochainSpaceResult now
+    "GradedComponent", "pair_index", "_degree3_block_index",
+    # members nothing read; flat and kernel_from_rows(n, []) stay
+    "is_abelian", "unflat",
 )
 
 
-def public_names():
-    names = {name for name, value in vars(currentalg).items()
-             if not name.startswith("_")
-             and not isinstance(value, types.ModuleType)}
+def public_objects():
+    """{name: object} for every public name."""
+    objects = {name: value for name, value in vars(currentalg).items()
+               if not name.startswith("_")
+               and not isinstance(value, types.ModuleType)}
     for module in MODULES:
-        names.update(getattr(importlib.import_module("currentalg." + module),
-                             "__all__", ()))
-    return sorted(names)
+        mod = importlib.import_module("currentalg." + module)
+        objects.update((name, getattr(mod, name))
+                       for name in getattr(mod, "__all__", ()))
+    return objects
 
 
-def _reads(tree):
-    """Names read in tree, as names or attributes, each outside any
-    function or class of its own name (its definition, recursion included)."""
-    found = set()
+def public_names():
+    return sorted(public_objects())
+
+
+def _walk(tree):
+    """Every node of tree with the names of the functions and classes it
+    lies in, itself included."""
     stack = [(tree, frozenset())]
     while stack:
         node, inside = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if (name is not None and name not in inside
-                and not isinstance(node.ctx, ast.Store)):
-            found.add(name)
+        yield node, inside
         stack.extend((child, inside) for child in ast.iter_child_nodes(node))
-    return found
+
+
+def _name(node):
+    """The name a Name or Attribute node reads, else None."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _reads(tree):
+    """Names read in tree, as names or attributes, each outside any
+    function or class of its own name (its definition, recursion included)."""
+    return {_name(node) for node, inside in _walk(tree)
+            if _name(node) not in inside | {None}
+            and not isinstance(node.ctx, ast.Store)}
+
+
+def _passed(tree):
+    """{called name: [(positional count, keywords)]} for every call in tree
+    outside any function or class of the called name.  The count is
+    infinite once a *args is passed, and a **kwargs passes the keyword
+    None."""
+    calls = {}
+    for node, inside in _walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) not in inside | {None}:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(_name(node.func), []).append(
+                (float("inf") if starred else len(node.args),
+                 {k.arg for k in node.keywords}))
+    return calls
+
+
+@lru_cache(maxsize=None)
+def trees():
+    """{file name: syntax tree} for every module of src/ but __init__,
+    each file parsed once."""
+    return {module + ".py": ast.parse((SRC / (module + ".py")).read_text())
+            for module in MODULES}
 
 
 @lru_cache(maxsize=None)
 def reads_by_module():
-    """{file name: names it reads} for every module of src/ but __init__,
-    each file parsed once."""
-    return {module + ".py": _reads(ast.parse((SRC / (module + ".py")).read_text()))
-            for module in MODULES}
+    """{file name: names it reads} for every module of src/ but __init__."""
+    return {path: _reads(tree) for path, tree in trees().items()}
+
+
+@lru_cache(maxsize=None)
+def calls_in_src():
+    """{called name: [(positional count, keywords)]} over every module of
+    src/ but __init__."""
+    calls = {}
+    for tree in trees().values():
+        for name, found in _passed(tree).items():
+            calls.setdefault(name, []).extend(found)
+    return calls
+
+
+def options():
+    """{"name.parameter": (name, position, parameter)} for every defaulted
+    parameter of a public function or class (its constructor written in
+    Python), position its index among the positional parameters, or None if
+    it is keyword-only."""
+    out = {}
+    for name, obj in public_objects().items():
+        if not inspect.isfunction(obj.__init__ if inspect.isclass(obj) else obj):
+            continue
+        params = list(inspect.signature(obj).parameters.values())
+        positional = [p.name for p in params if p.kind in (
+            p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        for p in params:
+            if p.default is not p.empty:
+                out["%s.%s" % (name, p.name)] = (
+                    name, positional.index(p.name) if p.name in positional
+                    else None, p.name)
+    return out
+
+
+def is_set(name, position, parameter, calls):
+    """Whether one of calls, {called name: [(positional count, keywords)]},
+    passes the parameter of name by keyword or by position."""
+    return any(parameter in keywords or None in keywords
+               or (position is not None and count > position)
+               for count, keywords in calls.get(name, ()))
 
 
 def users(name):
@@ -113,6 +211,30 @@ def test_assignments_are_not_users():
     tree = ast.parse("TABLE = (1, 2)\nobj.attr = TABLE\n"
                      "def f():\n    return f()\n")
     assert _reads(tree) == {"obj", "TABLE"}
+
+
+def test_every_option_is_set_in_src_or_has_a_reason():
+    calls = calls_in_src()
+    unset = [key for key, spec in options().items() if not is_set(*spec, calls)]
+    assert sorted(set(unset) - set(UNSET_OPTIONS)) == []
+
+
+def test_the_option_allowlist_names_only_options_nobody_sets():
+    found, calls = options(), calls_in_src()
+    assert set(UNSET_OPTIONS) <= set(found)
+    assert {key for key in UNSET_OPTIONS if is_set(*found[key], calls)} == set()
+    assert all(reason for reason in UNSET_OPTIONS.values())
+
+
+def test_an_option_is_set_by_keyword_position_or_unpacking_but_not_by_itself():
+    calls = _passed(ast.parse(
+        "f(1, b=2)\ng(*args)\nh(**kw)\nm.k(1, 2)\n"
+        "def r(x, y=0):\n    return r(x, y)\n"))
+    assert is_set("f", None, "b", calls) and not is_set("f", 1, "c", calls)
+    assert is_set("f", 0, "a", calls)
+    assert is_set("g", 5, "e", calls) and is_set("h", None, "e", calls)
+    assert is_set("k", 1, "b", calls) and not is_set("k", 2, "c", calls)
+    assert not is_set("r", 1, "y", calls)
 
 
 def test_deleted_names_stay_gone():
