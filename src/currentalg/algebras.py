@@ -479,6 +479,16 @@ def build_assoc(spec):
     raise ValueError("unknown associative algebra descriptor: %r" % spec)
 
 
+def _named(spec, build):
+    """(build(spec), its name in a report): a descriptor names itself, an
+    algebra object is named "lie(dim n)" or "assoc(dim n)"."""
+    alg = build(spec)
+    if isinstance(spec, str):
+        return alg, spec
+    return alg, "%s(dim %d)" % (
+        "lie" if isinstance(alg, LieAlgebra) else "assoc", alg.dim)
+
+
 # ---------------------------------------------------------------------------
 # the current algebra L tensor A
 

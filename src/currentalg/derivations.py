@@ -61,6 +61,7 @@ from .exactlin import (
     subspace_sum,
 )
 from .algebras import (
+    _named,
     AssocAlgebra,
     BilinearForm,
     LieAlgebra,
@@ -516,9 +517,8 @@ def sequence_maps(L, form="dual", lname=None):
     BilinearForm.  The report names L by lname, else by its descriptor, else
     "lie(dim n)".
     """
-    if isinstance(L, str):
-        lname = lname or L
-        L = build_lie(L)
+    L, name = _named(L, build_lie)
+    lname = lname or name
     n = L.dim
     if form == "dual":
         # the dual mode is the form mode for the identity pairing of L* with L
@@ -621,7 +621,7 @@ def sequence_maps(L, form="dual", lname=None):
                and exact_at_b and u_injective)
     return {
         "theorem": "sequence",
-        "L": lname or "lie(dim %d)" % n,
+        "L": lname,
         "mode": mode,
         "dims": {"H2": h2.h_dim, "H1": h1.h_dim, "B": b_forms.dim,
                  "H3": h3.h_dim},

@@ -55,7 +55,7 @@ from fractions import Fraction
 from . import identities as ids
 from .exactlin import Subspace, kernel_from_rows, preimage
 from .identities import require
-from .algebras import build_assoc, build_lie, current
+from .algebras import _named, build_assoc, build_lie, current
 from .cochain import _fold, _square, cohomology, trivial_module
 
 __all__ = [
@@ -261,9 +261,8 @@ def _h2_via_cochain(curr):
 def _resolve_pair(L, A):
     """(L, A, (L name, A name)): a descriptor is built and names itself,
     an algebra object is named "lie(dim n)" or "assoc(dim n)"."""
-    lie, assoc = build_lie(L), build_assoc(A)
-    return lie, assoc, (L if isinstance(L, str) else "lie(dim %d)" % lie.dim,
-                        A if isinstance(A, str) else "assoc(dim %d)" % assoc.dim)
+    (lie, lname), (assoc, aname) = _named(L, build_lie), _named(A, build_assoc)
+    return lie, assoc, (lname, aname)
 
 
 def _decomposition_report(theorem, curr, target, decomposable_types,

@@ -30,7 +30,7 @@ quadratic_presentation verdict.  A report names g by its descriptor, or
 from math import comb
 
 from .exactlin import Subspace, subspace_intersect, subspace_sum
-from .algebras import assoc_truncated_poly, build_lie, current
+from .algebras import _named, assoc_truncated_poly, build_lie, current
 from .cochain import (CochainSpaceResult, _cochain_spaces, cohomology,
                       trivial_module)
 from .forms import condition_space
@@ -119,15 +119,14 @@ def _quadratic_presentation(g, curr, comp):
     return ok
 
 
-def larsson_report(g, max_degree, order=None):
+def larsson_report(g, max_degree):
     """Dimensions of the graded H^2 slices against the closed-form profile.
 
     Only direct sums of sl(n) summands carry a stated profile; anything
     else is rejected rather than guessed at.  A descriptor g names itself
     in the report, an algebra object is "lie(dim n)".
     """
-    name = g if isinstance(g, str) else "lie(dim %d)" % g.dim
-    g = build_lie(g)
+    g, name = _named(g, build_lie)
     if g.sl_summands is None:
         raise ValueError("the graded profile is stated for sl(n) direct sums only")
     if max_degree < 2:
@@ -141,9 +140,7 @@ def larsson_report(g, max_degree, order=None):
         expected["3"] = 5 * n_sl2
 
     # one truncation serves every degree: the slices are stable in the order
-    if order is None:
-        order = max_degree + 1
-    curr = _truncation(g, order, max_degree)
+    curr = _truncation(g, max_degree + 1, max_degree)
     degrees = {}
     quadratic = True
     verdict = True

@@ -8,7 +8,10 @@ does not read it.  A dead export then fails here instead of lingering.
 The same holds for options: every defaulted parameter of a public function
 or class must be passed, by keyword or by position, by some call in src/
 outside its own definition, or be listed below with the reason it is
-public anyway.  An option nobody sets then fails here too.
+public anyway.  An option nobody sets then fails here too.  A call counts
+when it names the function bare or through a currentalg module alias; a
+method call on some object does not.  Methods of public classes are not
+checked, only functions and constructors.
 """
 
 import ast
@@ -43,8 +46,6 @@ UNSET_OPTIONS = {
     "serialize_algebra.path": "the file the JSON writer also writes to",
     "graded_h2.order": "the truncation window, widened to d + 3 by "
                        "acceptance criterion 9 to show the slices are stable",
-    "larsson_report.order": "the truncation window of every slice, widened "
-                            "like graded_h2's",
     "graded_form_dims.order": "the truncation window, widened to d + 3 by "
                               "acceptance criterion 9",
 }
@@ -122,16 +123,39 @@ def _reads(tree):
             and not isinstance(node.ctx, ast.Store)}
 
 
+def _module_aliases(tree):
+    """Names tree binds to a module of currentalg, as in
+    `from . import identities as ids`."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, None), (0, "currentalg"))
+            for alias in node.names if alias.name in MODULES}
+
+
+def _callee(node, modules):
+    """The name a call reaches a public function by: a bare name, or an
+    attribute of a module alias in modules; None for any other call, such
+    as a method of some object that happens to share the name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules):
+        return node.attr
+    return None
+
+
 def _passed(tree):
     """{called name: [(positional count, keywords)]} for every call in tree
-    outside any function or class of the called name.  The count is
-    infinite once a *args is passed, and a **kwargs passes the keyword
-    None."""
+    through a bare name or a currentalg module alias, outside any function
+    or class of the called name.  The count is infinite once a *args is
+    passed, and a **kwargs passes the keyword None."""
     calls = {}
+    modules = _module_aliases(tree)
     for node, inside in _walk(tree):
-        if isinstance(node, ast.Call) and _name(node.func) not in inside | {None}:
+        if (isinstance(node, ast.Call)
+                and _callee(node.func, modules) not in inside | {None}):
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls.setdefault(_name(node.func), []).append(
+            calls.setdefault(_callee(node.func, modules), []).append(
                 (float("inf") if starred else len(node.args),
                  {k.arg for k in node.keywords}))
     return calls
@@ -228,12 +252,15 @@ def test_the_option_allowlist_names_only_options_nobody_sets():
 
 def test_an_option_is_set_by_keyword_position_or_unpacking_but_not_by_itself():
     calls = _passed(ast.parse(
-        "f(1, b=2)\ng(*args)\nh(**kw)\nm.k(1, 2)\n"
+        "from . import graded as m\n"
+        "f(1, b=2)\ng(*args)\nh(**kw)\nm.k(1, 2)\nobj.q(1, 2)\n"
         "def r(x, y=0):\n    return r(x, y)\n"))
     assert is_set("f", None, "b", calls) and not is_set("f", 1, "c", calls)
     assert is_set("f", 0, "a", calls)
     assert is_set("g", 5, "e", calls) and is_set("h", None, "e", calls)
     assert is_set("k", 1, "b", calls) and not is_set("k", 2, "c", calls)
+    # a method of some object is not the public function of its name
+    assert not is_set("q", 0, "a", calls)
     assert not is_set("r", 1, "y", calls)
 
 
