@@ -261,8 +261,8 @@ def _h2_via_cochain(curr):
 def _resolve_pair(L, A):
     """(L, A, (L name, A name)): a descriptor is built and names itself,
     an algebra object is named "lie(dim n)" or "assoc(dim n)"."""
-    (lie, lname), (assoc, aname) = _named(L, build_lie), _named(A, build_assoc)
-    return lie, assoc, (lname, aname)
+    (lie, l_name), (assoc, a_name) = _named(L, build_lie), _named(A, build_assoc)
+    return lie, assoc, (l_name, a_name)
 
 
 def _decomposition_report(theorem, curr, target, decomposable_types,
