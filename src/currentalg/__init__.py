@@ -23,18 +23,14 @@ from .algebras import (
     ValidationError,
     algebra_from_dict,
     algebra_to_dict,
-    annihilator_assoc,
     build_assoc,
     build_lie,
-    center_lie,
     current,
-    derived_subalgebra,
     killing_form,
     parse_algebra_file,
     product_form,
     residue_form,
     serialize_algebra,
-    square_assoc,
 )
 from .cochain import (
     CochainSpaceResult,

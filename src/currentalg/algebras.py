@@ -26,6 +26,10 @@ on the flat basis x_i tensor a_p, flat index p * dim(L) + i, read off the
 stored nonzero products of the factors.  CurrentAlgebra owns that index:
 flat and tensor, the Kronecker product of factor vectors that the
 product form and the tensor families of forms and maps are built from.
+No ideal is built as a subspace here: the ideals the paper states its
+derivation types with, [L, L], Z(L), AA and Ann(A), enter only through the
+map conditions kill_derived, into_center, kill_square and into_annihilator
+of currentalg.identities.
 """
 
 from fractions import Fraction
@@ -33,7 +37,7 @@ import json
 import os
 import re
 
-from .exactlin import Subspace, _exact, kernel_from_rows
+from .exactlin import _exact, kernel_from_rows
 from .identities import (ASSOC_FORMS, LIE_FORMS, _bits, _tuples, add_entry,
                          first_failure, require)
 
@@ -46,10 +50,6 @@ __all__ = [
     "build_lie",
     "build_assoc",
     "current",
-    "derived_subalgebra",
-    "center_lie",
-    "annihilator_assoc",
-    "square_assoc",
     "killing_form",
     "residue_form",
     "product_form",
@@ -258,8 +258,11 @@ class AssocAlgebra(_StructureConstants):
         # s at column n the homogenised rows sum_i u_i m[i][j][k] = s delta_jk
         # have a kernel vector with s != 0 iff a unit exists
         n = self.dim
-        rows = _right_rows(self)
+        rows = {}
         for j in range(n):
+            for i in range(n):
+                for k, c in self.product(i, j):
+                    rows.setdefault((j, k), {})[i] = c
             rows.setdefault((j, j), {})[n] = -1
         kernel = kernel_from_rows(n + 1, rows.values())
         row = next((r for r in kernel.rows.values() if n in r), None)
@@ -548,55 +551,6 @@ class CurrentAlgebra(LieAlgebra):
 
 def current(factor_lie, factor_assoc):
     return CurrentAlgebra(factor_lie, factor_assoc)
-
-
-# ---------------------------------------------------------------------------
-# distinguished subspaces
-
-
-def _products_span(alg):
-    vectors = []
-    for terms in alg.table.values():
-        v = [0] * alg.dim
-        for k, c in terms:
-            v[k] = c
-        vectors.append(v)
-    return Subspace.from_vectors(alg.dim, vectors)
-
-
-def _right_rows(alg):
-    """The rows of right multiplication: row (j, k) is {i: c} with c the
-    x_k coefficient of x_i x_j, for the pairs (j, k) that have one."""
-    rows = {}
-    for j in range(alg.dim):
-        for i in range(alg.dim):
-            for k, c in alg.mul(i, j):
-                rows.setdefault((j, k), {})[i] = c
-    return rows
-
-
-def _annihilator(alg):
-    return kernel_from_rows(alg.dim, _right_rows(alg).values())
-
-
-def derived_subalgebra(alg):
-    """[L, L] as a subspace of the coordinate space."""
-    return _products_span(alg)
-
-
-def center_lie(alg):
-    """Z(L) = {x : [x, y] = 0 for all y}, the kernel of the joint adjoint system."""
-    return _annihilator(alg)
-
-
-def annihilator_assoc(alg):
-    """Z(A) = {a : aA = 0}."""
-    return _annihilator(alg)
-
-
-def square_assoc(alg):
-    """AA, the span of all pairwise products."""
-    return _products_span(alg)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ byte-identical output.  Exit status: 0 all verdicts hold, 1 a verification
 failed (the report carries a witness), 2 unusable input (a descriptor or
 table failed to parse or validate, a verb got an algebra or flag it does
 not read, or the input lies beyond a limit, such as a table whose denominators
-leave the pencil search fewer than two primes), 3 a defect in currentalg,
-not in the input (an internal invariant failed, or any arithmetic error
-surfaced, such as a division by zero).  So a ValueError, ValidationError
-included, exits 2, and an InvariantError or any ArithmeticError exits 3.
+leave the pencil search fewer than two primes, or a run that ran out of
+memory), 3 a defect in currentalg, not in the input (an internal invariant
+failed, or any arithmetic error surfaced, such as a division by zero).  So a
+ValueError, ValidationError included, and a MemoryError exit 2, and an
+InvariantError or any ArithmeticError exits 3.
 """
 
 import argparse
@@ -165,18 +166,19 @@ def cmd_antiderivations(args):
 def cmd_sequence(args):
     if not args.L:
         raise ValueError("sequence needs --L")
-    if args.form == "product":
-        if not args.A:
-            raise ValueError("--form product needs --L and --A")
-        L = build_lie(args.L)
-        A = build_assoc(args.A)
-        curr = current(L, A)
-        kappa = product_form(killing_form(L), residue_form(A), curr)
-        report = sequence_maps(curr, kappa, lname="%s*%s" % (args.L, args.A))
-    elif args.A:
+    if args.form == "product" and not args.A:
+        raise ValueError("--form product needs --L and --A")
+    if args.form != "product" and args.A:
         raise ValueError("--A is read only with --form product")
+    L, name = _load_lie(args)
+    if args.form == "product":
+        form = product_form(killing_form(L.factorL), residue_form(L.factorA), L)
+    elif args.form == "killing":
+        form = killing_form(L)
     else:
-        report = sequence_maps(args.L, args.form)
+        form = "dual"
+    report = sequence_maps(L, form)
+    report["L"] = name
     lines = ["sequence on %s (%s): H2=%d H1=%d B=%d H3=%d"
              % (report["L"], report["mode"], report["dims"]["H2"],
                 report["dims"]["H1"], report["dims"]["B"],
@@ -324,6 +326,10 @@ def main(argv=None):
         return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("out of memory: the input is beyond what this machine can hold",
+              file=sys.stderr)
         return 2
     except InvariantError as exc:
         print("internal invariant failed: %s" % exc, file=sys.stderr)

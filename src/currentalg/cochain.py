@@ -42,10 +42,16 @@ class LieModule:
     action[i] is {(r, c): v} meaning x_i . m_c = sum_r v m_r.  The
     representation axiom rho([x,y]) = [rho(x), rho(y)] is checked on all
     bracket pairs at construction, unless every action entry is zero: the
-    zero action satisfies it trivially.
+    zero action satisfies it trivially.  Before that, there must be one
+    action matrix per basis element, with indices in range(dim).
     """
 
     def __init__(self, algebra, dim, action):
+        if len(action) != algebra.dim or any(
+                not (0 <= r < dim and 0 <= c < dim)
+                for matrix in action for r, c in matrix):
+            raise ValueError("a module needs one action matrix per basis "
+                             "element, with indices in range(%d)" % dim)
         self.algebra = algebra
         self.dim = dim
         self.action = action
@@ -225,5 +231,8 @@ def _cochain_spaces(algebra, module, degree, weight=None):
 
 
 def cohomology(algebra, module, degree):
-    """H^degree(L, M) via exact kernels; checks B subset of Z."""
+    """H^degree(L, M) via exact kernels; checks B subset of Z.  module must
+    be a module of algebra."""
+    if module.algebra != algebra:
+        raise ValueError("the module is a module of another algebra")
     return CochainSpaceResult(degree, *_cochain_spaces(algebra, module, degree))

@@ -29,6 +29,9 @@ Conditions on a commutative associative algebra A:
     kill_square        b(AA) = 0
     into_annihilator   b(A) annihilates A
 
+The ideals [L,L], Z(L), AA and Ann(A) enter only through these
+conditions; none is built as a subspace.
+
 The one-parameter families are pencils: d[x,y] = lam([dx,y] + [x,dy]) on L
 against b(xy) = mu b(x)y on A, and d[x,y] = lam[dx,y] against
 b(xy) = mu(b(x)y + x b(y)), matched by lam * mu = 1.  Their rational
@@ -46,6 +49,11 @@ at most 2^-30 + (3/7)^10.  The recheck shares only the written identity
 and the coordinate convention with the rows: a wrong tuple enumeration,
 coordinate or sign in the row path makes it raise InvariantError, rows
 that are too strict (a kernel too small) do not.
+
+sequence_maps checks the four-term sequence H^2(L,K) -> H^1(L,L*) -> B(L)
+-> H^3(L,K), which depends on L and one pairing alone: the dual pairing of
+L* with L, or a symmetric nondegenerate form on L.  Its maps read and
+return sparse vectors, like every internal path of the package.
 """
 
 from fractions import Fraction
@@ -67,7 +75,6 @@ from .algebras import (
     LieAlgebra,
     build_lie,
     current,
-    killing_form,
     lie_sl2,
     assoc_truncated_poly,
 )
@@ -87,7 +94,7 @@ from .forms import (
     _solve,
     invariant_symmetric_forms,
 )
-from .identities import require
+from .identities import add_entry, require
 from .modp import (
     PRIMES,
     det_mod,
@@ -505,7 +512,7 @@ def verify_der_decomposition(L, A):
 # the four-term sequence H^2(L,K) -> H^1(L,L*) -> B(L) -> H^3(L,K)
 
 
-def sequence_maps(L, form="dual", lname=None):
+def sequence_maps(L, form="dual"):
     """Representative-level check of the sequence u, v, w.
 
     u(phi)(x) = phi(x, -) as a 1-cochain with dual (or form-transported
@@ -513,12 +520,12 @@ def sequence_maps(L, form="dual", lname=None):
     symmetric invariant form phi to the alternating 3-cochain
     phi([x, y], z).  The report carries the four corner dimensions, the
     vanishing of both composites, exactness in the two middle spots, and
-    injectivity of the induced map on H^2.  form is "dual", "killing" or a
-    BilinearForm.  The report names L by lname, else by its descriptor, else
-    "lie(dim n)".
+    injectivity of the induced map on H^2.  form is "dual" or a symmetric
+    nondegenerate BilinearForm on L; anything else, a form of another
+    dimension included, raises ValueError.  The report names L by its
+    descriptor, else "lie(dim n)".
     """
     L, name = _named(L, build_lie)
-    lname = lname or name
     n = L.dim
     if form == "dual":
         # the dual mode is the form mode for the identity pairing of L* with L
@@ -527,21 +534,20 @@ def sequence_maps(L, form="dual", lname=None):
         pairing = copairing = [[(i, 1)] for i in range(n)]
     else:
         mode = "form"
-        if form == "killing":
-            kappa = killing_form(L)
-        elif isinstance(form, BilinearForm):
-            kappa = form
-        else:
-            raise ValueError("form must be 'dual', 'killing', or a BilinearForm")
-        if kappa.symmetry != "symmetric":
+        if not isinstance(form, BilinearForm):
+            raise ValueError("form must be 'dual' or a BilinearForm")
+        if form.dim != n:
+            raise ValueError("form dimension %d does not match dim L = %d"
+                             % (form.dim, n))
+        if form.symmetry != "symmetric":
             raise ValueError("transport needs a symmetric form")
-        if not kappa.is_nondegenerate():
+        if not form.is_nondegenerate():
             raise ValueError("transport needs a nondegenerate form")
         module = adjoint_module(L)
-        # kappa and its inverse are symmetric, so row t lists column t too
+        # the form and its inverse are symmetric, so row t lists column t too
         pairing, copairing = [[[(j, x) for j, x in enumerate(row) if x]
                                for row in mat]
-                              for mat in (kappa.matrix, inverse(kappa.matrix))]
+                              for mat in (form.matrix, inverse(form.matrix))]
 
     h2 = cohomology(L, trivial_module(L), 2)
     h1 = cohomology(L, module, 1)
@@ -551,14 +557,13 @@ def sequence_maps(L, form="dual", lname=None):
     triple_rank = {t: r for r, t in enumerate(h3.domain)}
 
     def times(vec, rows):
-        # vec, a dense or sparse n^2 vector, as an n x n matrix times the
-        # sparse matrix with these rows
-        out = [0] * (n * n)
-        for col, c in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
-            if c:
-                i, t = divmod(col, n)
-                for m, k in rows[t]:
-                    out[i * n + m] += c * k
+        # the sparse n^2 vector vec as an n x n matrix times the sparse
+        # matrix with these rows
+        out = {}
+        for col, c in vec.items():
+            i, t = divmod(col, n)
+            for m, k in rows[t]:
+                add_entry(out, i * n + m, c * k)
         return out
 
     def u_map(vec):
@@ -567,14 +572,17 @@ def sequence_maps(L, form="dual", lname=None):
 
     def v_map(c1):
         # g(x_i, x_j) = kappa(D(x_i), x_j), and v(D) = g + g^T
-        g = times(c1, pairing)
-        return [g[i * n + j] + g[j * n + i] for i in range(n) for j in range(n)]
+        out = {}
+        for col, x in times(c1, pairing).items():
+            i, j = divmod(col, n)
+            add_entry(out, col, x)
+            add_entry(out, j * n + i, x)
+        return out
 
     def w_map(f):
-        # phi([x_i, x_j], x_k) for a dense or sparse form vector f, as a
-        # sparse {rank of (i, j, k) in the domain of C^3: value}: only the
-        # pairs i < j with [x_i, x_j] != 0 give entries
-        f = f if isinstance(f, dict) else dict(enumerate(f))
+        # phi([x_i, x_j], x_k) for a sparse form vector f, as a sparse
+        # {rank of (i, j, k) in the domain of C^3: value}: only the pairs
+        # i < j with [x_i, x_j] != 0 give entries
         out = {}
         for (i, j), terms in brackets:
             for k in range(j + 1, n):
@@ -593,12 +601,12 @@ def sequence_maps(L, form="dual", lname=None):
                 for b in h2.b_space.rows.values()),
             "u must map coboundaries to coboundaries")
 
-    v_after_u_zero = all(not any(v_map(vec)) for vec in u_z2)
+    v_after_u_zero = all(not v_map(vec) for vec in u_z2)
 
     v_z1 = [v_map(z) for z in h1.z_space.rows.values()]
     require(all(b_forms.contains_vector(vec) for vec in v_z1),
             "v must land in invariant symmetric forms")
-    require(not any(any(v_map(b)) for b in h1.b_space.rows.values()),
+    require(not any(v_map(b) for b in h1.b_space.rows.values()),
             "v must kill coboundaries")
     v_image = Subspace.from_vectors(n * n, v_z1)
 
@@ -621,7 +629,7 @@ def sequence_maps(L, form="dual", lname=None):
                and exact_at_b and u_injective)
     return {
         "theorem": "sequence",
-        "L": lname,
+        "L": name,
         "mode": mode,
         "dims": {"H2": h2.h_dim, "H1": h1.h_dim, "B": b_forms.dim,
                  "H3": h3.h_dim},

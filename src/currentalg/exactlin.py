@@ -18,7 +18,10 @@ pivots a vector hits; a preimage takes the images of the domain's rows
 cochain's fold).
 Vectors enter as sparse {column: value} dicts or dense sequences, with int
 or Fraction values only: anything else raises TypeError, so a float never
-passes as a rational.
+passes as a rational.  A column outside the ambient space raises
+ValueError; it is looked for once, in the reduced rows of a span or a
+kernel, where every column an input vector holds shows up.  Inside the
+package every vector is a sparse dict; dense sequences are for callers.
 
 The elimination engine is one incremental Gauss-Jordan pass whose stored
 rows are in that same reduced form at every step.  Every vector is read
@@ -40,6 +43,7 @@ ranks come from the same engine.  There is no other elimination path.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 __all__ = [
@@ -268,9 +272,21 @@ class Subspace:
         return "Subspace(dim %d in Q^%d)" % (self.dim, self.ambient_dim)
 
 
+def _require_columns(ncols, columns):
+    """Raise ValueError unless every column lies in range(ncols).  An entry
+    of an input vector outside the ambient space lies in some reduced row
+    of its span, so the callers read the reduced rows, once."""
+    for c in columns:
+        if not 0 <= c < ncols:
+            raise ValueError("column %r lies outside Q^%d" % (c, ncols))
+
+
 def _span(ambient_dim, int_rows):
     """The span of nonzero-valued {col: int} rows."""
-    return Subspace(ambient_dim, _reduced_rows(int_rows))
+    rows = _reduced_rows(int_rows)
+    # each row leads at its pivot, its lowest column
+    _require_columns(ambient_dim, chain(rows, map(max, rows.values())))
+    return Subspace(ambient_dim, rows)
 
 
 def kernel_from_rows(ncols, rows):
@@ -299,6 +315,7 @@ def kernel_from_rows(ncols, rows):
         for mj, v in row.items():
             if mj != mp:
                 hits.setdefault(last - mj, []).append((p, v, a))
+    _require_columns(ncols, chain(hits, (last - mp for mp in reduced)))
     kernel = {}
     for f in range(ncols):
         if last - f in reduced:

@@ -157,12 +157,11 @@ def _family(curr, factor_pairs):
 
 
 def _entries(fmt, labels, vec):
-    """Nonzero coordinates r * n + c of vec, a sparse dict or a dense
-    sequence, keyed fmt.format(label_r, label_c) in coordinate order."""
+    """The coordinates r * n + c of vec, a sparse dict of nonzero entries,
+    keyed fmt.format(label_r, label_c) in coordinate order."""
     n = len(labels)
-    items = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
     return {fmt.format(labels[col // n], labels[col % n]): str(x)
-            for col, x in items if x}
+            for col, x in sorted(vec.items())}
 
 
 # witness key and coordinate format of forms and of maps

@@ -216,7 +216,7 @@ def test_criterion_07_cohomology_form_sequence(capsys):
     cur = current(lie_sl2(), assoc_truncated_poly(3))
     pf = product_form(killing_form(lie_sl2()),
                       residue_form(assoc_truncated_poly(3)), cur)
-    r = sequence_maps(cur, form=pf, lname="sl2(x)tpoly:3")
+    r = sequence_maps(cur, form=pf)
     case_ok = (r["mode"] == "form" and all(r[k] for k in bools)
                and r["dims"] == {"H2": 8, "H1": 15, "B": 7, "H3": 12})
     assert case_ok, r

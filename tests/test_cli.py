@@ -250,6 +250,18 @@ def test_invariant_error_exits_3(monkeypatch, capsys):
     assert "cocycle routes disagree" in err
 
 
+def test_running_out_of_memory_exits_2_with_a_message(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(currentalg.forms, "kernel_from_rows", exhausted)
+    code, out, err = run(capsys, "verify", "h2", "--L", "sl2", "--A", "tpoly:2",
+                         "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("out of memory") and "Traceback" not in err
+
+
 def test_derivation_verbs_on_an_associative_algebra(capsys):
     # a commutative associative algebra has no nonzero inner derivations
     code, out, _ = run(capsys, "derivations", "--A", "tpoly:3", "--json")

@@ -114,6 +114,21 @@ def test_representation_axiom_is_enforced():
         LieModule(g, g.dim, action)
 
 
+def test_a_module_of_another_algebra_is_refused():
+    sl2, sl3 = lie_sl2(), lie_sl(3)
+    # were an IndexError and an InvariantError, the exit code of a defect
+    with pytest.raises(ValueError, match="another algebra"):
+        cohomology(sl3, adjoint_module(sl2), 1)
+    with pytest.raises(ValueError, match="another algebra"):
+        cohomology(sl2, adjoint_module(sl3), 1)
+    # one action matrix per basis element, with indices in range(dim)
+    for action in ([{}], [{(5, 0): 1}, {}, {}], [{(0, -1): 1}, {}, {}]):
+        with pytest.raises(ValueError, match="one action matrix per basis"):
+            LieModule(sl2, 2, action)
+    # an equal algebra built again is the same algebra
+    assert cohomology(lie_sl2(), adjoint_module(sl2), 1).h_dim == 0
+
+
 def test_the_axiom_is_checked_exactly_when_some_action_entry_is_nonzero(monkeypatch):
     checked = []
     monkeypatch.setattr(LieModule, "_validate", lambda self: checked.append(self))

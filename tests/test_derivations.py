@@ -399,7 +399,7 @@ def test_verify_der_report_lambda_block():
 
 def test_sequence_dual_and_form_modes_agree_on_sl2():
     dual = sequence_maps("sl2")
-    form = sequence_maps(lie_sl2(), form=killing_form(lie_sl2()), lname="sl2")
+    form = sequence_maps(lie_sl2(), form=killing_form(lie_sl2()))
     for r in (dual, form):
         assert r["dims"] == {"H2": 0, "H1": 0, "B": 1, "H3": 1}
         assert r["v_after_u_zero"] and r["w_after_v_in_B3"]
@@ -413,6 +413,14 @@ def test_sequence_rejects_unusable_forms():
         sequence_maps("sl2", form=BilinearForm([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError, match="nondegenerate"):
         sequence_maps("sl2", form=BilinearForm([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    # a form on a space of another dimension than L
+    for n in (2, 4):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        with pytest.raises(ValueError, match="does not match dim L = 3"):
+            sequence_maps("sl2", form=BilinearForm(identity))
+    # the Killing form is passed as a form, not by name
+    with pytest.raises(ValueError, match="'dual' or a BilinearForm"):
+        sequence_maps("sl2", form="killing")
 
 
 def test_sequence_rejects_float_forms_and_its_exact_twin_passes():
@@ -436,7 +444,7 @@ def test_sequence_sl3():
 def test_sequence_with_product_form_on_current_algebra():
     L = current(lie_sl2(), assoc_truncated_poly(3))
     pf = product_form(killing_form(lie_sl2()), residue_form(assoc_truncated_poly(3)), L)
-    r = sequence_maps(L, form=pf, lname="sl2*tpoly:3")
+    r = sequence_maps(L, form=pf)
     assert r["dims"] == {"H2": 8, "H1": 15, "B": 7, "H3": 12}
     assert r["verdict"]
 

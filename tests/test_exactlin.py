@@ -200,6 +200,29 @@ def test_floats_raise_type_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    # was a dimension-2 "kernel" of Q^2 whose rows held column 2
+    lambda: kernel_from_rows(2, [[1, 2, 3]]),
+    # was all of Q^2
+    lambda: kernel_from_rows(2, [{5: 1}]),
+    # was a subspace holding column 2
+    lambda: Subspace.from_vectors(2, [[1, 2, 3]]),
+    lambda: kernel_from_rows(2, [{-1: 1}]),
+    lambda: kernel_from_rows(2, [{0: 1, -1: 1}]),
+    lambda: Subspace.from_vectors(2, [{-1: 1, 1: 1}]),
+])
+def test_an_entry_outside_the_ambient_space_raises_value_error(call):
+    with pytest.raises(ValueError, match=r"outside Q\^2"):
+        call()
+
+
+def test_the_in_range_twins_of_the_outside_cases():
+    assert kernel_from_rows(2, [[1, 2]]).rows == {0: {0: 2, 1: -1}}
+    assert kernel_from_rows(2, [{1: 1}]).rows == {0: {0: 1}}
+    assert Subspace.from_vectors(2, [[1, 2]]).rows == {0: {0: 1, 1: 2}}
+    assert Subspace.from_vectors(2, [{0: 1, 1: 1}]).rows == {0: {0: 1, 1: 1}}
+
+
 def test_the_exact_twins_of_the_float_cases():
     half = Fraction(1, 2)
     assert kernel_from_rows(2, [[Fraction(3, 2), 1]]).basis == ((1, Fraction(-3, 2)),)

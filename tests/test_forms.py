@@ -401,8 +401,8 @@ def test_planted_wrong_layer_raises_under_optimize(run_optimized):
 def test_witness_reporting_helpers():
     labels = ("a", "b")
     target = Subspace.from_vectors(4, [[1, 0, 0, 0]])
-    inside = [[Fraction(2), Fraction(0), Fraction(0), Fraction(0)]]
-    outside = [[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]]
+    inside = [{0: Fraction(2)}]
+    outside = [{1: Fraction(1)}]
     w = _generator_witness(target, {"t": inside}, labels, _FORM,
                            "generator_outside_target")
     ok = w is None
@@ -420,7 +420,7 @@ def test_witness_reporting_helpers():
     assert w["form"] == {"phi(a,a)": "1"}
 
 
-def test_witnesses_read_sparse_and_dense_vectors_alike():
+def test_witnesses_read_sparse_vectors_in_coordinate_order():
     curr = current(lie_sl2(), assoc_truncated_poly(3))
     n, labels = curr.dim, curr.labels
     target = condition_space(curr, "jacobi_sum_zero", "skew")
@@ -428,7 +428,8 @@ def test_witnesses_read_sparse_and_dense_vectors_alike():
     # symmetric in the pair (x_0, x_1), so no 2-cocycle
     outside = {1 * n + 4: Fraction(-3), 0 * n + 1: Fraction(1, 2),
                1 * n + 0: Fraction(1, 2)}
-    vectors = [(vec, [vec.get(j, Fraction(0)) for j in range(n * n)])
+    # each vector as given and with its keys in reverse coordinate order
+    vectors = [(vec, dict(sorted(vec.items(), reverse=True)))
                for vec in (inside, outside)]
     witnesses = []
     for form in (0, 1):

@@ -28,10 +28,6 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init_
 
 # name -> why it is public although nothing in src/ uses it
 NO_USER_IN_SRC = {
-    "center_lie": "Z(L), an ideal the paper's theorems are stated with",
-    "derived_subalgebra": "[L, L], an ideal the paper's theorems are stated with",
-    "square_assoc": "AA, an ideal the paper's theorems are stated with",
-    "annihilator_assoc": "Ann(A), an ideal the paper's theorems are stated with",
     "graded_h2": "Larsson graded H^2 entry point for one degree",
     "graded_form_dims": "Larsson graded form dimensions, an API entry point",
     "graded_vs_whole": "Larsson graded slices against the whole complex",
@@ -78,6 +74,11 @@ DELETED = (
     "GradedComponent", "pair_index", "_degree3_block_index",
     # members nothing read; flat and kernel_from_rows(n, []) stay
     "is_abelian", "unflat",
+    # the ideal helpers nothing called (the map conditions kill_derived,
+    # into_center, kill_square and into_annihilator encode those ideals),
+    # and the report-name option of sequence_maps
+    "center_lie", "derived_subalgebra", "square_assoc", "annihilator_assoc",
+    "_products_span", "_annihilator", "lname",
 )
 
 
