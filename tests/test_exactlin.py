@@ -216,13 +216,6 @@ def test_an_entry_outside_the_ambient_space_raises_value_error(call):
         call()
 
 
-def test_the_in_range_twins_of_the_outside_cases():
-    assert kernel_from_rows(2, [[1, 2]]).rows == {0: {0: 2, 1: -1}}
-    assert kernel_from_rows(2, [{1: 1}]).rows == {0: {0: 1}}
-    assert Subspace.from_vectors(2, [[1, 2]]).rows == {0: {0: 1, 1: 2}}
-    assert Subspace.from_vectors(2, [{0: 1, 1: 1}]).rows == {0: {0: 1, 1: 1}}
-
-
 def test_the_exact_twins_of_the_float_cases():
     half = Fraction(1, 2)
     assert kernel_from_rows(2, [[Fraction(3, 2), 1]]).basis == ((1, Fraction(-3, 2)),)
