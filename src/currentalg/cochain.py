@@ -11,9 +11,9 @@ of basis indices in lexicographic rank order, m a module coordinate, flat
 index rank(S) * dim(M) + m.
 
 This module owns that layout and the pair layout of the forms of one
-symmetry (_fold, _square): the other modules take their cochain tuples
-(the domain of a CochainSpaceResult), differentials and form pairs from
-here.  With trivial coefficients on a graded algebra whose bracket adds
+symmetry (_fold, _square, _squared): the other modules take their cochain
+tuples (the domain of a CochainSpaceResult), differentials and form pairs
+from here.  With trivial coefficients on a graded algebra whose bracket adds
 degrees, the complex splits by the total weight of the tuples; one weight
 slice is computed from the tuples of that weight alone.  A graded H^2
 slice of currentalg.graded is such a slice in degree 2: a plain
@@ -145,6 +145,19 @@ def _square(domain, n, vec, sign):
         out[i * n + j] = c
         out[j * n + i] = sign * c
     return out
+
+
+def _squared(domain, n, space, sign):
+    """space, a Subspace over the pair domain of sign (_fold), squared row
+    by row into n^2 coordinates (_square), with no elimination.  The ranks
+    order the pairs as their columns i * n + j do, and the mirror
+    j * n + i of a pair i < j lies past every column i' * n + j' with
+    i' <= i, so the square of a canonical row leads at the column of its
+    pivot pair, which no other square holds, and keeps its values: the
+    squares are the canonical rows of the squared space."""
+    squares = ((domain[r], _square(domain, n, row, sign))
+               for r, row in space.rows.items())
+    return Subspace(n * n, {i * n + j: square for (i, j), square in squares})
 
 
 def _ce_rows(algebra, module, degree, weight=None):

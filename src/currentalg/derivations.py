@@ -63,6 +63,7 @@ import random
 from . import identities as ids
 from .exactlin import (
     Subspace,
+    _span,
     inverse,
     kernel_from_rows,
     preimage,
@@ -438,9 +439,10 @@ def _pencil_pairs(pencil_l, pencil_a):
 def theorem_der_span(L, A):
     """Assemble the candidate span of Der(L tensor A) and compare.
 
-    Returns (der_space, span, details) where details carries per-family
-    dimensions, the pencil reports, and the first non-derivation generator
-    if one exists (there should be none).
+    The span is one elimination of the rows of the inner derivations and of
+    every family (forms._family).  Returns (der_space, span, details) where
+    details carries per-family dimensions, the pencil reports, and the
+    first non-derivation generator if one exists (there should be none).
     """
     curr = current(L, A)
     der = derivation_space(curr)
@@ -463,8 +465,8 @@ def theorem_der_span(L, A):
 
     bad = _generator_witness(der, gens, curr.labels, _MAP,
                              "generator_not_derivation")
-    all_gens = [g for family in gens.values() for g in family]
-    span = subspace_sum(inner, Subspace.from_vectors(curr.dim ** 2, all_gens))
+    span = _span(curr.dim ** 2, [dict(row) for space in families.values()
+                                 for row in space.rows.values()])
 
     details = {
         "types": {label: space.dim for label, space in families.items()},
@@ -541,13 +543,15 @@ def sequence_maps(L, form="dual"):
                              % (form.dim, n))
         if form.symmetry != "symmetric":
             raise ValueError("transport needs a symmetric form")
-        if not form.is_nondegenerate():
-            raise ValueError("transport needs a nondegenerate form")
+        try:
+            dual = inverse(form.matrix)
+        except ValueError:
+            raise ValueError("transport needs a nondegenerate form") from None
         module = adjoint_module(L)
         # the form and its inverse are symmetric, so row t lists column t too
         pairing, copairing = [[[(j, x) for j, x in enumerate(row) if x]
                                for row in mat]
-                              for mat in (form.matrix, inverse(form.matrix))]
+                              for mat in (form.matrix, dual)]
 
     h2 = cohomology(L, trivial_module(L), 2)
     h1 = cohomology(L, module, 1)

@@ -20,8 +20,10 @@ Vectors enter as sparse {column: value} dicts or dense sequences, with int
 or Fraction values only: anything else raises TypeError, so a float never
 passes as a rational.  A column outside the ambient space raises
 ValueError; it is looked for once, in the reduced rows of a span or a
-kernel, where every column an input vector holds shows up.  Inside the
-package every vector is a sparse dict; dense sequences are for callers.
+kernel, or in the residual of a membership read, where every column an
+input vector holds shows up, and in the image coordinates of a preimage.
+Inside the package every vector is a sparse dict; dense sequences are for
+callers.
 
 The elimination engine is one incremental Gauss-Jordan pass whose stored
 rows are in that same reduced form at every step.  Every vector is read
@@ -235,9 +237,12 @@ class Subspace:
 
         Every row is zero at the other pivots, so the residual is
         vector - sum_p (vector[p] / rows[p][p]) rows[p] over the pivots p
-        that vector holds, and no other pivot is touched."""
+        that vector holds, and no other pivot is touched.  A column of
+        vector outside the ambient space is in no row, so it stays in the
+        residual, whose columns alone are checked: none for a member."""
         row, den = _as_int_row(vector)
         row, m = _reduce(row, self.rows)
+        _require_columns(self.ambient_dim, row)
         return row, den * m
 
     def reduce(self, vector):
@@ -275,7 +280,8 @@ class Subspace:
 def _require_columns(ncols, columns):
     """Raise ValueError unless every column lies in range(ncols).  An entry
     of an input vector outside the ambient space lies in some reduced row
-    of its span, so the callers read the reduced rows, once."""
+    of its span, or in its residual against a subspace, so the callers
+    read those, once; a preimage reads the coordinates of the images."""
     for c in columns:
         if not 0 <= c < ncols:
             raise ValueError("column %r lies outside Q^%d" % (c, ncols))
@@ -362,6 +368,7 @@ def preimage(domain, images, target):
         scales.append(scale)
         for i, x in row.items():
             system.setdefault(i, {})[k] = x
+    _require_columns(target.ambient_dim, system)
     for l, t in enumerate(target.rows.values()):
         for i, x in t.items():
             system.setdefault(i, {})[r + l] = -x

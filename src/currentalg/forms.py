@@ -35,28 +35,32 @@ On top of these sit the two decomposition verdicts: the 2-cocycle space of a
 current algebra L tensor A equals the skew layer of the span of four tensor
 product families, and the space of symmetric invariant forms equals the
 symmetric layer of the span of three.  A family is a list of factor-space
-pairs (S_L, S_A), and its generators are the tensor products of their basis
-vectors; the derivation verdict in currentalg.derivations builds its
-families, witnesses and spans with the same helpers.  Each decomposable
-type (label, L condition, A condition) is solved once on each factor, with
-free symmetry.  The spanning direction runs over these symmetry-free factor
-spaces (see the note at H2_DECOMPOSABLE_TYPES); the sub-typed families
-reported per type are built from their symmetric and skew layers, each the
-kernel on a factor space of cochain's fold with the opposite sign, and the
-target is compared with the layer of the span of its overall symmetry,
-read off the fold the same way.  The cocycle space is computed by two
-routes, which must agree.  A failed inclusion is reported with a witness:
-the first generator outside the target, or the first basis vector of one
-space outside the other, with its residual.
+pairs (S_L, S_A), and its generators are the tensor products of their
+canonical integer rows, which are the canonical rows of S_L tensor S_A
+(_family): a family of one pair needs no elimination, one of several pairs
+one span of those rows.  The derivation verdict in currentalg.derivations
+builds its families, witnesses and spans with the same helpers.  Each
+decomposable type (label, L condition, A condition) is solved once on each
+factor, with free symmetry.  The spanning direction runs over these
+symmetry-free factor spaces (see the note at H2_DECOMPOSABLE_TYPES); the
+sub-typed families reported per type are built from their symmetric and
+skew layers, each the kernel on a factor space of cochain's fold with the
+opposite sign (on the space of all forms, the squared pair domain), and
+the target is compared with the layer of the span of its overall
+symmetry, read off the fold the same way.  The cocycle space is computed
+by two routes, which must agree.  A failed inclusion is reported with a
+witness: the first generator outside the target, or the first basis
+vector of one space outside the other, with its residual; both are read
+as pivot-1 vectors.
 """
 
 from fractions import Fraction
 
 from . import identities as ids
-from .exactlin import Subspace, kernel_from_rows, preimage
+from .exactlin import Subspace, _span, kernel_from_rows, preimage
 from .identities import require
 from .algebras import _named, build_assoc, build_lie, current
-from .cochain import _fold, _square, cohomology, trivial_module
+from .cochain import _fold, _squared, cohomology, trivial_module
 
 __all__ = [
     "SYMMETRY_SIGNS",
@@ -111,15 +115,15 @@ def _solve(alg, idents, sign=None):
     """The unknowns of n^2 coordinates (forms or maps) on which every
     identity holds at its weights: the exact kernel of their rows,
     rechecked against the identities.  With a sign, the forms of that
-    symmetry, solved over their pairs and squared back (cochain._fold)."""
-    n, rows = alg.dim, ids.rows(alg, idents)
+    symmetry: the rows of each identity in its order for that symmetry
+    (Identity.over), solved over their pairs (cochain._fold) and squared
+    back (cochain._squared)."""
+    n, rows = alg.dim, ids.rows(alg, [ident.over(sign) for ident in idents])
     if sign is None:
         space = kernel_from_rows(n * n, rows)
     else:
         domain, rows = _fold(rows, n, sign)
-        space = Subspace.from_vectors(n * n, [
-            _square(domain, n, row, sign)
-            for row in kernel_from_rows(len(domain), rows).rows.values()])
+        space = _squared(domain, n, kernel_from_rows(len(domain), rows), sign)
     ids.recheck(alg, idents, space)
     return space
 
@@ -145,15 +149,29 @@ def _basis_vector(p, row):
 
 
 def _family(curr, factor_pairs):
-    """Generators s_L tensor s_A over the basis vectors of each factor-space
-    pair (S_L, S_A), and their span."""
-    gens = []
-    for sl, sa in factor_pairs:
-        avecs = [_basis_vector(p, row) for p, row in sa.rows.items()]
-        for p, row in sl.rows.items():
-            lv = _basis_vector(p, row)
-            gens.extend(curr.tensor(lv, av) for av in avecs)
-    return gens, Subspace.from_vectors(curr.dim ** 2, gens)
+    """Generators r_L tensor r_A over the canonical rows r_L of S_L and r_A
+    of S_A of each factor-space pair (S_L, S_A), as (pivot, integer row)
+    pairs in that order, and their span.
+
+    r_L tensor r_A is the canonical row of S_L tensor S_A with its pivot at
+    the tensor of the two pivots.  The flat index p * dim L + i orders the
+    coordinates (x_i a_p, x_j a_q) as the tuples (p, i, q, j), so the tensor
+    of the two lowest columns is the lowest column; every other product row
+    is zero there; the content is 1 by Gauss's lemma and the pivot entry is
+    positive.  So one pair spans Subspace(n^2, rows) with no elimination,
+    and several pairs span one _span of their rows.  The pivot-1 vector of
+    a generator (_basis_vector) is the tensor of the pivot-1 vectors of its
+    factors."""
+    n, nl, na = curr.dim, curr.factorL.dim, curr.factorA.dim
+    # the pivot of r_L tensor r_A: (x_i a_p, x_j a_q) for pivots i * nl + j
+    # and p * na + q
+    gens = [(curr.flat(pl // nl, pa // na) * n + curr.flat(pl % nl, pa % na),
+             curr.tensor(rl, ra))
+            for sl, sa in factor_pairs for pl, rl in sl.rows.items()
+            for pa, ra in sa.rows.items()]
+    if len(factor_pairs) == 1:
+        return gens, Subspace(n * n, dict(gens))
+    return gens, _span(n * n, (dict(row) for _, row in gens))
 
 
 def _entries(fmt, labels, vec):
@@ -170,14 +188,14 @@ _MAP = ("map", "D({1})->{0}")
 
 
 def _generator_witness(target, families, labels, kind, direction):
-    """Witness for the first generator of families ({label: generators})
-    outside target, or None."""
+    """Witness for the first generator of families ({label: generators},
+    as _family gives them) outside target, as its pivot-1 vector, or None."""
     key, fmt = kind
     for label, gens in families.items():
-        for g in gens:
-            if not target.contains_vector(g):
+        for p, row in gens:
+            if not target.contains_vector(row):
                 return {"direction": direction, "type": label,
-                        key: _entries(fmt, labels, g)}
+                        key: _entries(fmt, labels, _basis_vector(p, row))}
     return None
 
 
@@ -203,7 +221,15 @@ def _symmetry_layer(space, n, sign):
     whose every row folds to zero is covered by that recheck and by the
     fold; a layer outside space, or with a row of the wrong symmetry,
     raises InvariantError.  Like the recheck, this cannot catch a space
-    that is too small."""
+    that is too small.
+
+    On the space of all n^2 forms, as "none" gives it, the layer is the
+    squared pair domain of sign (cochain._squared on the whole domain), and
+    cochain._square is the one writer of both (i, j) and (j, i): there the
+    fold, the preimage and the layer check have nothing to do."""
+    if space.dim == n * n:
+        domain = _fold([], n, sign)[0]
+        return _squared(domain, n, kernel_from_rows(len(domain), []), sign)
     domain, folded = _fold(list(space.rows.values()), n, -sign)
     layer = preimage(space, folded, Subspace.zero(len(domain)))
     require(space.contains(layer)
@@ -223,11 +249,12 @@ def decomposable_span(curr, decomposable_types, symmetry):
     layer; every layer is read off the fold (_symmetry_layer).
 
     Returns (per_type, generators, full, layer): per_type maps each
-    sub-type label to the span of its generators, generators maps it to the
-    raw tensor vectors (for generator-level membership checks), full is the
-    span of phi tensor alpha over the symmetry-free factor spaces of every
-    type, and layer, the forms of full with the given symmetry, is the part
-    comparable with the target space.
+    sub-type label to the span of its generators, with no elimination,
+    generators maps it to the (pivot, integer row) pairs of _family (for
+    generator-level membership checks), full is the span of phi tensor
+    alpha over the symmetry-free factor spaces of every type, one
+    elimination of their tensor rows, and layer, the forms of full with the
+    given symmetry, is the part comparable with the target space.
     """
     L, A, sign = curr.factorL, curr.factorA, SYMMETRY_SIGNS[symmetry]
     per_type, generators, factor_pairs = {}, {}, []
@@ -251,10 +278,8 @@ def _h2_via_cochain(curr):
     """Z^2 and B^2 of the current algebra with trivial coefficients,
     transported from alternating pair coordinates into n^2 coordinates."""
     res = cohomology(curr, trivial_module(curr), 2)
-    n = curr.dim
-    return tuple(Subspace.from_vectors(
-        n * n, [_square(res.domain, n, row, -1) for row in space.rows.values()])
-        for space in (res.z_space, res.b_space))
+    return tuple(_squared(res.domain, curr.dim, space, -1)
+                 for space in (res.z_space, res.b_space))
 
 
 def _resolve_pair(L, A):

@@ -27,7 +27,14 @@ Two independent evaluations are derived from each identity:
 
 * the row path (pencil_rows, rows) writes one sparse row per output
   coordinate for each basis tuple that the identity's ``order`` selects,
-  through the sparse structure constants alg.mul(i, j).  When every term
+  through the sparse structure constants alg.mul(i, j).  An order relates
+  consecutive arguments by <, <= or nothing (,) and keeps one tuple of
+  each class whose rows repeat up to sign or vanish; cyclic walks x,y<=z
+  on both kinds of algebra.  The order may depend on the symmetry of the
+  forms solved (Identity.over): the solve over symmetric forms of a Lie
+  algebra walks invariant on x,y<=z, since there the row of (x, z, y)
+  folds to that of (x, y, z); every other solve of invariant, and
+  first_failure, walks x,y,z.  When every term
   holds a product slot, only the tuples with a nonzero slot are walked
   (_live, which reads the table's masks alg.support), since the others
   give no entry; an identity with a bare D(x)y or xD(y) term walks every
@@ -77,13 +84,18 @@ def add_entry(row, col, val):
         del row[col]
 
 
-class Identity(namedtuple("Identity", "order text terms weights")):
-    """A parsed identity; ``at`` sets the weights of its two parts."""
+class Identity(namedtuple("Identity", "order text terms weights symmetric")):
+    """A parsed identity; ``at`` sets the weights of its two parts.
+    symmetric is the order of its solve over symmetric forms."""
 
     __slots__ = ()
 
     def at(self, w0, w1):
         return self._replace(weights=(w0, w1))
+
+    def over(self, sign):
+        """The identity as the solve over forms of symmetry sign walks it."""
+        return self._replace(order=self.symmetric) if sign == 1 else self
 
 
 def _term(sign, part, text):
@@ -97,7 +109,7 @@ def _term(sign, part, text):
             args[:1], args[1:])
 
 
-def _identity(order, text):
+def _identity(order, text, symmetric=None):
     """Parse e.g. "D(xy) - lam D(x)y" into terms (sign, part, kind, left, right)."""
     terms, sign, part = [], 1, 0
     for tok in text.split():
@@ -108,12 +120,17 @@ def _identity(order, text):
         else:
             terms.append(_term(sign, part, tok))
             sign, part = 1, 0
-    return Identity(order, text, tuple(terms), (1, 1))
+    return Identity(order, text, tuple(terms), (1, 1), symmetric or order)
 
 
 # ``order`` chooses the basis tuples of the row path: consecutive arguments
 # are related by <, <= or nothing (,).  Tuples outside it give rows that
-# vanish identically or repeat others up to sign.
+# vanish identically or repeat others up to sign: phi([x,z],y) - phi([y,x],z)
+# is phi([x,y],z) - phi([z,x],y), and on a commutative algebra
+# alpha(xz,y) - alpha(yx,z) is minus alpha(xy,z) - alpha(zx,y).  For
+# symmetric phi, phi([x,z],y) + phi(z,[x,y]) is phi([x,y],z) + phi(y,[x,z]);
+# the associative invariant row of (x, y, z) is minus that of (z, y, x)
+# there, which no order of consecutive arguments selects.
 
 _NONE = _identity("x", "")
 _JACOBI = "f(xy,z) + f(zx,y) + f(yz,x)"
@@ -122,16 +139,16 @@ _CYCLIC = "f(xy,z) - f(zx,y)"
 LIE_FORMS = {
     # repeated arguments vanish identically, increasing triples suffice
     "jacobi_sum_zero": _identity("x<y<z", _JACOBI),
-    "cyclic": _identity("x,y,z", _CYCLIC),
+    "cyclic": _identity("x,y<=z", _CYCLIC),
     "radical": _identity("x<y,z", "f(xy,z)"),
-    "invariant": _identity("x,y,z", "f(xy,z) + f(y,xz)"),
+    "invariant": _identity("x,y,z", "f(xy,z) + f(y,xz)", "x,y<=z"),
     "none": _NONE,
 }
 
 ASSOC_FORMS = {
     # products commute but the slots do not; repeated indices matter here
     "jacobi_sum_zero": _identity("x<=y<=z", _JACOBI),
-    "cyclic": _identity("x,y,z", _CYCLIC),
+    "cyclic": _identity("x,y<=z", _CYCLIC),
     "radical": _identity("x<=y,z", "f(xy,z)"),
     "invariant": _identity("x,y,z", "f(xy,z) - f(x,yz)"),
     "none": _NONE,

@@ -411,7 +411,7 @@ def test_sequence_dual_and_form_modes_agree_on_sl2():
 def test_sequence_rejects_unusable_forms():
     with pytest.raises(ValueError, match="symmetric"):
         sequence_maps("sl2", form=BilinearForm([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
-    with pytest.raises(ValueError, match="nondegenerate"):
+    with pytest.raises(ValueError, match="^transport needs a nondegenerate form$"):
         sequence_maps("sl2", form=BilinearForm([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     # a form on a space of another dimension than L
     for n in (2, 4):
@@ -421,6 +421,18 @@ def test_sequence_rejects_unusable_forms():
     # the Killing form is passed as a form, not by name
     with pytest.raises(ValueError, match="'dual' or a BilinearForm"):
         sequence_maps("sl2", form="killing")
+
+
+def test_a_transported_form_is_eliminated_once(monkeypatch):
+    # the inverse of the form is the one elimination of its matrix; its
+    # failure is the nondegeneracy check
+    def refused(self):
+        raise AssertionError("is_nondegenerate eliminates the form a second time")
+
+    monkeypatch.setattr(BilinearForm, "is_nondegenerate", refused)
+    assert sequence_maps("sl3", form=killing_form(lie_sl(3)))["verdict"]
+    with pytest.raises(ValueError, match="^transport needs a nondegenerate form$"):
+        sequence_maps("heis3", form=killing_form(lie_heisenberg3()))
 
 
 def test_sequence_rejects_float_forms_and_its_exact_twin_passes():

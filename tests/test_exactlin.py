@@ -210,6 +210,12 @@ def test_floats_raise_type_error(call):
     lambda: kernel_from_rows(2, [{-1: 1}]),
     lambda: kernel_from_rows(2, [{0: 1, -1: 1}]),
     lambda: Subspace.from_vectors(2, [{-1: 1, 1: 1}]),
+    # membership reads: was {5: Fraction(1, 1)}, {-1: 1} and False
+    lambda: Subspace.from_vectors(2, [[1, 0]]).reduce({5: 1}),
+    lambda: Subspace.from_vectors(2, [[1, 0]]).reduce({-1: 1}),
+    lambda: Subspace.from_vectors(2, [[1, 0]]).contains_vector([1, 0, 0, 7]),
+    # was a dimension-0 preimage of an image outside Q^2
+    lambda: preimage(Subspace.from_vectors(2, [[1, 0]]), [{9: 1}], Subspace.zero(2)),
 ])
 def test_an_entry_outside_the_ambient_space_raises_value_error(call):
     with pytest.raises(ValueError, match=r"outside Q\^2"):

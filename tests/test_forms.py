@@ -4,6 +4,7 @@ from fractions import Fraction
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currentalg import identities
 from currentalg.algebras import (
@@ -17,7 +18,12 @@ from currentalg.algebras import (
     lie_sl,
     lie_sl2,
 )
-from currentalg.derivations import verify_der_decomposition
+from currentalg.derivations import (
+    DER_TYPE_TABLE,
+    derivation_space,
+    map_condition_space,
+    verify_der_decomposition,
+)
 from currentalg.exactlin import Subspace, kernel_from_rows, subspace_intersect
 from currentalg.forms import (
     condition_space,
@@ -31,6 +37,9 @@ from currentalg.forms import (
 )
 from currentalg.forms import (
     _FORM,
+    _MAP,
+    _basis_vector,
+    _entries,
     _family,
     _generator_witness,
     _h2_via_cochain,
@@ -43,8 +52,8 @@ from test_derivations import rebased
 def subtyped_span(curr, decomposable_types, symmetry):
     """The span of every sub-typed generator of decomposable_span."""
     _, gens, _, _ = decomposable_span(curr, decomposable_types, symmetry)
-    return Subspace.from_vectors(curr.dim ** 2,
-                                 [g for vecs in gens.values() for g in vecs])
+    return Subspace.from_vectors(curr.dim ** 2, [row for rows in gens.values()
+                                                 for _, row in rows])
 
 
 # (condition, symmetry) -> dim on sl2, solved once and pinned; the sympy
@@ -264,27 +273,30 @@ def test_decomposable_span_layers():
     assert skew_layer == z
     assert skew_layer.contains(subtyped_span(curr, H2_DECOMPOSABLE_TYPES, "skew"))
     assert per_type.keys() == gens.keys()
-    assert all(per_type[label] == Subspace.from_vectors(curr.dim ** 2, vecs)
-               for label, vecs in gens.items())
+    assert all(per_type[label] == Subspace.from_vectors(
+        curr.dim ** 2, [row for _, row in rows]) for label, rows in gens.items())
+
+
+def _subtyped_pairs(curr, types, symmetry):
+    """{sub-type: (S_L, S_A)}: each sub-type pairs factor spaces solved with
+    a pinned symmetry, the L factor with the overall symmetry and A
+    symmetric ("a"), or the other L symmetry and A skew ("b")."""
+    other = {"symmetric": "skew", "skew": "symmetric"}[symmetry]
+    return {label + suffix: (condition_space(curr.factorL, cond_l, sym_l),
+                             condition_space(curr.factorA, cond_a, sym_a))
+            for label, cond_l, cond_a in types
+            for suffix, sym_l, sym_a in (("a", symmetry, "symmetric"),
+                                         ("b", other, "skew"))}
 
 
 @pytest.mark.parametrize("L, A", [("sl2", "tpoly:3"), ("heis3", "tpoly:3")])
 @pytest.mark.parametrize("types, symmetry", [(H2_DECOMPOSABLE_TYPES, "skew"),
                                              (FORMS_DECOMPOSABLE_TYPES, "symmetric")])
 def test_subtyped_families_are_the_symmetric_solves(L, A, types, symmetry):
-    # each sub-type pairs factor spaces solved with a pinned symmetry: the
-    # L factor with the overall symmetry and A symmetric ("a"), or the other
-    # L symmetry and A skew ("b")
     curr = current(build_lie(L), build_assoc(A))
     per_type, gens, _, _ = decomposable_span(curr, types, symmetry)
-    other = {"symmetric": "skew", "skew": "symmetric"}[symmetry]
-    expected = {}
-    for label, cond_l, cond_a in types:
-        for suffix, sym_l, sym_a in (("a", symmetry, "symmetric"),
-                                     ("b", other, "skew")):
-            expected[label + suffix] = _family(curr, [(
-                condition_space(curr.factorL, cond_l, sym_l),
-                condition_space(curr.factorA, cond_a, sym_a))])
+    expected = {label: _family(curr, [pair])
+                for label, pair in _subtyped_pairs(curr, types, symmetry).items()}
     assert list(per_type) == list(gens) == list(expected)
     for label, (vecs, span) in expected.items():
         assert gens[label] == vecs and per_type[label] == span, label
@@ -401,8 +413,9 @@ def test_planted_wrong_layer_raises_under_optimize(run_optimized):
 def test_witness_reporting_helpers():
     labels = ("a", "b")
     target = Subspace.from_vectors(4, [[1, 0, 0, 0]])
-    inside = [{0: Fraction(2)}]
-    outside = [{1: Fraction(1)}]
+    # generators are (pivot, integer row) pairs
+    inside = [(0, {0: 2})]
+    outside = [(1, {1: 1})]
     w = _generator_witness(target, {"t": inside}, labels, _FORM,
                            "generator_outside_target")
     ok = w is None
@@ -413,8 +426,8 @@ def test_witness_reporting_helpers():
     assert not ok
     assert w["direction"] == "generator_outside_target" and w["type"] == "t"
     assert w["form"] == {"phi(a,b)": "1"}
-    w = _residual_witness(target, Subspace.from_vectors(4, outside), labels, _FORM,
-                          "target_not_in_span")
+    w = _residual_witness(target, Subspace.from_vectors(4, [outside[0][1]]), labels,
+                          _FORM, "target_not_in_span")
     ok = w is None
     assert not ok and w["direction"] == "target_not_in_span"
     assert w["form"] == {"phi(a,a)": "1"}
@@ -424,17 +437,16 @@ def test_witnesses_read_sparse_vectors_in_coordinate_order():
     curr = current(lie_sl2(), assoc_truncated_poly(3))
     n, labels = curr.dim, curr.labels
     target = condition_space(curr, "jacobi_sum_zero", "skew")
-    inside = {j: x for j, x in enumerate(target.basis[0]) if x}
-    # symmetric in the pair (x_0, x_1), so no 2-cocycle
-    outside = {1 * n + 4: Fraction(-3), 0 * n + 1: Fraction(1, 2),
-               1 * n + 0: Fraction(1, 2)}
-    # each vector as given and with its keys in reverse coordinate order
-    vectors = [(vec, dict(sorted(vec.items(), reverse=True)))
-               for vec in (inside, outside)]
+    inside = target.pivots[0], target.rows[target.pivots[0]]
+    # symmetric in the pair (x_0, x_1), so no 2-cocycle; pivot 0 * n + 1
+    outside = 1, {1 * n + 4: -6, 0 * n + 1: 1, 1 * n + 0: 1}
+    # each generator as given and with its keys in reverse coordinate order
+    vectors = [((p, row), (p, dict(sorted(row.items(), reverse=True))))
+               for p, row in (inside, outside)]
     witnesses = []
     for form in (0, 1):
         gens = {"t": [pair[form] for pair in vectors]}
-        span = Subspace.from_vectors(n * n, [vectors[1][form]])
+        span = Subspace.from_vectors(n * n, [vectors[1][form][1]])
         witnesses.append((
             _generator_witness(target, gens, labels, _FORM, "generator_outside_target"),
             _residual_witness(span, target, labels, _FORM, "span_element_not_cocycle")))
@@ -442,13 +454,11 @@ def test_witnesses_read_sparse_vectors_in_coordinate_order():
     assert json.dumps(witnesses[0]) == json.dumps(witnesses[1])
     generator, residual = witnesses[0]
     phi = "phi({0},{1})".format
-    assert generator["form"] == {phi(labels[0], labels[1]): "1/2",
-                                 phi(labels[1], labels[0]): "1/2",
-                                 phi(labels[1], labels[4]): "-3"}
-    # the basis vector of the span has pivot entry 1
-    assert residual["form"] == {phi(labels[0], labels[1]): "1",
-                                phi(labels[1], labels[0]): "1",
-                                phi(labels[1], labels[4]): "-6"}
+    # a generator and a basis vector of the span are read with pivot entry 1
+    for witness in (generator, residual):
+        assert witness["form"] == {phi(labels[0], labels[1]): "1",
+                                   phi(labels[1], labels[0]): "1",
+                                   phi(labels[1], labels[4]): "-6"}
     assert residual["residual"]
 
 
@@ -456,9 +466,9 @@ def test_every_subtyped_generator_is_a_cocycle():
     curr = current(lie_sl2(), assoc_truncated_poly(3))
     z = condition_space(curr, "jacobi_sum_zero", "skew")
     _, gens, _, _ = decomposable_span(curr, H2_DECOMPOSABLE_TYPES, "skew")
-    for label, vecs in gens.items():
-        for g in vecs:
-            assert z.contains_vector(g), label
+    for label, rows in gens.items():
+        for _, row in rows:
+            assert z.contains_vector(row), label
 
 
 def test_cocycle_route_mismatch_raises_under_optimize(run_optimized):
@@ -478,3 +488,105 @@ def test_cocycle_route_mismatch_raises_under_optimize(run_optimized):
         "    raise SystemExit(7)\n"
     )
     run_optimized(code)
+
+
+# --- tensor families from canonical integer rows ------------------------------
+#
+# The tensor of canonical rows of S_L and S_A is the canonical row of
+# S_L tensor S_A: the families are read off the factor rows with no
+# elimination.  The Fraction generators below are how the families were
+# built before, as tensors of the pivot-1 vectors of the factor rows.
+
+GRID = [(lie, assoc) for lie in ("sl2", "heis3", "abelian:4")
+        for assoc in ("tpoly:2", "tpoly:3", "tpoly1:3", "zero:2")]
+
+
+def _fraction_generators(curr, factor_pairs):
+    gens = []
+    for sl, sa in factor_pairs:
+        avecs = [_basis_vector(p, row) for p, row in sa.rows.items()]
+        for p, row in sl.rows.items():
+            lv = _basis_vector(p, row)
+            gens.extend(curr.tensor(lv, av) for av in avecs)
+    return gens
+
+
+def _fraction_witness(target, families, labels, kind):
+    """The first Fraction generator outside target, as the verdicts read it
+    before: {label: generators} in order."""
+    key, fmt = kind
+    for label, gens in families.items():
+        for g in gens:
+            if not target.contains_vector(g):
+                return {"direction": "planted", "type": label,
+                        key: _entries(fmt, labels, g)}
+    return None
+
+
+def _assert_family_is_the_fraction_span(curr, factor_pairs):
+    gens, span = _family(curr, factor_pairs)
+    old = _fraction_generators(curr, factor_pairs)
+    assert [_basis_vector(p, row) for p, row in gens] == old
+    assert span == Subspace.from_vectors(curr.dim ** 2, old)
+
+
+@st.composite
+def random_factor_pairs(draw):
+    """A current algebra of the grid and one to three pairs (S_L, S_A) of
+    random integer subspaces of its factors' n^2 coordinates."""
+    lie, assoc = draw(st.sampled_from(GRID))
+    curr = current(build_lie(lie), build_assoc(assoc))
+
+    def space(d):
+        vecs = draw(st.lists(st.dictionaries(st.integers(0, d - 1), st.integers(-3, 3),
+                                             max_size=4), max_size=4))
+        return Subspace.from_vectors(d, vecs)
+
+    return curr, [(space(curr.factorL.dim ** 2), space(curr.factorA.dim ** 2))
+                  for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_factor_pairs())
+def test_tensor_rows_span_the_fraction_generators(case):
+    curr, pairs = case
+    for chosen in (pairs[:1], pairs):
+        _assert_family_is_the_fraction_span(curr, chosen)
+
+
+@pytest.mark.parametrize("L, A", GRID)
+def test_tensor_rows_of_the_grid_factors_span_the_fraction_generators(L, A):
+    curr = current(build_lie(L), build_assoc(A))
+    for types, symmetry in ((H2_DECOMPOSABLE_TYPES, "skew"),
+                            (FORMS_DECOMPOSABLE_TYPES, "symmetric")):
+        pairs = [(condition_space(curr.factorL, cond_l), condition_space(curr.factorA, cond_a))
+                 for _, cond_l, cond_a in types]
+        for pair in pairs + list(_subtyped_pairs(curr, types, symmetry).values()):
+            _assert_family_is_the_fraction_span(curr, [pair])
+        _assert_family_is_the_fraction_span(curr, pairs)
+
+
+@pytest.mark.parametrize("L, A", [("sl2", "tpoly:3"), ("heis3", "tpoly:3"),
+                                  ("abelian:4", "zero:2")])
+def test_planted_targets_give_the_witness_of_the_fraction_generators(L, A):
+    curr = current(build_lie(L), build_assoc(A))
+    n2 = curr.dim ** 2
+    cases = []
+    for types, symmetry, target in (
+            (H2_DECOMPOSABLE_TYPES, "skew", condition_space(curr, "jacobi_sum_zero", "skew")),
+            (FORMS_DECOMPOSABLE_TYPES, "symmetric", invariant_symmetric_forms(curr))):
+        pairs = {label: [pair] for label, pair in _subtyped_pairs(curr, types, symmetry).items()}
+        cases.append((target, pairs, _FORM))
+    pairs = {label: [(map_condition_space(curr.factorL, conds_l),
+                      map_condition_space(curr.factorA, conds_a))]
+             for label, conds_l, conds_a in DER_TYPE_TABLE}
+    cases.append((derivation_space(curr), pairs, _MAP))
+    for target, pairs, kind in cases:
+        gens = {label: _family(curr, chosen)[0] for label, chosen in pairs.items()}
+        old = {label: _fraction_generators(curr, chosen) for label, chosen in pairs.items()}
+        last = target.pivots[-1]
+        for planted in (Subspace.zero(n2),
+                        Subspace(n2, {p: row for p, row in target.rows.items() if p != last})):
+            witness = _generator_witness(planted, gens, curr.labels, kind, "planted")
+            assert witness == _fraction_witness(planted, old, curr.labels, kind)
+        assert _generator_witness(Subspace.zero(n2), gens, curr.labels, kind, "planted")

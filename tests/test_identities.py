@@ -1,6 +1,7 @@
 """The identity engine: pencil rows pinned by golden fields, and the recheck
 catching defects planted in the row path."""
 
+import importlib.util
 import itertools
 import json
 import math
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import currentalg
-from currentalg import algebras, cochain, derivations, identities
+from currentalg import algebras, cochain, derivations, forms, identities
 from currentalg.algebras import LieAlgebra, algebra_from_dict, build_assoc, build_lie, current
 from currentalg.derivations import derivation_space, lambda_candidates, map_condition_space
-from currentalg.exactlin import Subspace, _as_int_row, _normalize
+from currentalg.exactlin import (Subspace, _as_int_row, _dedupe_sorted, _normalize,
+                                 kernel_from_rows)
 from currentalg.forms import condition_space
 from currentalg.identities import InvariantError
 
@@ -355,10 +357,10 @@ def test_the_sparse_walk_gives_the_rows_of_the_full_walk_in_order(case):
 
 _VISITS = {
     "tpoly:4": {"axiom": (197, 14190), "jacobi_sum_zero": (5759, 14190),
-                "cyclic": (27510, 91125), "radical": (8100, 44550),
+                "cyclic": (13935, 46575), "radical": (8100, 44550),
                 "invariant": (27510, 91125)},
     "tpoly:5": {"axiom": (830, 34220), "jacobi_sum_zero": (15175, 34220),
-                "cyclic": (72708, 216000), "radical": (21600, 106200),
+                "cyclic": (36714, 109800), "radical": (21600, 106200),
                 "invariant": (72708, 216000)},
 }
 
@@ -378,7 +380,8 @@ def test_each_walker_visits_only_the_tuples_that_carry_a_product(monkeypatch, A)
     walker[0] = "axiom"
     curr = current(L, Aalg)
     n = curr.dim
-    selected = {"x<y<z": math.comb(n, 3), "x,y,z": n ** 3, "x<y,z": math.comb(n, 2) * n}
+    selected = {"x<y<z": math.comb(n, 3), "x,y,z": n ** 3, "x<y,z": math.comb(n, 2) * n,
+                "x,y<=z": n * math.comb(n + 1, 2)}
     counts = {"axiom": (visits["axiom"], selected["x<y<z"])}
     for name in ("jacobi_sum_zero", "cyclic", "radical", "invariant"):
         ident = identities.LIE_FORMS[name]
@@ -390,3 +393,71 @@ def test_each_walker_visits_only_the_tuples_that_carry_a_product(monkeypatch, A)
             assert identities.pencil_rows(curr, ident)
             assert visits.pop("rows") == visits[name]
     assert counts == _VISITS[A]
+
+
+# --- one tuple per fold class -------------------------------------------------
+#
+# cyclic walks x,y<=z for both kinds of algebra, and the symmetric invariant
+# solve of a Lie algebra walks x,y<=z (Identity.over): the kernels must be
+# those of the x,y,z walk.  The algebras are the catalog algebras of the
+# benchmark's verdict grid, their current algebras, and the seed-1 dense
+# tables of perfbench/gentables.py.
+
+_GRID_L = ("sl2", "heis3", "abelian:4", "sl3")
+_GRID_A = ("tpoly:2", "tpoly:3", "tpoly1:3", "zero:2")
+
+
+def _dense_tables(seed):
+    """{name: algebra} of the benchmark's dense tables for seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gentables.py"
+    spec = importlib.util.spec_from_file_location("gentables", path)
+    gentables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gentables)
+    return {name: algebra_from_dict(record)
+            for name, record in gentables.dense_tables(seed).items()}
+
+
+def _fold_order_algebras():
+    algs = {name: build_lie(name) for name in _GRID_L}
+    algs.update((name, build_assoc(name)) for name in _GRID_A)
+    algs.update(("%s*%s" % (lie, assoc), current(build_lie(lie), build_assoc(assoc)))
+                for lie in _GRID_L[:3] for assoc in _GRID_A)
+    algs["sl3*tpoly:3"] = current(build_lie("sl3"), build_assoc("tpoly:3"))
+    algs.update(("@" + name, alg) for name, alg in _dense_tables(1).items())
+    return algs
+
+
+def test_one_tuple_per_fold_class_keeps_every_kernel():
+    every = dict(symmetric="x,y,z", order="x,y,z")
+    for name, alg in _fold_order_algebras().items():
+        forms_of_kind = identities.LIE_FORMS if alg.kind == "lie" else identities.ASSOC_FORMS
+        cases = [("cyclic", sign) for sign in (None, 1, -1)] + [("invariant", 1)]
+        for cond, sign in cases:
+            ident = forms_of_kind[cond]
+            walked = forms._solve(alg, [ident], sign)
+            assert walked == forms._solve(alg, [ident._replace(**every)], sign), (name, cond, sign)
+    assert identities.LIE_FORMS["cyclic"].order == identities.ASSOC_FORMS["cyclic"].order == "x,y<=z"
+    assert identities.LIE_FORMS["invariant"].over(1).order == "x,y<=z"
+    # first_failure (the Killing form check) and the other solves walk x,y,z
+    for sign in (None, -1):
+        assert identities.LIE_FORMS["invariant"].over(sign).order == "x,y,z"
+    assert identities.ASSOC_FORMS["invariant"].over(1).order == "x,y,z"
+
+
+def test_fold_classes_halve_the_rows_built():
+    # the symmetric invariant solve of forms on sl4 tensor tK[t]/(t^8)
+    # built 440 202 rows on the x,y,z walk; the same 59 525 distinct rows
+    # over 5565 pairs come out of half as many
+    curr = current(build_lie("sl4"), build_assoc("tpoly:8"))
+    n = curr.dim
+    rows = identities.rows(curr, [identities.LIE_FORMS["invariant"].over(1)])
+    assert len(rows) == 221361
+    domain, folded = cochain._fold(rows, n, 1)
+    assert len(domain) == 5565
+    assert len(_dedupe_sorted(_as_int_row(row, len(domain) - 1)[0] for row in folded)) == 59525
+    assert kernel_from_rows(len(domain), folded).dim == 126
+    # cyclic on the seed-1 dense sl3
+    sl3 = _dense_tables(1)["sl3"]
+    cyclic = identities.LIE_FORMS["cyclic"]
+    assert len(identities.rows(sl3, [cyclic])) == 280
+    assert len(identities.rows(sl3, [cyclic._replace(order="x,y,z")])) == 504
