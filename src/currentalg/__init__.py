@@ -57,7 +57,6 @@ from .derivations import (
     map_condition_space,
     sequence_maps,
     sl2_loop_derivation,
-    theorem_der_span,
     verify_der_decomposition,
 )
 from .identities import InvariantError

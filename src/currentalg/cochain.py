@@ -123,15 +123,22 @@ def _fold(rows, n, sign):
     phi(x_j, x_i) = sign * phi(x_i, x_j), i < j for skew ones (sign -1, the
     domain of C^2) and i <= j for symmetric ones, and sparse n^2 rows read
     on those forms as rows over the pair ranks: (j, i) adds sign times its
-    entry to (i, j), and the skew diagonal, off the domain, weighs 0."""
-    domain = [(i, j) for i in range(n) for j in range(i + (sign < 0), n)]
-    slot = {col: (r, s) for r in range(len(domain))
-            for col, s in _square(domain, n, {r: 1}, sign).items()}
+    entry to (i, j), and the skew diagonal, off the domain, weighs 0.
+
+    With s = 1 for skew forms and 0 for symmetric ones, the rows i' < i
+    hold n - i' - s pairs each, so (i, j) has rank
+    i * (2n - i - 1 - 2s) / 2 + j - s, the map _square inverts."""
+    s = int(sign < 0)
+    domain = [(i, j) for i in range(n) for j in range(i + s, n)]
     folded = [{} for _ in rows]
     for row, out in zip(rows, folded):
         for col, v in row.items():
-            r, s = slot.get(col, (0, 0))
-            add_entry(out, r, s * v)
+            i, j = divmod(col, n)
+            if i > j:
+                i, j, v = j, i, sign * v
+            elif i == j and s:
+                continue
+            add_entry(out, i * (2 * n - i - 1 - 2 * s) // 2 + j - s, v)
     return domain, folded
 
 

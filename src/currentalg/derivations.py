@@ -7,9 +7,11 @@ the derivation space of L tensor A with the inner derivations plus ten
 tensor families, built like the form families of currentalg.forms: a
 family is a list of factor-space pairs (S_L, S_A), one pair for each type
 of DER_TYPE_TABLE (conjunctions of the conditions) and one pair per
-admissible lam for each of the two one-parameter families.  A failure is
-reported with the first generator that is not a derivation, or else the
-first derivation outside the span with its residual.
+admissible lam for each of the two one-parameter families.
+verify_der_decomposition builds the current algebra, Der, the families and
+their span in one body, and looks for a witness only when the verdict
+fails: the first generator that is not a derivation, with its type, or
+else the first derivation outside the span with its residual.
 
 Conditions on a Lie algebra L:
 
@@ -112,7 +114,6 @@ __all__ = [
     "inner_derivations",
     "PencilCandidates",
     "lambda_candidates",
-    "theorem_der_span",
     "verify_der_decomposition",
     "sequence_maps",
     "sl2_loop_derivation",
@@ -436,14 +437,17 @@ def _pencil_pairs(pencil_l, pencil_a):
     return out
 
 
-def theorem_der_span(L, A):
-    """Assemble the candidate span of Der(L tensor A) and compare.
+def verify_der_decomposition(L, A):
+    """Verdict report: Der(L tensor A) equals the span of the inner
+    derivations and of every family (forms._family), one elimination of
+    their rows; L and A are named as forms._resolve_pair does.
 
-    The span is one elimination of the rows of the inner derivations and of
-    every family (forms._family).  Returns (der_space, span, details) where
-    details carries per-family dimensions, the pencil reports, and the
-    first non-derivation generator if one exists (there should be none).
+    equal is der == span.  Only a failing verdict looks for a witness: the
+    first generator that is not a derivation, with its type, or else, since
+    then the span lies in Der, the first derivation outside the span with
+    its residual.
     """
+    L, A, names = _resolve_pair(L, A)
     curr = current(L, A)
     der = derivation_space(curr)
     inner = inner_derivations(curr)
@@ -462,13 +466,13 @@ def theorem_der_span(L, A):
     gens, families = {}, {"inner": inner}
     for label, factor_pairs in pairs.items():
         gens[label], families[label] = _family(curr, factor_pairs)
-
-    bad = _generator_witness(der, gens, curr.labels, _MAP,
-                             "generator_not_derivation")
     span = _span(curr.dim ** 2, [dict(row) for space in families.values()
                                  for row in space.rows.values()])
 
-    details = {
+    report = {
+        "theorem": "der",
+        "L": names[0],
+        "A": names[1],
         "types": {label: space.dim for label, space in families.items()},
         "lambda": {
             label: {"values": {str(lam): [dl.dim, da.dim]
@@ -476,37 +480,16 @@ def theorem_der_span(L, A):
                     "degenerate": pl.degenerate or pa.degenerate,
                     "residual_degree": pl.residual_degree + pa.residual_degree}
             for label, (pl, pa) in pencils.items()},
-        "bad_generator": None if bad is None else bad["map"],
-    }
-    return der, span, details
-
-
-def verify_der_decomposition(L, A):
-    """Verdict report: Der(L tensor A) equals the assembled span; L and A
-    are named as forms._resolve_pair does."""
-    L, A, names = _resolve_pair(L, A)
-    der, span, details = theorem_der_span(L, A)
-    equal = der == span
-    report = {
-        "theorem": "der",
-        "L": names[0],
-        "A": names[1],
-        "types": details["types"],
-        "lambda": details["lambda"],
         "der_dim": der.dim,
         "span_dim": span.dim,
-        "equal": equal,
+        "equal": der == span,
     }
-    witness = None
-    if details["bad_generator"] is not None:
-        report["equal"] = False
-        witness = {"direction": "generator_not_derivation",
-                   "map": details["bad_generator"]}
-    elif not equal:
-        witness = _residual_witness(der, span, current(L, A).labels,
-                                    _MAP, "derivation_outside_span")
-    if witness is not None:
-        report["witness"] = witness
+    if not report["equal"]:
+        report["witness"] = (
+            _generator_witness(der, gens, curr.labels, _MAP,
+                               "generator_not_derivation")
+            or _residual_witness(der, span, curr.labels, _MAP,
+                                 "derivation_outside_span"))
     return report
 
 

@@ -353,6 +353,29 @@ def test_product_form():
     assert pf(c.flat(1, 0), c.flat(1, 0)) == 0
 
 
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LieAlgebra(("x", "y"), {(1, 0): ((0, 1),)}), ValueError,
+     r"lie table keys must satisfy 0 <= i < j < dim"),
+    (lambda: LieAlgebra(("x", "y"), {(0, 0): ((0, 1),)}), ValueError,
+     r"lie table keys must satisfy 0 <= i < j < dim"),
+    (lambda: AssocAlgebra(("a",), {(0, 1): ((0, 1),)}), ValueError,
+     r"assoc table keys must satisfy 0 <= i <= j < dim"),
+    (lambda: AssocAlgebra(("a", "b"), {}, degrees=(1,)), ValueError,
+     r"degree tags must match dim"),
+    (lambda: product_form(killing_form(lie_sl2()), residue_form(assoc_truncated_poly(3)),
+                          current(lie_sl2(), assoc_truncated_poly(4))), ValueError,
+     r"factor form dimensions do not match"),
+    (lambda: product_form(killing_form(lie_sl(3)), residue_form(assoc_truncated_poly(3)),
+                          current(lie_sl2(), assoc_truncated_poly(3))), ValueError,
+     r"factor form dimensions do not match"),
+    (lambda: algebra_to_dict({"kind": "lie", "dim": 0}), TypeError, r"not an algebra"),
+])
+def test_malformed_library_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def _looped_product_form(form_lie, form_assoc, curr):
     """<x_i a_p, x_j a_q> = <x_i, x_j><a_p, a_q> by a loop over every
     quadruple (p, i, q, j), the construction that curr.tensor replaces."""

@@ -350,3 +350,111 @@ def test_a_failed_verdict_prints_its_dims_and_witness(monkeypatch, capsys):
     assert run(capsys, "verify", "h2", "--L", "sl2", "--A", "tpoly:2") == (
         1, "h2: sl2 tensor tpoly:2\n  target dim 7, span dim 6\n  types: ia=6\n"
         "verdict: FAIL\n", "")
+
+
+def test_sequence_text_is_the_readme_text(capsys):
+    # the default --form dual
+    [(argv, text)] = _readme_examples("sequence")
+    assert argv == ["sequence", "--L", "sl2"]
+    assert run(capsys, *argv) == (0, text, "")
+
+
+# failures planted in a type table or in the expected profile:
+# (module, name, plant(original), library call, its args, argv, report fields)
+PLANTED = {
+    "der-generator": (
+        "derivations", "DER_TYPE_TABLE", lambda table: table + (("xi", (), ()),),
+        "verify_der_decomposition", ("sl2", "tpoly:3"),
+        ["verify", "der", "--L", "sl2", "--A", "tpoly:3"],
+        {"equal": False,
+         "witness": {"direction": "generator_not_derivation", "type": "xi",
+                     "map": {"D(e-*t)->e-*t": "1"}}}),
+    "der-outside-span": (
+        "derivations", "DER_TYPE_TABLE",
+        lambda table: tuple(t for t in table if t[0] != "vii"),
+        "verify_der_decomposition", ("heis3", "tpoly:3"),
+        ["verify", "der", "--L", "heis3", "--A", "tpoly:3"],
+        {"equal": False, "der_dim": 24, "span_dim": 22,
+         "witness": {"direction": "derivation_outside_span",
+                     "map": {"D(x*t^2)->z*t": "1"},
+                     "residual": {"D(x*t^2)->z*t": "1"}}}),
+    "forms-generator": (
+        "forms", "FORMS_DECOMPOSABLE_TYPES",
+        lambda table: table + (("iv", "none", "none"),),
+        "verify_forms_decomposition", ("heis3", "tpoly:3"),
+        ["verify", "forms", "--L", "heis3", "--A", "tpoly:3"],
+        {"span_in_Z": False, "Z_in_span": True,
+         "witness": {"direction": "generator_outside_target", "type": "iva",
+                     "form": {"phi(x*t,z*t^2)": "1", "phi(z*t,x*t^2)": "1",
+                              "phi(x*t^2,z*t)": "1", "phi(z*t^2,x*t)": "1"}}}),
+    "forms-target": (
+        "forms", "FORMS_DECOMPOSABLE_TYPES",
+        lambda table: tuple(t for t in table if t[0] != "iii"),
+        "verify_forms_decomposition", ("heis3", "tpoly:3"),
+        ["verify", "forms", "--L", "heis3", "--A", "tpoly:3"],
+        {"span_in_Z": True, "Z_in_span": False,
+         "witness": {"direction": "target_not_in_span",
+                     "form": {"phi(x*t,z*t)": "1", "phi(z*t,x*t)": "1"},
+                     "residual": {"phi(z*t,x*t)": "1"}}}),
+    "larsson-profile": (
+        "graded", "comb", lambda comb: lambda n, k: comb(n, k) + 1,
+        "larsson_report", ("sl2", 3),
+        ["larsson", "--g", "sl2", "--max-degree", "3"],
+        {"verdict": False, "quadratic_presentation": True,
+         "expected": {"2": 1, "3": 5}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_a_planted_failure_fails_the_verdict(monkeypatch, capsys, case):
+    module, name, plant, call, args, argv, fields = PLANTED[case]
+    module = getattr(currentalg, module)
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    report = getattr(currentalg, call)(*args)
+    assert {key: report[key] for key in fields} == fields
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, json.loads(out), err) == (1, json.loads(json.dumps(report)), "")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "\nverdict: FAIL\n" in out and err == ""
+
+
+ASSOC_T2 = {"kind": "assoc", "dim": 2, "basis": ["t", "t^2"],
+            "table": [{"i": 0, "j": 0, "terms": [{"k": 1, "c": "1"}]}]}
+
+# argv (FILE for the path of the record), record, stderr
+INPUT_ERRORS = {
+    "duplicate-labels": (["algebra", "show", "--L", "FILE"],
+                         dict(HEIS3, basis=["x", "x", "z"]),
+                         "validation error: duplicate basis labels"),
+    "unital-string": (["algebra", "show", "--A", "FILE"], dict(ASSOC_T2, unital="yes"),
+                      "validation error: unital must be true or false"),
+    "degrees-length": (["algebra", "show", "--A", "FILE"], dict(ASSOC_T2, degrees=[1]),
+                       "validation error: degrees must be a list of dim integers"),
+    "table-entry": (["algebra", "show", "--L", "FILE"], dict(HEIS3, table=[5]),
+                    "validation error: table entry 5 needs i, j and a list of terms"),
+    "term": (["algebra", "show", "--L", "FILE"],
+             dict(HEIS3, table=[{"i": 0, "j": 1, "terms": [7]}]),
+             "validation error: term 7 is not an object with k and c"),
+    "abelian-0": (["algebra", "show", "--L", "abelian:0"], None,
+                  "error: abelian(n) needs n >= 1"),
+    "zero-0": (["algebra", "show", "--A", "zero:0"], None,
+               "error: zero_mult(n) needs n >= 1"),
+    "lie-file-as-A": (["verify", "der", "--L", "sl2", "--A", "FILE"], HEIS3,
+                      "validation error: FILE is not an associative algebra file"),
+    "assoc-file-as-L": (["algebra", "show", "--L", "FILE"], ASSOC_T2,
+                        "validation error: FILE is not a Lie algebra file"),
+    "negative-degree": (["cohomology", "--L", "sl2", "--n", "-1"], None,
+                        "error: degree must be >= 0"),
+    "product-without-A": (["sequence", "--L", "sl2", "--form", "product"], None,
+                          "error: --form product needs --L and --A"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_and_usage_errors_exit_2_with_their_message(tmp_path, capsys, case):
+    argv, record, message = INPUT_ERRORS[case]
+    path = tmp_path / "algebra.json"
+    if record is not None:
+        path.write_text(json.dumps(record))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", message.replace("FILE", str(path)) + "\n")

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currentalg.algebras import (
     assoc_truncated_poly,
@@ -15,6 +16,8 @@ from currentalg.cochain import (
     LieModule,
     _ce_rows,
     _cochain_spaces,
+    _fold,
+    _square,
     _tuples,
     adjoint_module,
     coadjoint_module,
@@ -190,3 +193,45 @@ def test_a_cohomology_result_carries_its_cochain_domain():
                 assert len(res.domain) * module.dim == res.z_space.ambient_dim
     res = cohomology(lie_sl2(), adjoint_module(lie_sl2()), 1)
     assert repr(res) == "CochainSpaceResult(degree=1, Z=3, B=3, H=0)"
+
+
+def _fold_by_square(rows, n, sign):
+    """The fold through a map from each column to its (rank, sign), read
+    off the _square of every rank: the reference for the closed-form ranks
+    of _fold."""
+    domain = [(i, j) for i in range(n) for j in range(i + (sign < 0), n)]
+    slot = {col: (r, s) for r in range(len(domain))
+            for col, s in _square(domain, n, {r: 1}, sign).items()}
+    folded = [{} for _ in rows]
+    for row, out in zip(rows, folded):
+        for col, v in row.items():
+            r, s = slot.get(col, (0, 0))
+            add_entry(out, r, s * v)
+    return domain, folded
+
+
+_fold_cases = st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from((1, -1)),
+    st.lists(st.dictionaries(st.integers(0, n * n - 1),
+                             st.integers(-3, 3).filter(bool), max_size=2 * n),
+             max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fold_cases)
+def test_fold_ranks_are_the_ranks_square_writes(case):
+    n, sign, rows = case
+    assert _fold(rows, n, sign) == _fold_by_square(rows, n, sign)
+
+
+def test_fold_of_one_basis_element_and_of_no_rows():
+    for sign in (1, -1):
+        for rows in ([], [{}], [{0: 5}, {}]):
+            assert _fold(rows, 1, sign) == _fold_by_square(rows, 1, sign)
+        assert _fold([], 4, sign) == _fold_by_square([], 4, sign)
+    # the skew diagonal weighs 0, the symmetric one 1
+    assert _fold([{0: 5}], 1, -1) == ([], [{}])
+    assert _fold([{0: 5}], 1, 1) == ([(0, 0)], [{0: 5}])
+    # phi(x_1, x_0) folds onto (0, 1) with the sign
+    assert _fold([{2: 3}], 2, -1) == ([(0, 1)], [{0: -3}])
+    assert _fold([{2: 3, 1: 3}], 2, 1) == ([(0, 0), (0, 1), (1, 1)], [{1: 6}])

@@ -36,7 +36,6 @@ from currentalg.derivations import (
     map_condition_space,
     sequence_maps,
     sl2_loop_derivation,
-    theorem_der_span,
     verify_der_decomposition,
 )
 from currentalg.exactlin import Subspace
@@ -269,8 +268,7 @@ def test_projections_are_the_recorded_draws():
 
 
 def test_the_pencil_search_takes_no_seed():
-    for fn in (lambda_candidates, _projections, theorem_der_span,
-               verify_der_decomposition):
+    for fn in (lambda_candidates, _projections, verify_der_decomposition):
         assert "seed" not in inspect.signature(fn).parameters, fn.__name__
 
 
@@ -388,6 +386,35 @@ def test_verify_der_frozen_cases():
         assert "witness" not in r
         fam_i = r["lambda"]["i"]
         assert set(fam_i["values"]) >= {"1"}
+
+
+def test_the_verdict_builds_one_current_algebra_and_seeks_witnesses_on_failure(
+        monkeypatch):
+    built, sought = [], []
+
+    def counted(L, A):
+        built.append((L, A))
+        return current(L, A)
+
+    def spy(witness):
+        def wrapped(*args):
+            sought.append(witness.__name__)
+            return witness(*args)
+        return wrapped
+
+    monkeypatch.setattr(derivations, "current", counted)
+    for name in ("_generator_witness", "_residual_witness"):
+        monkeypatch.setattr(derivations, name, spy(getattr(derivations, name)))
+    assert verify_der_decomposition("sl2", "tpoly:3")["equal"]
+    assert (len(built), sought) == (1, [])
+    # without type vii the span misses two derivations: every generator is
+    # one, so the residual witness follows the generator scan
+    built.clear()
+    monkeypatch.setattr(derivations, "DER_TYPE_TABLE", tuple(
+        t for t in derivations.DER_TYPE_TABLE if t[0] != "vii"))
+    r = verify_der_decomposition("heis3", "tpoly:3")
+    assert not r["equal"] and r["witness"]["direction"] == "derivation_outside_span"
+    assert (len(built), sought) == (1, ["_generator_witness", "_residual_witness"])
 
 
 def test_verify_der_report_lambda_block():

@@ -222,6 +222,17 @@ def test_an_entry_outside_the_ambient_space_raises_value_error(call):
         call()
 
 
+
+@pytest.mark.parametrize("call", [
+    lambda: Subspace.zero(2).contains(Subspace.zero(3)),
+    lambda: subspace_sum(Subspace.zero(2), Subspace.zero(3)),
+    lambda: subspace_intersect(Subspace.zero(3), Subspace.zero(2)),
+])
+def test_spaces_of_different_ambients_raise_value_error(call):
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        call()
+
+
 def test_the_exact_twins_of_the_float_cases():
     half = Fraction(1, 2)
     assert kernel_from_rows(2, [[Fraction(3, 2), 1]]).basis == ((1, Fraction(-3, 2)),)
