@@ -353,7 +353,6 @@ def test_product_form():
     assert pf(c.flat(1, 0), c.flat(1, 0)) == 0
 
 
-
 @pytest.mark.parametrize("call, error, message", [
     (lambda: LieAlgebra(("x", "y"), {(1, 0): ((0, 1),)}), ValueError,
      r"lie table keys must satisfy 0 <= i < j < dim"),

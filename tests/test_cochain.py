@@ -1,4 +1,5 @@
-"""Chevalley-Eilenberg complex: d^2 = 0 and frozen cohomology dimensions."""
+"""Chevalley-Eilenberg complex: d^2 = 0, frozen cohomology dimensions, and
+the pair fold of forms of one symmetry."""
 
 from itertools import combinations
 
