@@ -76,6 +76,7 @@ from .algebras import (
     AssocAlgebra,
     BilinearForm,
     LieAlgebra,
+    build_assoc,
     build_lie,
     current,
     lie_sl2,
@@ -92,7 +93,6 @@ from .forms import (
     _MAP,
     _family,
     _generator_witness,
-    _resolve_pair,
     _residual_witness,
     _solve,
     invariant_symmetric_forms,
@@ -440,14 +440,14 @@ def _pencil_pairs(pencil_l, pencil_a):
 def verify_der_decomposition(L, A):
     """Verdict report: Der(L tensor A) equals the span of the inner
     derivations and of every family (forms._family), one elimination of
-    their rows; L and A are named as forms._resolve_pair does.
+    their rows; L and A are named as algebras._named does.
 
     equal is der == span.  Only a failing verdict looks for a witness: the
     first generator that is not a derivation, with its type, or else, since
     then the span lies in Der, the first derivation outside the span with
     its residual.
     """
-    L, A, names = _resolve_pair(L, A)
+    (L, l_name), (A, a_name) = _named(L, build_lie), _named(A, build_assoc)
     curr = current(L, A)
     der = derivation_space(curr)
     inner = inner_derivations(curr)
@@ -471,8 +471,8 @@ def verify_der_decomposition(L, A):
 
     report = {
         "theorem": "der",
-        "L": names[0],
-        "A": names[1],
+        "L": l_name,
+        "A": a_name,
         "types": {label: space.dim for label, space in families.items()},
         "lambda": {
             label: {"values": {str(lam): [dl.dim, da.dim]

@@ -42,16 +42,17 @@ one span of those rows.  The derivation verdict in currentalg.derivations
 builds its families, witnesses and spans with the same helpers.  Each
 decomposable type (label, L condition, A condition) is solved once on each
 factor, with free symmetry.  The spanning direction runs over these
-symmetry-free factor spaces (see the note at H2_DECOMPOSABLE_TYPES); the
-sub-typed families reported per type are built from their symmetric and
-skew layers, each the kernel on a factor space of cochain's fold with the
-opposite sign (on the space of all forms, the squared pair domain), and
-the target is compared with the layer of the span of its overall
-symmetry, read off the fold the same way.  The cocycle space is computed
-by two routes, which must agree.  A failed inclusion is reported with a
-witness: the first generator outside the target, or the first basis
-vector of one space outside the other, with its residual; both are read
-as pivot-1 vectors.
+symmetry-free factor spaces (see the note at H2_DECOMPOSABLE_TYPES), and
+the target is compared with the layer of the span of its overall symmetry,
+read off cochain's fold with the opposite sign (_symmetry_layer).  Each
+verdict is two containments, the layer in the target and the target in
+the span.  The sub-typed pairs reported per type are the symmetric and
+skew layers of the factor spaces (on the space of all forms, the squared
+pair domain); a sub-type's dimension is the product of its layers'.  The
+cocycle space is computed by two routes, which must agree.  Only a failed
+containment builds a witness: the first sub-typed generator outside the
+target, or the first basis vector of one space outside the other, with
+its residual; both are read as pivot-1 vectors.
 """
 
 from fractions import Fraction
@@ -248,26 +249,25 @@ def decomposable_span(curr, decomposable_types, symmetry):
     and label + "b", the L layer of the opposite sign times the skew A
     layer; every layer is read off the fold (_symmetry_layer).
 
-    Returns (per_type, generators, full, layer): per_type maps each
-    sub-type label to the span of its generators, with no elimination,
-    generators maps it to the (pivot, integer row) pairs of _family (for
-    generator-level membership checks), full is the span of phi tensor
-    alpha over the symmetry-free factor spaces of every type, one
-    elimination of their tensor rows, and layer, the forms of full with the
-    given symmetry, is the part comparable with the target space.
+    Returns (per_type, full, layer): per_type maps each sub-type label to
+    its (L layer, A layer) pair, whose _family spans S_L tensor S_A of
+    dimension dim S_L * dim S_A, full is the span of phi tensor alpha over
+    the symmetry-free factor spaces of every type, one elimination of their
+    tensor rows, and layer, the forms of full with the given symmetry, is
+    the part comparable with the target space.  Every sub-typed generator
+    lies in layer: its factors lie in its type's factor spaces, and it has
+    the overall symmetry.
     """
     L, A, sign = curr.factorL, curr.factorA, SYMMETRY_SIGNS[symmetry]
-    per_type, generators, factor_pairs = {}, {}, []
+    per_type, factor_pairs = {}, []
     for label, cond_l, cond_a in decomposable_types:
         s_l, s_a = condition_space(L, cond_l), condition_space(A, cond_a)
         factor_pairs.append((s_l, s_a))
         for suffix, a_sign in (("a", 1), ("b", -1)):
-            pair = (_symmetry_layer(s_l, L.dim, sign * a_sign),
-                    _symmetry_layer(s_a, A.dim, a_sign))
-            generators[label + suffix], per_type[label + suffix] = _family(
-                curr, [pair])
+            per_type[label + suffix] = (_symmetry_layer(s_l, L.dim, sign * a_sign),
+                                        _symmetry_layer(s_a, A.dim, a_sign))
     _, full = _family(curr, factor_pairs)
-    return per_type, generators, full, _symmetry_layer(full, curr.dim, sign)
+    return per_type, full, _symmetry_layer(full, curr.dim, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -282,39 +282,39 @@ def _h2_via_cochain(curr):
                  for space in (res.z_space, res.b_space))
 
 
-def _resolve_pair(L, A):
-    """(L, A, (L name, A name)): a descriptor is built and names itself,
-    an algebra object is named "lie(dim n)" or "assoc(dim n)"."""
-    (lie, l_name), (assoc, a_name) = _named(L, build_lie), _named(A, build_assoc)
-    return lie, assoc, (l_name, a_name)
-
-
 def _decomposition_report(theorem, curr, target, decomposable_types,
-                          symmetry, direction, names):
-    """Both inclusions between target and the decomposable span, with the
-    first witness of a failure."""
-    per_type, gens, full, span = decomposable_span(curr, decomposable_types,
-                                                   symmetry)
-    # sub-typed generators first (per-generator witnesses are sharper), then
-    # the whole symmetry layer of the symmetry-free span
-    w1 = (_generator_witness(target, gens, curr.labels, _FORM,
-                             "generator_outside_target")
-          or _residual_witness(span, target, curr.labels, _FORM, direction))
-    w2 = _residual_witness(target, full, curr.labels, _FORM, "target_not_in_span")
+                          symmetry, direction, l_name, a_name):
+    """Both containments between target and the decomposable span.
+
+    Only a failing verdict looks for a witness.  If the span leaves target,
+    the first sub-typed generator outside target, with its type (sharper
+    than a basis vector), or else the first basis vector of the span
+    outside target; if only target leaves the span, its first basis vector
+    outside the symmetry-free span.
+    """
+    per_type, full, span = decomposable_span(curr, decomposable_types, symmetry)
     report = {
         "theorem": theorem,
-        "L": names[0],
-        "A": names[1],
+        "L": l_name,
+        "A": a_name,
         "dims": {
             "Z2": target.dim,
             "span": span.dim,
-            "types": {label: space.dim for label, space in per_type.items()},
+            "types": {label: s_l.dim * s_a.dim
+                      for label, (s_l, s_a) in per_type.items()},
         },
-        "span_in_Z": w1 is None,
-        "Z_in_span": w2 is None,
+        "span_in_Z": target.contains(span),
+        "Z_in_span": full.contains(target),
     }
-    if w1 or w2:
-        report["witness"] = w1 or w2
+    if not report["span_in_Z"]:
+        gens = {label: _family(curr, [pair])[0] for label, pair in per_type.items()}
+        report["witness"] = (
+            _generator_witness(target, gens, curr.labels, _FORM,
+                               "generator_outside_target")
+            or _residual_witness(span, target, curr.labels, _FORM, direction))
+    elif not report["Z_in_span"]:
+        report["witness"] = _residual_witness(target, full, curr.labels, _FORM,
+                                              "target_not_in_span")
     return report
 
 
@@ -325,10 +325,10 @@ def verify_h2_decomposition(L, A):
     once through the cochain complex, and the two must agree exactly.  The
     coboundary space must land in the span of skew-on-L times symmetric-on-A
     products.  Either failure raises InvariantError.  The returned report
-    carries both inclusion verdicts, and names L and A as _resolve_pair
-    does.
+    carries both containment verdicts, and names L and A as
+    algebras._named does.
     """
-    L, A, names = _resolve_pair(L, A)
+    (L, l_name), (A, a_name) = _named(L, build_lie), _named(A, build_assoc)
     curr = current(L, A)
     z_form = condition_space(curr, "jacobi_sum_zero", "skew")
     z_cochain, b_cochain = _h2_via_cochain(curr)
@@ -339,14 +339,15 @@ def verify_h2_decomposition(L, A):
             "coboundaries escape the skew/symmetric envelope")
     return _decomposition_report(
         "h2", curr, z_form, H2_DECOMPOSABLE_TYPES, "skew",
-        "span_element_not_cocycle", names)
+        "span_element_not_cocycle", l_name, a_name)
 
 
 def verify_forms_decomposition(L, A):
-    """Compare symmetric invariant forms on L tensor A with the type span."""
-    L, A, names = _resolve_pair(L, A)
+    """Compare symmetric invariant forms on L tensor A with the type span,
+    naming L and A as algebras._named does."""
+    (L, l_name), (A, a_name) = _named(L, build_lie), _named(A, build_assoc)
     curr = current(L, A)
     return _decomposition_report(
         "forms", curr, invariant_symmetric_forms(curr),
         FORMS_DECOMPOSABLE_TYPES, "symmetric", "span_element_not_invariant",
-        names)
+        l_name, a_name)

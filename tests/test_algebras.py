@@ -30,6 +30,8 @@ from currentalg.algebras import (
     serialize_algebra,
 )
 from currentalg.algebras import BilinearForm, _StructureConstants
+from currentalg.derivations import antiderivation_space
+from currentalg.graded import graded_form_dims, graded_h2
 from currentalg.exactlin import Subspace
 
 
@@ -255,6 +257,10 @@ def test_from_dict_accepts_consistent_mirror_entries():
     d = algebra_to_dict(lie_sl2())
     d["table"].append({"i": 1, "j": 0, "terms": [{"k": 0, "c": "-1"}]})
     assert algebra_from_dict(d).bracket(0, 1) == ((0, Fraction(1)),)
+    # an empty diagonal bracket [x, x] = 0 is allowed and changes nothing
+    d = algebra_to_dict(lie_sl2())
+    d["table"].append({"i": 0, "j": 0, "terms": []})
+    assert algebra_from_dict(d) == lie_sl2()
 
 
 def test_from_dict_rejects_inconsistent_mirror():
@@ -303,6 +309,9 @@ def test_build_from_file(tmp_path):
     path = tmp_path / "sl2.json"
     serialize_algebra(lie_sl2(), str(path))
     assert build_lie(str(path)).table == lie_sl2().table
+    path = tmp_path / "tpoly3.json"
+    serialize_algebra(build_assoc("tpoly:3"), str(path))
+    assert build_assoc(str(path)) == build_assoc("tpoly:3")
 
 
 def test_current_algebra_structure():
@@ -369,6 +378,11 @@ def test_product_form():
                           current(lie_sl2(), assoc_truncated_poly(3))), ValueError,
      r"factor form dimensions do not match"),
     (lambda: algebra_to_dict({"kind": "lie", "dim": 0}), TypeError, r"not an algebra"),
+    (lambda: graded_h2("sl2", 1), ValueError, r"pair degrees start at 2"),
+    (lambda: graded_form_dims("radical", "any", 3), ValueError,
+     r"unknown graded form condition 'radical'"),
+    (lambda: antiderivation_space(build_assoc("tpoly:3")), TypeError,
+     r"antiderivations are a Lie algebra notion here"),
 ])
 def test_malformed_library_input_raises(call, error, message):
     with pytest.raises(error, match=message):

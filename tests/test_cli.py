@@ -447,6 +447,9 @@ INPUT_ERRORS = {
                         "error: degree must be >= 0"),
     "product-without-A": (["sequence", "--L", "sl2", "--form", "product"], None,
                           "error: --form product needs --L and --A"),
+    "no-algebra": (["derivations"], None, "error: pass --L and/or --A"),
+    "larsson-degree-1": (["larsson", "--g", "sl2", "--max-degree", "1"], None,
+                         "error: max_degree must be at least 2"),
 }
 
 

@@ -27,6 +27,7 @@ from currentalg.algebras import (
 )
 from currentalg import derivations
 from currentalg.derivations import (
+    LoopDerivation,
     _blocks,
     _projections,
     antiderivation_space,
@@ -514,6 +515,15 @@ def test_loop_derivation_is_not_decomposable():
     # recompute the minor from the flattening to confirm the witness
     f = ld.flattening()
     assert f[r1][c1] * f[r2][c2] - f[r1][c2] * f[r2][c1] == minor
+
+
+def test_a_decomposable_map_has_no_witness():
+    # the identity of sl2 tensor tK[t]/(t^3) is id tensor id: its flattening
+    # has rank 1, so no 2x2 minor is nonzero
+    curr = current(lie_sl2(), assoc_truncated_poly(3))
+    identity = tuple(tuple(Fraction(int(r == c)) for c in range(curr.dim))
+                     for r in range(curr.dim))
+    assert LoopDerivation(curr, identity).nondecomposability_witness() is None
 
 
 def test_loop_derivation_needs_depth():

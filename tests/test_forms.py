@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from currentalg import identities
+from currentalg import forms, identities
 from currentalg.algebras import (
     algebra_from_dict,
     assoc_truncated_poly,
@@ -51,9 +51,9 @@ from test_derivations import rebased
 
 def subtyped_span(curr, decomposable_types, symmetry):
     """The span of every sub-typed generator of decomposable_span."""
-    _, gens, _, _ = decomposable_span(curr, decomposable_types, symmetry)
-    return Subspace.from_vectors(curr.dim ** 2, [row for rows in gens.values()
-                                                 for _, row in rows])
+    per_type, _, _ = decomposable_span(curr, decomposable_types, symmetry)
+    return Subspace.from_vectors(curr.dim ** 2, [
+        row for pair in per_type.values() for _, row in _family(curr, [pair])[0]])
 
 
 # (condition, symmetry) -> dim on sl2, solved once and pinned; the sympy
@@ -256,8 +256,8 @@ def test_mixed_symmetry_form_needs_two_types():
     phi[u * n + v] = Fraction(1)
     phi[v * n + u] = Fraction(1)
     assert invariant_symmetric_forms(curr).contains_vector(phi)
-    _, _, full, layer = decomposable_span(curr, FORMS_DECOMPOSABLE_TYPES,
-                                          "symmetric")
+    _, full, layer = decomposable_span(curr, FORMS_DECOMPOSABLE_TYPES,
+                                       "symmetric")
     assert full.contains_vector(phi) and layer.contains_vector(phi)
     subtyped = subtyped_span(curr, FORMS_DECOMPOSABLE_TYPES, "symmetric")
     assert not subtyped.contains_vector(phi)
@@ -266,15 +266,75 @@ def test_mixed_symmetry_form_needs_two_types():
 def test_decomposable_span_layers():
     L, A = lie_sl2(), assoc_truncated_poly(3)
     curr = current(L, A)
-    per_type, gens, full, skew_layer = decomposable_span(
+    per_type, full, skew_layer = decomposable_span(
         curr, H2_DECOMPOSABLE_TYPES, "skew")
     assert full.contains(skew_layer)
     z = condition_space(curr, "jacobi_sum_zero", "skew")
     assert skew_layer == z
     assert skew_layer.contains(subtyped_span(curr, H2_DECOMPOSABLE_TYPES, "skew"))
-    assert per_type.keys() == gens.keys()
-    assert all(per_type[label] == Subspace.from_vectors(
-        curr.dim ** 2, [row for _, row in rows]) for label, rows in gens.items())
+    # each sub-type's family spans its generators with no elimination
+    for label, pair in per_type.items():
+        gens, span = _family(curr, [pair])
+        assert span == Subspace.from_vectors(
+            curr.dim ** 2, [row for _, row in gens]), label
+
+
+# every catalog pair of the verdict-grid benchmark workload
+VERDICT_GRID = ([(kind, lie, assoc) for lie in ("sl2", "heis3", "abelian:4")
+                 for assoc in ("tpoly:2", "tpoly:3", "tpoly1:3", "zero:2")
+                 for kind in ("h2", "forms")] + [("forms", "sl3", "tpoly:3")])
+KIND_TYPES = {"h2": (H2_DECOMPOSABLE_TYPES, "skew"),
+              "forms": (FORMS_DECOMPOSABLE_TYPES, "symmetric")}
+
+
+@pytest.mark.parametrize("kind, L, A", VERDICT_GRID)
+def test_a_subtype_dimension_is_the_product_of_its_layers(kind, L, A):
+    # a one-pair family has one canonical row per pair of factor rows, with
+    # distinct pivots, so the report reads its dimension off the factors
+    curr = current(build_lie(L), build_assoc(A))
+    per_type, _, _ = decomposable_span(curr, *KIND_TYPES[kind])
+    for label, (s_l, s_a) in per_type.items():
+        assert s_l.dim * s_a.dim == _family(curr, [(s_l, s_a)])[1].dim, label
+
+
+def test_the_verdicts_build_one_span_and_seek_witnesses_on_failure(monkeypatch):
+    calls = []
+
+    def spy(helper):
+        def wrapped(*args):
+            calls.append(helper.__name__)
+            return helper(*args)
+        return wrapped
+
+    curr = current(lie_heisenberg3(), assoc_truncated_poly(3))
+    # the sub-typed span misses the mixed-symmetry form of
+    # test_mixed_symmetry_form_needs_two_types, which the layer holds
+    subtyped = subtyped_span(curr, FORMS_DECOMPOSABLE_TYPES, "symmetric")
+    for name in ("_family", "_generator_witness", "_residual_witness"):
+        monkeypatch.setattr(forms, name, spy(getattr(forms, name)))
+    assert verify_forms_decomposition("heis3", "tpoly:3")["span_in_Z"]
+    assert calls == ["_family"]
+    calls.clear()
+    # the second _family is the envelope of the coboundaries
+    r = verify_h2_decomposition("heis3", "tpoly:3")
+    assert r["span_in_Z"] and r["Z_in_span"] and "witness" not in r
+    assert calls == ["_family", "_family"]
+    # a target that holds every sub-typed generator but not the whole
+    # layer: the generator scan finds nothing, the residual scan the witness
+    calls.clear()
+    monkeypatch.setattr(forms, "invariant_symmetric_forms", lambda curr: subtyped)
+    r = verify_forms_decomposition("heis3", "tpoly:3")
+    assert (r["span_in_Z"], r["Z_in_span"]) == (False, True)
+    assert r["witness"]["direction"] == "span_element_not_invariant"
+    assert calls == ["_family"] * 7 + ["_generator_witness", "_residual_witness"]
+    # a target outside the span: one residual scan, no generators
+    calls.clear()
+    monkeypatch.setattr(forms, "FORMS_DECOMPOSABLE_TYPES", tuple(
+        t for t in FORMS_DECOMPOSABLE_TYPES if t[0] != "iii"))
+    monkeypatch.setattr(forms, "invariant_symmetric_forms", invariant_symmetric_forms)
+    r = verify_forms_decomposition("heis3", "tpoly:3")
+    assert r["witness"]["direction"] == "target_not_in_span"
+    assert calls == ["_family", "_residual_witness"]
 
 
 def _subtyped_pairs(curr, types, symmetry):
@@ -294,12 +354,10 @@ def _subtyped_pairs(curr, types, symmetry):
                                              (FORMS_DECOMPOSABLE_TYPES, "symmetric")])
 def test_subtyped_families_are_the_symmetric_solves(L, A, types, symmetry):
     curr = current(build_lie(L), build_assoc(A))
-    per_type, gens, _, _ = decomposable_span(curr, types, symmetry)
-    expected = {label: _family(curr, [pair])
-                for label, pair in _subtyped_pairs(curr, types, symmetry).items()}
-    assert list(per_type) == list(gens) == list(expected)
-    for label, (vecs, span) in expected.items():
-        assert gens[label] == vecs and per_type[label] == span, label
+    per_type, _, _ = decomposable_span(curr, types, symmetry)
+    expected = _subtyped_pairs(curr, types, symmetry)
+    assert list(per_type) == list(expected)
+    assert per_type == expected
 
 
 LAYER_ALGEBRAS = {
@@ -333,7 +391,7 @@ def _layer_inputs(name):
             for cond in ("cyclic", "jacobi_sum_zero", "radical", "none")}
     lie, assoc = FULL_SPAN_PAIRS[name]
     alg = current(build_lie(lie), build_assoc(assoc))
-    return alg, {kind: (decomposable_span(alg, types, sym)[2], None)
+    return alg, {kind: (decomposable_span(alg, types, sym)[1], None)
                  for kind, types, sym in (("h2", H2_DECOMPOSABLE_TYPES, "skew"),
                                           ("forms", FORMS_DECOMPOSABLE_TYPES,
                                            "symmetric"))}
@@ -465,9 +523,9 @@ def test_witnesses_read_sparse_vectors_in_coordinate_order():
 def test_every_subtyped_generator_is_a_cocycle():
     curr = current(lie_sl2(), assoc_truncated_poly(3))
     z = condition_space(curr, "jacobi_sum_zero", "skew")
-    _, gens, _, _ = decomposable_span(curr, H2_DECOMPOSABLE_TYPES, "skew")
-    for label, rows in gens.items():
-        for _, row in rows:
+    per_type, _, _ = decomposable_span(curr, H2_DECOMPOSABLE_TYPES, "skew")
+    for label, pair in per_type.items():
+        for _, row in _family(curr, [pair])[0]:
             assert z.contains_vector(row), label
 
 

@@ -217,6 +217,15 @@ def test_repeated_rational_root_and_quadratic_count_once():
     assert got == ([Fraction(1, 2)], 2) == _seed_rule(polys_q)
 
 
+def test_a_quadratic_without_roots_mod_p_leaves_its_degree():
+    # 2 is not a square mod PRIMES[0], so x^2 - 2 has no root there and
+    # both its degrees stay in the residual
+    assert pow(2, (P - 1) // 2, P) == P - 1
+    f = [-2 % P, 0, 1]
+    assert roots(f, P, random.Random(0)) == []
+    assert rational_roots(f, P, lambda x: True, random.Random(0)) == ([], 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9),
                           st.integers(1, 3)), max_size=3),

@@ -81,6 +81,8 @@ DELETED = (
     "_products_span", "_annihilator", "lname",
     # the two-layer derivation verdict: verify_der_decomposition is one body
     "theorem_der_span",
+    # the wrapper around algebras._named that each verdict calls directly
+    "_resolve_pair",
 )
 
 
