@@ -270,15 +270,16 @@ class AssocAlgebra(_StructureConstants):
             return None
         u = tuple(Fraction(row.get(i, 0), row[n]) for i in range(n))
         # re-check u e_j = e_j exactly; the table is commutative by
-        # construction (product reads one mirrored table), so one side is enough
+        # construction (product reads one mirrored table), so one side is
+        # enough.  The kernel is exact, so a failure is a defect, not input
         for j in range(n):
             acc = {}
             for i, a in enumerate(u):
                 if a:
                     for k, c in self.product(i, j):
                         add_entry(acc, k, a * c)
-            if acc != {j: 1}:
-                return None
+            require(acc == {j: 1}, "the unit read off the kernel fails "
+                    "u %s = %s" % (self.labels[j], self.labels[j]))
         return u
 
 

@@ -506,8 +506,8 @@ def sequence_maps(L, form="dual"):
     phi([x, y], z).  The report carries the four corner dimensions, the
     vanishing of both composites, exactness in the two middle spots, and
     injectivity of the induced map on H^2.  form is "dual" or a symmetric
-    nondegenerate BilinearForm on L; anything else, a form of another
-    dimension included, raises ValueError.  The report names L by its
+    nondegenerate invariant BilinearForm on L; anything else, a form of
+    another dimension included, raises ValueError.  The report names L by its
     descriptor, else "lie(dim n)".
     """
     L, name = _named(L, build_lie)
@@ -530,6 +530,8 @@ def sequence_maps(L, form="dual"):
             dual = inverse(form.matrix)
         except ValueError:
             raise ValueError("transport needs a nondegenerate form") from None
+        if ids.first_failure(L, ids.LIE_FORMS["invariant"], form.as_vector()):
+            raise ValueError("transport needs an invariant form")
         module = adjoint_module(L)
         # the form and its inverse are symmetric, so row t lists column t too
         pairing, copairing = [[[(j, x) for j, x in enumerate(row) if x]

@@ -17,19 +17,22 @@ coboundaries from the functionals on g tensor t^d.  The weight d is the
 caller's argument, not a field of the result.
 
 larsson_report compares the computed dimensions for a direct sum of sl(n)
-summands against the closed-form profile: at degree 2 the quotient of all
-alternating forms by coboundaries, at degree 3 five dimensions per sl(2)
-summand, nothing from degree 4 on.  The degree-3 classes of an sl(2)
-summand are pinned down further: symmetrized values on the (t, t^2) block
-satisfy psi(e-, e+) = psi(h, h) / 2, and the symmetric cyclic-sum-zero
-forms on g inject onto a complement of the coboundaries.  That is the
-quadratic_presentation verdict.  A report names g by its descriptor, or
-"lie(dim n)" for an algebra object.
+summands against the closed-form profile, none of which is solved on g:
+C(dim g, 2) - dim g at degree 2 (no basis triple has weight 2, so
+every alternating form on the t block is a cocycle, and the coboundaries
+have dim [g, g] = dim g because an sl(n) sum is perfect), five per sl(2)
+summand at degree 3, nothing from degree 4 on.  The degree-3 classes of an
+sl(2) summand are pinned down further: symmetrized values on the (t, t^2)
+block satisfy psi(e-, e+) = psi(h, h) / 2, and the symmetric
+cyclic-sum-zero forms S on g and the coboundaries B sum directly to the
+cocycles Z: S + B = Z with dim S + dim B = dim Z, one sum and one count.
+That is the quadratic_presentation verdict.  A report names g by its
+descriptor, or "lie(dim n)" for an algebra object.
 """
 
 from math import comb
 
-from .exactlin import Subspace, subspace_intersect, subspace_sum
+from .exactlin import Subspace, subspace_sum
 from .algebras import _named, assoc_truncated_poly, build_lie, current
 from .cochain import (CochainSpaceResult, _cochain_spaces, cohomology,
                       trivial_module)
@@ -46,8 +49,6 @@ __all__ = [
 def _truncation(g, order, degree=2):
     """g tensor tK[t]/(t^order), the window of every degree below order;
     a slice of degree d is exact only for order >= d + 1."""
-    if order < 3:
-        raise ValueError("order must be at least 3")
     if order <= degree:
         raise ValueError("a degree-%d slice needs order at least %d, not %d"
                          % (degree, degree + 1, order))
@@ -88,23 +89,14 @@ def _sl2_offsets(g):
 
 def _quadratic_presentation(g, curr, comp):
     """Degree-3 structure of the degree-3 slice comp of the truncation
-    curr: the symmetric cyclic-sum-zero forms on g span a complement of the
-    coboundaries, and every cocycle's symmetrized (t, t^2) block obeys
-    psi(e-, e+) = psi(h, h) / 2 per sl(2) summand."""
-    ng = g.dim
+    curr: the symmetric cyclic-sum-zero forms on g and the coboundaries sum
+    directly to the cocycles, and every cocycle's symmetrized (t, t^2)
+    block obeys psi(e-, e+) = psi(h, h) / 2 per sl(2) summand."""
     pair_rank = {pair: r for r, pair in enumerate(comp.domain)}
 
     def rank(i, j):
         # the pair (x_i tensor t, x_j tensor t^2)
         return pair_rank[(curr.flat(i, 0), curr.flat(j, 1))]
-
-    sym_space = condition_space(g, "jacobi_sum_zero", "symmetric")
-    s_space = Subspace.from_vectors(len(comp.domain), [
-        {rank(*divmod(col, ng)): x for col, x in psi.items()}
-        for psi in sym_space.rows.values()])
-    ok = comp.z_space.contains(s_space)
-    ok = ok and subspace_intersect(s_space, comp.b_space).dim == 0
-    ok = ok and subspace_sum(s_space, comp.b_space) == comp.z_space
 
     # the check is linear, so the integer rows of Z serve as its basis
     for z in comp.z_space.rows.values():
@@ -116,11 +108,21 @@ def _quadratic_presentation(g, curr, comp):
             # psi(e-, e+) = psi(h, h) / 2 for psi(x, y) = (z(x, y) + z(y, x)) / 2
             if block(em, ep) + block(ep, em) != block(h, h):
                 return False
-    return ok
+
+    sym_space = condition_space(g, "jacobi_sum_zero", "symmetric")
+    s_space = Subspace.from_vectors(len(comp.domain), [
+        {rank(*divmod(col, g.dim)): x for col, x in psi.items()}
+        for psi in sym_space.rows.values()])
+    # S + B = Z with dim S + dim B = dim Z puts S inside Z and makes the sum
+    # direct, so S is a complement of B in Z
+    return (subspace_sum(s_space, comp.b_space) == comp.z_space
+            and s_space.dim + comp.b_space.dim == comp.z_space.dim)
 
 
 def larsson_report(g, max_degree):
-    """Dimensions of the graded H^2 slices against the closed-form profile.
+    """Dimensions of the graded H^2 slices against the closed-form profile:
+    C(dim g, 2) - dim g in degree 2, five per sl(2) summand in degree 3 and
+    zero above, none of it computed on g.  Only the slices are solved.
 
     Only direct sums of sl(n) summands carry a stated profile; anything
     else is rejected rather than guessed at.  A descriptor g names itself
@@ -132,12 +134,12 @@ def larsson_report(g, max_degree):
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
 
-    b2_dim = cohomology(g, trivial_module(g), 2).b_space.dim
-    n_sl2 = sum(1 for n in g.sl_summands if n == 2)
     expected = {str(d): 0 for d in range(2, max_degree + 1)}
-    expected["2"] = comb(g.dim, 2) - b2_dim
+    # no basis triple has weight 2, so every degree-2 form is a cocycle; the
+    # coboundaries have dim [g, g], which is dim g for a perfect sl(n) sum
+    expected["2"] = comb(g.dim, 2) - g.dim
     if max_degree >= 3:
-        expected["3"] = 5 * n_sl2
+        expected["3"] = 5 * g.sl_summands.count(2)
 
     # one truncation serves every degree: the slices are stable in the order
     curr = _truncation(g, max_degree + 1, max_degree)
@@ -166,6 +168,8 @@ def graded_form_dims(condition, symmetry, degree, order=None):
     degree-d form pairs exponents below d, so it is exact for order >= d."""
     if condition not in ("cyclic", "jacobi_sum_zero"):
         raise ValueError("unknown graded form condition %r" % condition)
+    if degree < 2:
+        raise ValueError("pair degrees start at 2")
     if order is None:
         order = degree + 1
     if order < degree:

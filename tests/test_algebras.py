@@ -29,7 +29,10 @@ from currentalg.algebras import (
     residue_form,
     serialize_algebra,
 )
+from currentalg import algebras
 from currentalg.algebras import BilinearForm, _StructureConstants
+from currentalg.cli import main
+from currentalg.identities import InvariantError
 from currentalg.derivations import antiderivation_space
 from currentalg.graded import graded_form_dims, graded_h2
 from currentalg.exactlin import Subspace
@@ -74,6 +77,7 @@ def test_sl_n_catalog():
         assert g.sl_summands == (n,)
     sl3 = lie_sl(3)
     assert sl3.labels == ("e21", "e31", "e32", "h1", "h2", "e12", "e13", "e23")
+    assert repr(lie_sl2()) == "LieAlgebra(dim 3: e-, h, e+)"
     with pytest.raises(ValueError):
         lie_sl(1)
 
@@ -105,6 +109,7 @@ def test_truncated_polynomial_algebras():
     assert a4.tpoly_order == 4
     assert a4.product(0, 1) == ((2, Fraction(1)),)
     assert a4.product(1, 2) == ()
+    assert repr(a4) == "AssocAlgebra(dim 3: t, t^2, t^3)"
 
     u = assoc_truncated_poly(3, unital=True)
     assert u.labels == ("1", "t", "t^2")
@@ -381,6 +386,13 @@ def test_product_form():
     (lambda: graded_h2("sl2", 1), ValueError, r"pair degrees start at 2"),
     (lambda: graded_form_dims("radical", "any", 3), ValueError,
      r"unknown graded form condition 'radical'"),
+    # explicit ids keep the graded_h2 case's id free of a numeric suffix
+    pytest.param(lambda: graded_form_dims("cyclic", "any", 1), ValueError,
+                 r"pair degrees start at 2", id="graded_form_dims(degree 1)"),
+    pytest.param(lambda: graded_form_dims("cyclic", "skew", 0), ValueError,
+                 r"pair degrees start at 2", id="graded_form_dims(degree 0)"),
+    pytest.param(lambda: graded_form_dims("jacobi_sum_zero", "any", -1), ValueError,
+                 r"pair degrees start at 2", id="graded_form_dims(degree -1)"),
     (lambda: antiderivation_space(build_assoc("tpoly:3")), TypeError,
      r"antiderivations are a Lie algebra notion here"),
 ])
@@ -478,6 +490,21 @@ def test_idempotent_with_annihilator_is_not_unital():
     with pytest.raises(ValidationError) as exc:
         AssocAlgebra(labels, table, unital=True)
     assert exc.value.axiom == "unital"
+
+
+def test_a_wrong_unit_from_the_kernel_is_a_defect(monkeypatch, capsys):
+    # the unit of tpoly1:3 is its first basis vector; a kernel row reading
+    # u = e0 + e1 must fail the exact re-check as a defect (exit 3), not as
+    # "no two-sided identity found", which blames the input (exit 2)
+    def wrong_unit(ncols, rows):
+        return Subspace(ncols, {0: {0: 1, 1: 1, ncols - 1: 1}})
+
+    monkeypatch.setattr(algebras, "kernel_from_rows", wrong_unit)
+    with pytest.raises(InvariantError, match="the unit read off the kernel fails"):
+        build_assoc("tpoly1:3")
+    assert main(["algebra", "validate", "--A", "tpoly1:3"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal invariant failed: the unit read off the kernel fails")
 
 
 json_values = st.recursive(

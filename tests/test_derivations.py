@@ -138,6 +138,8 @@ def test_sl2_pencil_roots():
     got = {str(lam): pc.solution_at(lam).dim for lam in pc.lambdas}
     assert got == {"-1": 5, "1": 3, "1/2": 1}
     assert not pc.degenerate and pc.residual_degree == 0
+    assert repr(pc) == ("PencilCandidates(lie_both, {'-1': 5, '1/2': 1, '1': 3}, "
+                        "degenerate=False)")
     # lambda = 1 is the ordinary derivation pencil value.
     assert pc.solution_at(Fraction(1)) == derivation_space(lie_sl2())
     assert pc.solution_at(Fraction(-1)) == antiderivation_space(lie_sl2())
@@ -441,6 +443,12 @@ def test_sequence_rejects_unusable_forms():
         sequence_maps("sl2", form=BilinearForm([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError, match="^transport needs a nondegenerate form$"):
         sequence_maps("sl2", form=BilinearForm([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    # symmetric and nondegenerate, but not invariant: an input fault, not a
+    # failed check of u
+    for matrix in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                   [[0, 0, 1], [0, 3, 0], [1, 0, 0]]):
+        with pytest.raises(ValueError, match="^transport needs an invariant form$"):
+            sequence_maps("sl2", form=BilinearForm(matrix))
     # a form on a space of another dimension than L
     for n in (2, 4):
         identity = [[int(i == j) for j in range(n)] for i in range(n)]

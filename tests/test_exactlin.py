@@ -157,6 +157,7 @@ def test_subspace_trivial_cases():
     assert f.contains(z) and not z.contains(f)
     assert subspace_sum(z, f) == f
     assert subspace_intersect(z, f) == z
+    assert (repr(z), repr(f)) == ("Subspace(dim 0 in Q^3)", "Subspace(dim 3 in Q^3)")
 
 
 def test_inverse_frozen_values():

@@ -9,7 +9,10 @@ from currentalg.algebras import (
     lie_sl,
     lie_sl2,
 )
+from currentalg import exactlin, graded
+from currentalg.cli import main
 from currentalg.cochain import CochainSpaceResult
+from currentalg.exactlin import Subspace
 from currentalg.graded import (
     graded_form_dims,
     graded_h2,
@@ -60,6 +63,68 @@ def test_larsson_profile_direct_sum():
     assert r["verdict"] and r["quadratic_presentation"]
 
 
+def test_larsson_solves_only_its_slices(monkeypatch):
+    # the profile is closed-form, so no cohomology of g is solved, and the
+    # presentation is one sum and one count: no containment, no meet (a
+    # meet is a preimage)
+    calls, presenting = [], []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            if name == "cohomology" or presenting:
+                calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    def presentation(*args):
+        presenting.append(True)
+        try:
+            return real(*args)
+        finally:
+            presenting.pop()
+
+    real = graded._quadratic_presentation
+    monkeypatch.setattr(graded, "_quadratic_presentation", presentation)
+    monkeypatch.setattr(graded, "cohomology", spy("cohomology", graded.cohomology))
+    monkeypatch.setattr(Subspace, "contains", spy("contains", Subspace.contains))
+    monkeypatch.setattr(exactlin, "preimage", spy("preimage", exactlin.preimage))
+    for g, max_degree in (("sl2", 4), ("sum:sl2+sl3", 3), ("sum:sl2+sl2", 3)):
+        r = larsson_report(g, max_degree)
+        assert r["verdict"] and r["quadratic_presentation"]
+    assert calls == []
+
+
+def _short_sum_zero_forms(monkeypatch):
+    # S one form short: S + B misses a cocycle class
+    real = graded.condition_space
+
+    def short(g, condition, symmetry):
+        space = real(g, condition, symmetry)
+        return Subspace(space.ambient_dim, dict(list(space.rows.items())[1:]))
+
+    monkeypatch.setattr(graded, "condition_space", short)
+
+
+def _shifted_sl2_offsets(monkeypatch):
+    # the relation read on (h.0, e+.0, e21.1) in place of (e-.0, h.0, e+.0)
+    real = graded._sl2_offsets
+    monkeypatch.setattr(graded, "_sl2_offsets",
+                        lambda g: [off + 1 for off in real(g)])
+
+
+@pytest.mark.parametrize("plant", [_short_sum_zero_forms, _shifted_sl2_offsets])
+def test_a_planted_presentation_failure_fails_larsson(plant, monkeypatch, capsys):
+    g = "sum:sl2+sl3"
+    assert larsson_report(g, 3)["quadratic_presentation"]
+    plant(monkeypatch)
+    r = larsson_report(g, 3)
+    assert r["verdict"] and not r["quadratic_presentation"]
+    capsys.readouterr()
+    assert main(["larsson", "--g", g, "--max-degree", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "quadratic presentation: False" in out and out.endswith("verdict: FAIL\n")
+
+
 def test_a_component_is_a_cochain_result_on_its_pairs():
     # the increasing flat pairs of weight 3 in sl2 tensor tK[t]/(t^4), whose
     # flat indices 0-2 carry t and 3-5 carry t^2
@@ -83,7 +148,7 @@ def test_a_truncation_below_the_exact_window_is_refused():
     assert graded_h2(lie_sl2(), 3, order=4).h_dim == 5
     with pytest.raises(ValueError, match="degree-3 slice needs order at least 4"):
         graded_h2(lie_sl2(), 3, order=3)
-    with pytest.raises(ValueError, match="order must be at least 3"):
+    with pytest.raises(ValueError, match="degree-2 slice needs order at least 3"):
         graded_h2(lie_sl2(), 2, order=2)
     # a degree-d form pairs exponents below d, so order d is exact; below it
     # the dims came out 0 (2 and 1 from order d on)

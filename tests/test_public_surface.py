@@ -33,6 +33,8 @@ NO_USER_IN_SRC = {
     "graded_vs_whole": "Larsson graded slices against the whole complex",
     "serialize_algebra": "JSON writer documented in the README",
     "sl2_loop_derivation": "the outer derivation of acceptance criterion 8",
+    "subspace_intersect": "the exported lattice meet, which the exactlin and "
+                          "symmetry-layer tests compare against",
 }
 
 # "function.parameter" -> why the option is public although no call in src/
