@@ -11,19 +11,24 @@ of basis indices in lexicographic rank order, m a module coordinate, flat
 index rank(S) * dim(M) + m.
 
 This module owns that layout and the pair layout of the forms of one
-symmetry (_fold, _square, _squared): the other modules take their cochain
-tuples (the domain of a CochainSpaceResult), differentials and form pairs
-from here.  With trivial coefficients on a graded algebra whose bracket adds
-degrees, the complex splits by the total weight of the tuples; one weight
-slice is computed from the tuples of that weight alone.  A graded H^2
+symmetry (_pair_domain, _fold, _square, _squared): the other modules take
+their cochain tuples (the domain of a CochainSpaceResult), differentials
+and form pairs from here.  Rows are streams: _ce_rows builds the rows of
+one target tuple at a time and skips the zero ones, _fold folds each row
+as it arrives, and the kernel reads them once and holds only the distinct
+ones, so no system's rows are stored whole.  With trivial coefficients
+on a graded algebra whose bracket adds degrees, the complex splits by
+the total weight of the tuples; one weight slice is computed from the
+tuples of that weight alone.  A graded H^2
 slice of currentalg.graded is such a slice in degree 2: a plain
 CochainSpaceResult whose domain lists the flat pairs of one weight.
 """
 
 from bisect import bisect_left
 from itertools import combinations
+from math import comb
 
-from .exactlin import Subspace, kernel_from_rows
+from .exactlin import Subspace, _RowStream, kernel_from_rows
 from .identities import add_entry, require
 
 __all__ = [
@@ -61,12 +66,11 @@ class LieModule:
     def _validate(self):
         # x.(y.m) - y.(x.m) - [x, y].m is (d d m)(x, y), so the axiom is
         # d^2 = 0 on C^0: one row of d^1 d^0 per bracket pair and coordinate
-        _, d0 = _ce_rows(self.algebra, self, 0)
-        _, d1 = _ce_rows(self.algebra, self, 1)
-        for r, row in enumerate(d1):
+        d0 = dict(_ce_rows(self.algebra, self, 0)[2])
+        for r, row in _ce_rows(self.algebra, self, 1)[2]:
             composite = {}
             for c, v in row.items():
-                for col, w in d0[c].items():
+                for col, w in d0.get(c, {}).items():
                     add_entry(composite, col, v * w)
             if composite:
                 raise ValueError(
@@ -118,20 +122,26 @@ def _tuples(algebra, size, weight=None):
     return sorted(tuple(sorted(t)) for t in picks(sorted(classes), size, weight))
 
 
+def _pair_domain(n, sign):
+    """The pairs (i, j) of the forms with phi(x_j, x_i) = sign * phi(x_i, x_j)
+    in rank order: i < j for skew ones (sign -1, the domain of C^2) and
+    i <= j for symmetric ones."""
+    s = int(sign < 0)
+    return [(i, j) for i in range(n) for j in range(i + s, n)]
+
+
 def _fold(rows, n, sign):
-    """(domain, folded): the pairs (i, j) of the forms with
-    phi(x_j, x_i) = sign * phi(x_i, x_j), i < j for skew ones (sign -1, the
-    domain of C^2) and i <= j for symmetric ones, and sparse n^2 rows read
-    on those forms as rows over the pair ranks: (j, i) adds sign times its
-    entry to (i, j), and the skew diagonal, off the domain, weighs 0.
+    """Sparse n^2 rows read on the forms of one symmetry as rows over the
+    ranks of its pair domain (_pair_domain), one folded row per row, each
+    folded as it arrives: (j, i) adds sign times its entry to (i, j), and
+    the skew diagonal, off the domain, weighs 0.
 
     With s = 1 for skew forms and 0 for symmetric ones, the rows i' < i
     hold n - i' - s pairs each, so (i, j) has rank
     i * (2n - i - 1 - 2s) / 2 + j - s, the map _square inverts."""
     s = int(sign < 0)
-    domain = [(i, j) for i in range(n) for j in range(i + s, n)]
-    folded = [{} for _ in rows]
-    for row, out in zip(rows, folded):
+    for row in rows:
+        out = {}
         for col, v in row.items():
             i, j = divmod(col, n)
             if i > j:
@@ -139,12 +149,12 @@ def _fold(rows, n, sign):
             elif i == j and s:
                 continue
             add_entry(out, i * (2 * n - i - 1 - 2 * s) // 2 + j - s, v)
-    return domain, folded
+        yield out
 
 
 def _square(domain, n, vec, sign):
     """A form given as a sparse {rank: value} dict over the pair domain of
-    its sign (_fold), as a sparse n^2 vector: the one writer of both
+    its sign (_pair_domain), as a sparse n^2 vector: the one writer of both
     (i, j) and (j, i)."""
     out = {}
     for r, c in vec.items():
@@ -155,9 +165,9 @@ def _square(domain, n, vec, sign):
 
 
 def _squared(domain, n, space, sign):
-    """space, a Subspace over the pair domain of sign (_fold), squared row
-    by row into n^2 coordinates (_square), with no elimination.  The ranks
-    order the pairs as their columns i * n + j do, and the mirror
+    """space, a Subspace over the pair domain of sign (_pair_domain),
+    squared row by row into n^2 coordinates (_square), with no elimination.
+    The ranks order the pairs as their columns i * n + j do, and the mirror
     j * n + i of a pair i < j lies past every column i' * n + j' with
     i' <= i, so the square of a canonical row leads at the column of its
     pivot pair, which no other square holds, and keeps its values: the
@@ -171,8 +181,12 @@ def _ce_rows(algebra, module, degree, weight=None):
     """Sparse rows of d: C^degree -> C^{degree+1}, on the tuples of one
     weight when weight is given (trivial coefficients only).
 
-    Returns (domain, rows): domain the degree-tuples that index the
-    columns, len(domain) * dim(M) of them, and rows[r] = {col: value}.
+    Returns (domain, nrows, rows): domain the degree-tuples that index the
+    columns, len(domain) * dim(M) of them, nrows the number of rows, and
+    rows a stream of (r, {col: value}) over the rows r that are not zero,
+    in order.  The target tuples are walked one at a time and the dim(M)
+    rows of each are built and yielded before the next, so no row is held
+    after its reader has taken it.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -180,19 +194,27 @@ def _ce_rows(algebra, module, degree, weight=None):
         raise ValueError("weight slices need trivial coefficients")
     dm = module.dim
     domain = _tuples(algebra, degree, weight)
+    if weight is None:
+        targets = combinations(range(algebra.dim), degree + 1)
+        nrows = comb(algebra.dim, degree + 1) * dm
+    else:
+        targets = _tuples(algebra, degree + 1, weight)
+        nrows = len(targets) * dm
     in_ranks = {S: r for r, S in enumerate(domain)}
-    targets = _tuples(algebra, degree + 1, weight)
-    rows = [dict() for _ in range(len(targets) * dm)]
-    for t_rank, T in enumerate(targets):
-        for a in range(degree + 1):
-            action = module.action[T[a]]
-            if action:
-                s_rank = in_ranks[T[:a] + T[a + 1:]]
-                for (r, c), v in action.items():
-                    add_entry(rows[t_rank * dm + r], s_rank * dm + c,
-                              -v if a % 2 else v)
-        for a in range(degree + 1):
-            for b in range(a + 1, degree + 1):
+    acting = range(degree + 1) if any(module.action) else ()
+    slots = list(combinations(range(degree + 1), 2))
+
+    def stream():
+        # the dim(M) rows of one target tuple at a time
+        for t_rank, T in enumerate(targets):
+            rows = [{} for _ in range(dm)]
+            for a in acting:
+                action = module.action[T[a]]
+                if action:
+                    s_rank = in_ranks[T[:a] + T[a + 1:]]
+                    for (r, c), v in action.items():
+                        add_entry(rows[r], s_rank * dm + c, -v if a % 2 else v)
+            for a, b in slots:
                 terms = algebra.bracket(T[a], T[b])
                 if not terms:
                     continue
@@ -206,8 +228,12 @@ def _ce_rows(algebra, module, degree, weight=None):
                             "the bracket must add the degrees of a weight slice")
                     sgn = -c if (a + b + pos) % 2 else c
                     for m in range(dm):
-                        add_entry(rows[t_rank * dm + m], u_rank * dm + m, sgn)
-    return domain, rows
+                        add_entry(rows[m], u_rank * dm + m, sgn)
+            for m, row in enumerate(rows):
+                if row:
+                    yield t_rank * dm + m, row
+
+    return domain, nrows, stream()
 
 
 class CochainSpaceResult:
@@ -232,17 +258,19 @@ class CochainSpaceResult:
 def _cochain_spaces(algebra, module, degree, weight=None):
     """(domain, Z, B) in one degree, on the tuples of one weight when weight
     is given: domain lists the degree-tuples that index the coordinates.
-    Checks B subset of Z."""
-    domain, rows = _ce_rows(algebra, module, degree, weight)
+    Z is the kernel of the stream of d^degree rows and B the span of the
+    columns of d^(degree-1), gathered from its stream.  Checks B subset
+    of Z."""
+    domain, _, rows = _ce_rows(algebra, module, degree, weight)
     ncols = len(domain) * module.dim
-    z_space = kernel_from_rows(ncols, rows)
+    z_space = kernel_from_rows(ncols, _RowStream(row for _, row in rows))
     if degree == 0:
         b_space = Subspace.zero(ncols)
     else:
-        _, prev = _ce_rows(algebra, module, degree - 1, weight)
-        require(len(prev) == ncols, "degree %d cochains do not chain up" % degree)
+        _, nrows, prev = _ce_rows(algebra, module, degree - 1, weight)
+        require(nrows == ncols, "degree %d cochains do not chain up" % degree)
         cols = {}
-        for r, row in enumerate(prev):
+        for r, row in prev:
             for c, v in row.items():
                 cols.setdefault(c, {})[r] = v
         b_space = Subspace.from_vectors(ncols, list(cols.values()))

@@ -65,6 +65,7 @@ import random
 from . import identities as ids
 from .exactlin import (
     Subspace,
+    _RowStream,
     _span,
     inverse,
     kernel_from_rows,
@@ -205,8 +206,8 @@ class PencilCandidates:
         """The exact kernel at value, rechecked against the identity."""
         value = Fraction(value)
         if value not in self._cache:
-            space = kernel_from_rows(self.algebra.dim ** 2,
-                                     ids.rows_at(self._rows, (_ONE, value)))
+            space = kernel_from_rows(self.algebra.dim ** 2, _RowStream(
+                ids.rows_at(self._rows, (_ONE, value))))
             ids.recheck(self.algebra,
                         (ids.PENCILS[self.kind].at(_ONE, value),), space)
             self._cache[value] = space
@@ -373,7 +374,7 @@ def lambda_candidates(alg, kind):
     n2 = alg.dim ** 2
     rows = ids.pencil_rows(alg, ids.PENCILS[kind])
     degenerate = kernel_from_rows(
-        n2, ids.rows_at(rows, (_ONE, _GENERIC_PROBE))).dim > 0
+        n2, _RowStream(ids.rows_at(rows, (_ONE, _GENERIC_PROBE)))).dim > 0
     residual_degree = 0
     primes = ()
     candidates = set(_FORCED_VALUES)

@@ -36,6 +36,9 @@ read does, and is normalized once: no stored row holds another pivot, so
 nothing cascades.  A zero result is dependent and dropped; otherwise its
 lowest column becomes a pivot, cleared from the stored rows a column index
 names.
+A kernel reads its rows once, as a stream: the condition and cochain
+systems of the package are built row by row as the kernel takes them
+(_RowStream counts them), and only the distinct rows are held.
 A kernel is eliminated with the rightmost column of each row as its pivot,
 so its free columns give the canonical basis directly (see
 kernel_from_rows).  Dense matrices are plain tuples of rows of ints and
@@ -171,20 +174,38 @@ def _reduced_rows(int_rows):
 
 
 def _dedupe_sorted(int_rows):
-    """Drop zero and duplicate rows, sparsest first.  The keys are freed
-    on return, before the rows are eliminated."""
-    seen = set()
-    out = []
+    """The nonzero rows, each distinct row once, sparsest first and in the
+    order given among rows of equal length.  Each distinct row is held
+    once, as it was given: the index maps the hash of its sorted entries
+    to the distinct rows with that hash, and no key is kept."""
+    seen, out = {}, []
     for r in int_rows:
-        if not r:
-            continue
-        key = tuple(sorted(r.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(r)
+        if r:
+            same = seen.setdefault(hash(tuple(sorted(r.items()))), [])
+            if r not in same:
+                same.append(r)
+                out.append(r)
     out.sort(key=len)
     return out
+
+
+class _RowStream:
+    """Rows taken one at a time from an iterable, read once; len is the
+    number taken so far, so once a kernel has read the stream it counts the
+    rows the kernel read, as the length of a list of them would."""
+
+    __slots__ = ("_rows", "_taken")
+
+    def __init__(self, rows):
+        self._rows, self._taken = rows, 0
+
+    def __iter__(self):
+        for row in self._rows:
+            self._taken += 1
+            yield row
+
+    def __len__(self):
+        return self._taken
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +320,15 @@ def kernel_from_rows(ncols, rows):
     """Kernel of the homogeneous system given by sparse/dense rows.
 
     The workhorse for every condition space in the package.  Rows may be
-    dicts {col: rational} or dense sequences.  Each is read once into a
-    mirrored int row; zero rows and rows equal to an earlier one (keyed by
-    their sorted entries) are discarded, and the rest enter the engine
-    sparsest first, in the order given among rows of equal length.  Each
-    is reduced once against the reduced rows so far, so the many dependent
-    rows of a tall system each cost one pass and are dropped.
+    dicts {col: rational} or dense sequences, and rows any iterable, read
+    once: a generator streams a system into the kernel, which holds one
+    copy of each distinct row and no other.  Each row is read once into a
+    mirrored int row; zero rows and rows equal to an earlier one (indexed
+    by the hash of their sorted entries) are discarded, and the rest enter
+    the engine sparsest first, in the order given among rows of equal
+    length.  Each is reduced once against the reduced rows so far, so the
+    many dependent rows of a tall system each cost one pass and are
+    dropped.
 
     The engine runs on mirrored columns, so every reduced row p takes its
     rightmost column as pivot and holds only columns f < p besides.  For

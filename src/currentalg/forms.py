@@ -58,10 +58,10 @@ its residual; both are read as pivot-1 vectors.
 from fractions import Fraction
 
 from . import identities as ids
-from .exactlin import Subspace, _span, kernel_from_rows, preimage
+from .exactlin import Subspace, _RowStream, _span, kernel_from_rows, preimage
 from .identities import require
 from .algebras import _named, build_assoc, build_lie, current
-from .cochain import _fold, _squared, cohomology, trivial_module
+from .cochain import _fold, _pair_domain, _squared, cohomology, trivial_module
 
 __all__ = [
     "SYMMETRY_SIGNS",
@@ -117,14 +117,16 @@ def _solve(alg, idents, sign=None):
     identity holds at its weights: the exact kernel of their rows,
     rechecked against the identities.  With a sign, the forms of that
     symmetry: the rows of each identity in its order for that symmetry
-    (Identity.over), solved over their pairs (cochain._fold) and squared
-    back (cochain._squared)."""
+    (Identity.over), folded onto their pairs (cochain._fold) and squared
+    back (cochain._squared).  The rows stream from the identities, through
+    the fold, into the kernel, which holds only the distinct ones."""
     n, rows = alg.dim, ids.rows(alg, [ident.over(sign) for ident in idents])
     if sign is None:
-        space = kernel_from_rows(n * n, rows)
+        space = kernel_from_rows(n * n, _RowStream(rows))
     else:
-        domain, rows = _fold(rows, n, sign)
-        space = _squared(domain, n, kernel_from_rows(len(domain), rows), sign)
+        domain = _pair_domain(n, sign)
+        kernel = kernel_from_rows(len(domain), _RowStream(_fold(rows, n, sign)))
+        space = _squared(domain, n, kernel, sign)
     ids.recheck(alg, idents, space)
     return space
 
@@ -229,12 +231,12 @@ def _symmetry_layer(space, n, sign):
     cochain._square is the one writer of both (i, j) and (j, i): there the
     fold, the preimage and the layer check have nothing to do."""
     if space.dim == n * n:
-        domain = _fold([], n, sign)[0]
+        domain = _pair_domain(n, sign)
         return _squared(domain, n, kernel_from_rows(len(domain), []), sign)
-    domain, folded = _fold(list(space.rows.values()), n, -sign)
-    layer = preimage(space, folded, Subspace.zero(len(domain)))
+    folded = list(_fold(space.rows.values(), n, -sign))
+    layer = preimage(space, folded, Subspace.zero(len(_pair_domain(n, -sign))))
     require(space.contains(layer)
-            and not any(_fold(list(layer.rows.values()), n, -sign)[1]),
+            and not any(_fold(layer.rows.values(), n, -sign)),
             "symmetry layer escapes its condition or symmetry space")
     return layer
 

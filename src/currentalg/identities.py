@@ -38,7 +38,10 @@ Two independent evaluations are derived from each identity:
   holds a product slot, only the tuples with a nonzero slot are walked
   (_live, which reads the table's masks alg.support), since the others
   give no entry; an identity with a bare D(x)y or xD(y) term walks every
-  tuple, through the same enumerator and in the same lexicographic order;
+  tuple, through the same enumerator and in the same lexicographic order.
+  rows yields its rows one basis tuple at a time, so a kernel reads them
+  as a stream and no identity's rows are held as a whole; pencil_rows
+  keeps its pairs as a list, which a pencil reads at several values;
 * the recheck (recheck) evaluates the identity on seeded random dense
   integer vectors, with the structure constants of alg.mul(i, j) scaled
   to integers, directly at one seeded integer combination of the solution
@@ -313,8 +316,14 @@ def _entries(alg, terms, t):
 def pencil_rows(alg, ident):
     """Rows of the identity as (lambda-free part, lambda part) pairs of
     sparse dicts: basis tuples in order, output coordinates in the order
-    they are first touched, rows that vanish in both parts dropped."""
-    out = []
+    they are first touched, rows that vanish in both parts dropped.  A
+    list, for a pencil that reads its rows at several values; rows reads
+    the same pairs as a stream (_pencil_pairs)."""
+    return list(_pencil_pairs(alg, ident))
+
+
+def _pencil_pairs(alg, ident):
+    """The pairs of pencil_rows, yielded basis tuple by basis tuple."""
     for t in _tuples(alg.dim, ident.order, _live(alg, ident)):
         per = {}
         for r, col, val, part in _entries(alg, ident.terms, t):
@@ -322,24 +331,24 @@ def pencil_rows(alg, ident):
             if pair is None:
                 pair = per[r] = ({}, {})
             add_entry(pair[part], col, val)
-        out.extend(pair for pair in per.values() if pair[0] or pair[1])
-    return out
+        for pair in per.values():
+            if pair[0] or pair[1]:
+                yield pair
 
 
 def rows_at(pairs, weights):
-    """Sparse rows w0 * (lambda-free part) + w1 * (lambda part), w0 in {0, 1}."""
+    """Sparse rows w0 * (lambda-free part) + w1 * (lambda part), w0 in {0, 1},
+    yielded one per pair that gives a nonzero row."""
     w0, w1 = weights
     if w1.denominator == 1:
         w1 = w1.numerator   # an integral lambda keeps integral rows in ints
-    out = []
     for const, lin in pairs:
         row = dict(const) if w0 else {}
         if w1:
             for col, c in lin.items():
                 add_entry(row, col, w1 * c)
         if row:
-            out.append(row)
-    return out
+            yield row
 
 
 def first_failure(alg, ident, vec):
@@ -355,11 +364,11 @@ def first_failure(alg, ident, vec):
 
 
 def rows(alg, idents):
-    """Sparse rows of every identity at its weights, for kernel_from_rows."""
-    out = []
+    """Sparse rows of every identity at its weights, for kernel_from_rows:
+    a stream, each row built as the reader takes it, so no identity's rows
+    are held as a whole."""
     for ident in idents:
-        out.extend(rows_at(pencil_rows(alg, ident), ident.weights))
-    return out
+        yield from rows_at(_pencil_pairs(alg, ident), ident.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from currentalg.identities import InvariantError
 from currentalg.modp import PRIMES
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text())
+# the --json lines of the cochain verbs (cohomology, larsson, sequence, forms)
+COCHAIN_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cochain.json").read_text())
 
 
 def run(capsys, *argv):
@@ -461,3 +463,9 @@ def test_input_and_usage_errors_exit_2_with_their_message(tmp_path, capsys, case
         path.write_text(json.dumps(record))
     argv = [str(path) if a == "FILE" else a for a in argv]
     assert run(capsys, *argv) == (2, "", message.replace("FILE", str(path)) + "\n")
+
+
+@pytest.mark.parametrize("command", sorted(COCHAIN_GOLDEN))
+def test_cochain_verbs_print_their_golden_lines(capsys, command):
+    assert run(capsys, *command.split(), "--json") == (
+        0, COCHAIN_GOLDEN[command] + "\n", "")

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from currentalg.exactlin import (
     Subspace,
+    _RowStream,
     _as_int_row,
     _reduced_rows,
     inverse,
@@ -513,3 +514,22 @@ def test_a_new_pivot_is_cleared_from_the_rows_that_hold_it():
         assert_reduced(state)
     assert kernel_from_rows(4, rows[:3]) == Subspace.from_vectors(4, [[1, -2, 6, -6]])
     assert Subspace.from_vectors(4, rows[:3]).reduce({3: 1}) == {3: Fraction(1)}
+
+
+def test_a_kernel_reads_a_one_shot_stream_once():
+    rows = [{0: 1, 1: -1}, {1: 2, 2: Fraction(1, 3)}, {}, {1: -1, 0: 1}, [0, 0, 0, 1]]
+    taken = []
+
+    def once():
+        for row in rows:
+            taken.append(row)
+            yield row
+
+    assert kernel_from_rows(4, once()) == kernel_from_rows(4, rows)
+    assert taken == rows
+    stream = _RowStream(iter(rows))
+    assert kernel_from_rows(4, stream) == kernel_from_rows(4, rows)
+    assert len(stream) == len(rows)
+    # a float in a row that the stream builds late still raises
+    with pytest.raises(TypeError):
+        kernel_from_rows(2, ({0: 1} if k else {1: 0.5} for k in (1, 0)))

@@ -451,7 +451,7 @@ def test_planted_wrong_layer_raises_under_optimize(run_optimized):
         "    # a symmetric layer folds with sign -1, onto the pairs i < j\n"
         "    sign = -1 if target.ambient_dim == n * (n - 1) // 2 else 1\n"
         "    units = [{c: 1} for c in range(n * n)]\n"
-        "    return real(kernel_from_rows(n * n, []), forms._fold(units, n, sign)[1],\n"
+        "    return real(kernel_from_rows(n * n, []), list(forms._fold(units, n, sign)),\n"
         "                target)\n"
         "for wrong in (lambda space, images, target: space, ignores_condition):\n"
         "    forms.preimage = wrong\n"
