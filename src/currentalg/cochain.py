@@ -8,7 +8,9 @@ C^n(L, M) = Hom(Lambda^n L, M) with the differential
 Every degree n >= 0 is built on demand, so H^n is available for any n.  A
 degree-n cochain is coordinatized by pairs (S, m): S an increasing n-tuple
 of basis indices in lexicographic rank order, m a module coordinate, flat
-index rank(S) * dim(M) + m.
+index rank(S) * dim(M) + m.  One rank map per degree, {S: rank(S)}, holds
+that order; a row of d is keyed by its target pair (T, m), and its reader
+ranks T in the map of the next degree when it needs a position.
 
 This module owns that layout and the pair layout of the forms of one
 symmetry (_pair_domain, _fold, _square, _squared): the other modules take
@@ -26,7 +28,6 @@ CochainSpaceResult whose domain lists the flat pairs of one weight.
 
 from bisect import bisect_left
 from itertools import combinations
-from math import comb
 
 from .exactlin import Subspace, _RowStream, kernel_from_rows
 from .identities import add_entry, require
@@ -66,8 +67,9 @@ class LieModule:
     def _validate(self):
         # x.(y.m) - y.(x.m) - [x, y].m is (d d m)(x, y), so the axiom is
         # d^2 = 0 on C^0: one row of d^1 d^0 per bracket pair and coordinate
-        d0 = dict(_ce_rows(self.algebra, self, 0)[2])
-        for r, row in _ce_rows(self.algebra, self, 1)[2]:
+        d0 = {T[0] * self.dim + m: row
+              for (T, m), row in _ce_rows(self.algebra, self, 0)[1]}
+        for (T, _), row in _ce_rows(self.algebra, self, 1)[1]:
             composite = {}
             for c, v in row.items():
                 for col, w in d0.get(c, {}).items():
@@ -75,7 +77,7 @@ class LieModule:
             if composite:
                 raise ValueError(
                     "module action violates the representation axiom on "
-                    "bracket pair (%d, %d)" % _tuples(self.algebra, 2)[r // self.dim])
+                    "bracket pair (%d, %d)" % T)
 
 
 def trivial_module(algebra):
@@ -102,10 +104,11 @@ def _tuples(algebra, size, weight=None):
 
     With a weight, only the tuples whose degrees (algebra.degrees) add up
     to it: they are drawn degree class by degree class, so tuples of other
-    weights are never enumerated.
+    weights are never enumerated.  An iterable: the combinations themselves
+    without a weight, a sorted list with one.
     """
     if weight is None:
-        return list(combinations(range(algebra.dim), size))
+        return combinations(range(algebra.dim), size)
     classes = {}
     for i, d in enumerate(algebra.degrees):
         classes.setdefault(d, []).append(i)
@@ -181,37 +184,32 @@ def _ce_rows(algebra, module, degree, weight=None):
     """Sparse rows of d: C^degree -> C^{degree+1}, on the tuples of one
     weight when weight is given (trivial coefficients only).
 
-    Returns (domain, nrows, rows): domain the degree-tuples that index the
-    columns, len(domain) * dim(M) of them, nrows the number of rows, and
-    rows a stream of (r, {col: value}) over the rows r that are not zero,
-    in order.  The target tuples are walked one at a time and the dim(M)
-    rows of each are built and yielded before the next, so no row is held
-    after its reader has taken it.
+    Returns (ranks, rows): ranks the {degree-tuple: rank} map of the
+    columns, len(ranks) * dim(M) of them, and rows a stream of
+    ((T, m), {col: value}) over the rows that are not zero, in order, T the
+    target (degree + 1)-tuple and m the module coordinate.  The target
+    tuples are walked one at a time and the dim(M) rows of each are built
+    and yielded before the next, so no row is held after its reader has
+    taken it.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if weight is not None and any(module.action):
         raise ValueError("weight slices need trivial coefficients")
     dm = module.dim
-    domain = _tuples(algebra, degree, weight)
-    if weight is None:
-        targets = combinations(range(algebra.dim), degree + 1)
-        nrows = comb(algebra.dim, degree + 1) * dm
-    else:
-        targets = _tuples(algebra, degree + 1, weight)
-        nrows = len(targets) * dm
-    in_ranks = {S: r for r, S in enumerate(domain)}
+    ranks = {S: r for r, S in enumerate(_tuples(algebra, degree, weight))}
+    targets = _tuples(algebra, degree + 1, weight)
     acting = range(degree + 1) if any(module.action) else ()
     slots = list(combinations(range(degree + 1), 2))
 
     def stream():
         # the dim(M) rows of one target tuple at a time
-        for t_rank, T in enumerate(targets):
+        for T in targets:
             rows = [{} for _ in range(dm)]
             for a in acting:
                 action = module.action[T[a]]
                 if action:
-                    s_rank = in_ranks[T[:a] + T[a + 1:]]
+                    s_rank = ranks[T[:a] + T[a + 1:]]
                     for (r, c), v in action.items():
                         add_entry(rows[r], s_rank * dm + c, -v if a % 2 else v)
             for a, b in slots:
@@ -223,7 +221,7 @@ def _ce_rows(algebra, module, degree, weight=None):
                     pos = bisect_left(rest, k)
                     if pos < len(rest) and rest[pos] == k:
                         continue
-                    u_rank = in_ranks.get(rest[:pos] + (k,) + rest[pos:])
+                    u_rank = ranks.get(rest[:pos] + (k,) + rest[pos:])
                     require(u_rank is not None,
                             "the bracket must add the degrees of a weight slice")
                     sgn = -c if (a + b + pos) % 2 else c
@@ -231,9 +229,9 @@ def _ce_rows(algebra, module, degree, weight=None):
                         add_entry(rows[m], u_rank * dm + m, sgn)
             for m, row in enumerate(rows):
                 if row:
-                    yield t_rank * dm + m, row
+                    yield (T, m), row
 
-    return domain, nrows, stream()
+    return ranks, stream()
 
 
 class CochainSpaceResult:
@@ -257,25 +255,25 @@ class CochainSpaceResult:
 
 def _cochain_spaces(algebra, module, degree, weight=None):
     """(domain, Z, B) in one degree, on the tuples of one weight when weight
-    is given: domain lists the degree-tuples that index the coordinates.
-    Z is the kernel of the stream of d^degree rows and B the span of the
-    columns of d^(degree-1), gathered from its stream.  Checks B subset
+    is given: domain lists the degree-tuples that index the coordinates,
+    read off the rank map of _ce_rows.  Z is the kernel of the stream of
+    d^degree rows and B the span of the columns of d^(degree-1), gathered
+    from its stream: the row keyed (T, m) is coboundary coordinate
+    rank(T) * dim(M) + m.  Degree 0 has no d^(-1), so its B is zero.
+    Checks that every target tuple of d^(degree-1) is ranked, and B subset
     of Z."""
-    domain, _, rows = _ce_rows(algebra, module, degree, weight)
-    ncols = len(domain) * module.dim
+    ranks, rows = _ce_rows(algebra, module, degree, weight)
+    ncols = len(ranks) * module.dim
     z_space = kernel_from_rows(ncols, _RowStream(row for _, row in rows))
-    if degree == 0:
-        b_space = Subspace.zero(ncols)
-    else:
-        _, nrows, prev = _ce_rows(algebra, module, degree - 1, weight)
-        require(nrows == ncols, "degree %d cochains do not chain up" % degree)
-        cols = {}
-        for r, row in prev:
+    cols = {}
+    if degree:
+        for (T, m), row in _ce_rows(algebra, module, degree - 1, weight)[1]:
+            require(T in ranks, "degree %d cochains do not chain up" % degree)
             for c, v in row.items():
-                cols.setdefault(c, {})[r] = v
-        b_space = Subspace.from_vectors(ncols, list(cols.values()))
+                cols.setdefault(c, {})[ranks[T] * module.dim + m] = v
+    b_space = Subspace.from_vectors(ncols, list(cols.values()))
     require(z_space.contains(b_space), "coboundaries must be cocycles")
-    return domain, z_space, b_space
+    return list(ranks), z_space, b_space
 
 
 def cohomology(algebra, module, degree):

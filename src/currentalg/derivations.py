@@ -421,7 +421,7 @@ def lambda_candidates(alg, kind):
 # the span theorem
 
 
-def _pencil_pairs(pencil_l, pencil_a):
+def _admissible(pencil_l, pencil_a):
     """(lam, S_L, S_A) for every lam whose L kernel at lam and A kernel at
     1/lam are both nonzero; lam runs over the nonzero values of either
     pencil (the A side inverted) and the forced values."""
@@ -458,7 +458,7 @@ def verify_der_decomposition(L, A):
                      lambda_candidates(A, "assoc_left")),
                "ii": (lambda_candidates(L, "lie_left"),
                       lambda_candidates(A, "assoc_both"))}
-    admissible = {label: _pencil_pairs(*pair) for label, pair in pencils.items()}
+    admissible = {label: _admissible(*pair) for label, pair in pencils.items()}
     pairs = {label: [(dl, da) for _, dl, da in found]
              for label, found in admissible.items()}
     for label, conds_l, conds_a in DER_TYPE_TABLE:

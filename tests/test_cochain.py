@@ -40,13 +40,15 @@ def modules(g):
             "coadjoint": coadjoint_module(g)}
 
 
-def _listed(stream, nrows):
-    """The rows of a _ce_rows stream as a list of nrows sparse rows, the
-    zero rows the stream skips put back."""
-    out = [{} for _ in range(nrows)]
-    for r, row in stream:
-        assert row, r
-        out[r] = row
+def _listed(stream, targets, dim):
+    """The rows of a _ce_rows stream as a list of sparse rows, the row keyed
+    (T, m) at rank(T) * dim + m, T ranked among the lexicographic targets:
+    the zero rows the stream skips put back."""
+    rank = {T: r for r, T in enumerate(targets)}
+    out = [{} for _ in range(len(rank) * dim)]
+    for (T, m), row in stream:
+        assert row, (T, m)
+        out[rank[T] * dim + m] = row
     return out
 
 
@@ -66,11 +68,16 @@ def test_differential_squares_to_zero():
     for _, g in algebras():
         for mod in modules(g).values():
             for n in (0, 1, 2):
-                _, nrows, d_n = _ce_rows(g, mod, n)
-                domain, next_rows, d_next = _ce_rows(g, mod, n + 1)
-                # d_n has one row per coordinate of C^{n+1}, d_next's domain
-                assert nrows == len(domain) * mod.dim
-                d_n, d_next = _listed(d_n, nrows), _listed(d_next, next_rows)
+                _, d_n = _ce_rows(g, mod, n)
+                ranks, d_next = _ce_rows(g, mod, n + 1)
+                # each row of d_n is keyed by a coordinate (T, m) of C^{n+1},
+                # d_next's domain, in rank order
+                d_n = list(d_n)
+                assert all(T in ranks and 0 <= m < mod.dim for (T, m), _ in d_n)
+                keys = [(ranks[T], m) for (T, m), _ in d_n]
+                assert keys == sorted(set(keys))
+                d_n = _listed(d_n, combinations(range(g.dim), n + 1), mod.dim)
+                d_next = _listed(d_next, combinations(range(g.dim), n + 2), mod.dim)
                 assert not any(_composite(d_next, d_n))
 
 
@@ -78,8 +85,8 @@ def test_cochain_dims_are_binomial():
     g = lie_sl(3)
     mod = adjoint_module(g)
     for degree, dim in ((0, 8), (1, 64), (2, 28 * 8), (3, 56 * 8)):
-        domain, _, _ = _ce_rows(g, mod, degree)
-        assert len(domain) * mod.dim == dim, degree
+        ranks, _ = _ce_rows(g, mod, degree)
+        assert len(ranks) * mod.dim == dim, degree
 
 
 # (Z, B, H) per degree 0..3, computed once and pinned.  The semisimple rows
@@ -113,11 +120,11 @@ def test_coboundaries_are_cocycles_in_all_cases():
     g = lie_heisenberg3()
     mod = coadjoint_module(g)
     for degree in (1, 2):
-        domain, nrows, d_prev = _ce_rows(g, mod, degree - 1)
-        d_prev = _listed(d_prev, nrows)
-        _, _, d_here = _ce_rows(g, mod, degree)
+        ranks, d_prev = _ce_rows(g, mod, degree - 1)
+        d_prev = _listed(d_prev, combinations(range(g.dim), degree), mod.dim)
+        _, d_here = _ce_rows(g, mod, degree)
         d_here = [row for _, row in d_here]
-        for col in range(len(domain) * mod.dim):
+        for col in range(len(ranks) * mod.dim):
             image = {r: row[col] for r, row in enumerate(d_prev) if col in row}
             assert all(sum(v * image.get(c, 0) for c, v in row.items()) == 0
                        for row in d_here)
@@ -129,8 +136,35 @@ def test_representation_axiom_is_enforced():
     action = [dict(a) for a in adjoint_module(g).action]
     key = next(iter(action[0]))
     action[0][key] = -action[0][key]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bracket pair \(0, 2\)"):
         LieModule(g, g.dim, action)
+
+
+def test_a_coboundary_row_outside_the_domain_raises_under_optimize(run_optimized):
+    # one extra row of d^0 keyed by (3,), a 1-tuple outside the domain of
+    # C^1 on sl2
+    code = (
+        "from currentalg import cochain\n"
+        "from currentalg.algebras import lie_sl2\n"
+        "from currentalg.identities import InvariantError\n"
+        "ce_rows = cochain._ce_rows\n"
+        "def stray(algebra, module, degree, weight=None):\n"
+        "    ranks, rows = ce_rows(algebra, module, degree, weight)\n"
+        "    def more():\n"
+        "        yield from rows\n"
+        "        if degree == 0:\n"
+        "            yield ((algebra.dim,), 0), {0: 1}\n"
+        "    return ranks, more()\n"
+        "cochain._ce_rows = stray\n"
+        "g = lie_sl2()\n"
+        "try:\n"
+        "    cochain.cohomology(g, cochain.trivial_module(g), 1)\n"
+        "except InvariantError as exc:\n"
+        "    if str(exc) != 'degree 1 cochains do not chain up':\n"
+        "        raise SystemExit(3)\n"
+        "    raise SystemExit(7)\n"
+    )
+    run_optimized(code)
 
 
 def test_a_module_of_another_algebra_is_refused():
@@ -205,7 +239,7 @@ def test_a_cohomology_result_carries_its_cochain_domain():
         for module in (trivial_module(g), adjoint_module(g)):
             for degree in range(4):
                 res = cohomology(g, module, degree)
-                assert res.domain == _tuples(g, degree)
+                assert res.domain == list(_tuples(g, degree))
                 assert len(res.domain) * module.dim == res.z_space.ambient_dim
     res = cohomology(lie_sl2(), adjoint_module(lie_sl2()), 1)
     assert repr(res) == "CochainSpaceResult(degree=1, Z=3, B=3, H=0)"

@@ -243,7 +243,7 @@ def test_integral_tables_store_int_coefficients(desc):
 def test_rows_and_differentials_of_an_integral_table_are_ints():
     curr = current(build_lie("sl3"), build_assoc("tpoly:3"))
     rows = list(identities.rows(curr, [identities.LIE_FORMS["invariant"]]))
-    ce_rows = [row for _, row in cochain._ce_rows(curr, cochain.trivial_module(curr), 2)[2]]
+    ce_rows = [row for _, row in cochain._ce_rows(curr, cochain.trivial_module(curr), 2)[1]]
     for system in (rows, ce_rows):
         assert system and all(type(v) is int for row in system for v in row.values())
 
